@@ -10,15 +10,18 @@
 /// different paths:
 ///
 ///   blake256     compute-bound crypto, convergent ALU fast path
+///   blake256@r32 the same under the Figure 6 register bound: local-
+///                memory spill traffic (the bounded crypto candidates)
 ///   ethash       memory-bound, divergent sector traffic, MSHR pressure
 ///   batchnorm+hist   two-stream native run, barriers + shared atomics
 ///   im2col+maxpool   two-stream native run, mixed compute/memory
 ///
 /// Each case runs at StatsLevel::Full (the default, nvprof-style
-/// profiling on) and StatsLevel::Minimal (timing only — what the search
-/// sweep uses) and reports simulated instructions per second. One JSON
-/// line per (case, stats level) feeds the BENCH_*.json perf trajectory;
-/// cycle counts must match across levels and gate the exit code.
+/// profiling on, which the search sweep also uses) and
+/// StatsLevel::Minimal (timing only) and reports simulated instructions
+/// per second. One JSON line per (case, stats level) feeds the
+/// BENCH_*.json perf trajectory; cycle counts must match across levels
+/// and gate the exit code.
 ///
 /// Set HFUSE_QUICK=1 to shrink workloads for smoke runs.
 ///
@@ -42,6 +45,7 @@ namespace {
 struct Case {
   const char *Name;
   std::vector<BenchKernelId> Kernels; // one = solo, two = native pair
+  unsigned RegBound = 0;              // 0 = unbounded
 };
 
 struct Measurement {
@@ -63,7 +67,8 @@ Measurement runCase(const Case &C, StatsLevel Level, int Repeats) {
   std::vector<KernelLaunch> Launches;
   for (size_t I = 0; I < C.Kernels.size(); ++I) {
     DiagnosticEngine Diags;
-    auto K = sharedBenchCache()->getBenchKernel(C.Kernels[I], 0, Diags);
+    auto K =
+        sharedBenchCache()->getBenchKernel(C.Kernels[I], C.RegBound, Diags);
     if (!K) {
       std::fprintf(stderr, "%s: compile failed:\n%s", C.Name,
                    Diags.str().c_str());
@@ -112,6 +117,7 @@ Measurement runCase(const Case &C, StatsLevel Level, int Repeats) {
 int main() {
   const std::vector<Case> Cases = {
       {"blake256", {BenchKernelId::Blake256}},
+      {"blake256@r32", {BenchKernelId::Blake256}, 32},
       {"ethash", {BenchKernelId::Ethash}},
       {"batchnorm+hist", {BenchKernelId::Batchnorm, BenchKernelId::Hist}},
       {"im2col+maxpool", {BenchKernelId::Im2Col, BenchKernelId::Maxpool}},

@@ -103,7 +103,6 @@ struct CliOptions {
   bool UseCache = true;
   bool Volta = false;
   bool Quick = false;
-  bool FullStats = false;
   /// Simulator watchdog window in cycles (0 = off): abandon a candidate
   /// simulation as deadlocked when the scheduler makes no progress for
   /// this long, instead of burning the full cycle limit.
@@ -211,9 +210,6 @@ void printUsage() {
       "                   in-memory (exit code 6, results still correct)\n"
       "  --volta          search for the V100 instead of the GTX 1080 Ti\n"
       "  --quick          small workloads (smoke-test scale)\n"
-      "  --full-stats     profile every candidate with full nvprof-style\n"
-      "                   stats (default: timing-only sweep, full stats\n"
-      "                   for the winner; cycle counts are identical)\n"
       "\n"
       "observability (zero overhead unless requested; never affects\n"
       "results — cycles and Best are bit-identical with it on or off):\n"
@@ -509,8 +505,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Volta = true;
     } else if (Arg == "--quick") {
       Opts.Quick = true;
-    } else if (Arg == "--full-stats") {
-      Opts.FullStats = true;
     } else if (Arg == "--vertical") {
       Opts.Vertical = true;
     } else if (Arg == "--full-barriers") {
@@ -671,8 +665,6 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
   RO.BudgetMarginPct = Opts.BudgetMarginPct;
   RO.MeasuredBound = Opts.MeasuredBound;
   RO.UseCompileCache = Opts.UseCache;
-  RO.SearchStats = Opts.FullStats ? gpusim::StatsLevel::Full
-                                  : gpusim::StatsLevel::Minimal;
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;
@@ -906,8 +898,6 @@ int searchNWay(const CliOptions &Opts,
   RO.BudgetMarginPct = Opts.BudgetMarginPct;
   RO.MeasuredBound = Opts.MeasuredBound;
   RO.UseCompileCache = Opts.UseCache;
-  RO.SearchStats = Opts.FullStats ? gpusim::StatsLevel::Full
-                                  : gpusim::StatsLevel::Minimal;
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;

@@ -14,7 +14,10 @@
 //    scoreboard, busy pipe, shared-atomic unit, memory throttle,
 //    barrier) leaves the mask and carries a wake cycle; it costs
 //    nothing until then. The main loop advances straight to the next
-//    wake when no scheduler can issue.
+//    wake when no scheduler can issue. Wake cycles live in the
+//    scheduler's own entries, and each warp caches its decoded
+//    instruction and the latest ready cycle of its operands, so the
+//    per-cycle examination of ready warps rarely leaves that state.
 //
 //  - Convergent-warp fast path: while all runnable lanes of a warp
 //    share one PC (the overwhelmingly common case), the min-PC /
@@ -29,7 +32,7 @@
 //
 //  - StatsLevel::Minimal compiles the profiling bookkeeping out of the
 //    issue path (stall-reason sampling, occupancy integration,
-//    per-launch traffic accounting) for search sweeps that only need
+//    per-launch traffic accounting) for callers that only need
 //    completion cycles.
 //
 // Scheduling decisions replicate the historical scan-based core
@@ -112,27 +115,25 @@ struct WarpState {
   uint64_t *Regs = nullptr;     // slot-major: Regs[slot*32+lane]
   uint64_t *RegReady = nullptr; // per slot
   uint8_t *RegMemSrc = nullptr; // per slot: producer was DRAM
-  uint8_t *Local = nullptr;     // 32 * LocalBytes
-  size_t LocalSize = 0;
+  uint8_t *Local = nullptr;     // 32 lane frames of LocalBytes each
   // Extent bookkeeping for slot recycling (offsets into the arenas).
   size_t U64Off = 0, U64Cap = 0;
   size_t U8Off = 0, U8Cap = 0;
 
-  // Scheduler state: the warp's current instruction (valid while
-  // CacheValid), the earliest cycle at which a blocked warp should be
-  // re-examined, and the stall reason it samples until then.
+  // Decode state of the warp's current instruction, valid while
+  // CacheValid: its lane mask, the instruction and its class,
+  // and the latest RegReady over its operands. Only this warp's own
+  // execute() writes its scoreboard, and every execute invalidates the
+  // cache first, so the cached maximum stays exact while valid.
   bool CacheValid = false;
   /// All runnable lanes share one PC; minPC/mask need no lane scan.
   bool Uniform = true;
-  uint32_t CachedPC = 0;
   uint32_t CachedMask = 0;
-  uint64_t WakeAt = 0;
-  Stall CachedReason = Stall::ExecDep;
+  const Instruction *CachedInst = nullptr;
+  InstrClass CachedCls = InstrClass::Control;
+  uint64_t CachedMaxReady = 0;
 
-  void invalidateSchedCache() {
-    CacheValid = false;
-    WakeAt = 0;
-  }
+  void invalidateSchedCache() { CacheValid = false; }
 
   uint64_t &reg(Reg Slot, unsigned Lane) {
     return Regs[size_t(Slot) * WarpSize + Lane];
@@ -164,9 +165,15 @@ struct BlockState {
 /// index — the position it would occupy in an append-only warp list —
 /// which is what the historical round-robin order was defined over.
 /// Keeping Pos explicit makes slot recycling invisible to scheduling.
+/// While the entry is blocked (its ready bit clear), WakeAt is the
+/// earliest cycle at which it should be re-examined and Reason the
+/// stall it samples until then; keeping both here lets the wake scans
+/// stay inside the compact Live array.
 struct SchedEntry {
   uint64_t Pos = 0;
+  uint64_t WakeAt = 0;
   uint32_t WarpSlot = 0;
+  Stall Reason = Stall::ExecDep;
 };
 
 struct SchedState {
@@ -388,9 +395,15 @@ struct Simulator::Impl {
   // Memory access helpers (functional)
   //===--------------------------------------------------------------------===//
 
+  /// Whether an \p AccessSize-byte access at \p Addr fits in \p Size
+  /// bytes (an address that wrapped below zero is out of bounds too).
+  static bool inBounds(size_t Size, uint64_t Addr, uint8_t AccessSize) {
+    return AccessSize <= Size && Addr <= Size - AccessSize;
+  }
+
   bool loadBytes(const uint8_t *Base, size_t Size, uint64_t Addr,
                  uint8_t AccessSize, bool Signed, uint64_t &Out) {
-    if (Addr + AccessSize > Size)
+    if (!inBounds(Size, Addr, AccessSize))
       return false;
     // Fixed-size copies compile to single loads; this runs per lane of
     // every memory instruction.
@@ -429,7 +442,7 @@ struct Simulator::Impl {
 
   bool storeBytes(uint8_t *Base, size_t Size, uint64_t Addr,
                   uint8_t AccessSize, uint64_t V) {
-    if (Addr + AccessSize > Size)
+    if (!inBounds(Size, Addr, AccessSize))
       return false;
     switch (AccessSize) {
     case 4: {
@@ -529,49 +542,47 @@ struct Simulator::Impl {
   //===--------------------------------------------------------------------===//
 
   /// Marks Live[Idx] blocked until \p WakeAt with \p Reason.
-  void blockEntry(SchedState &S, unsigned Idx, WarpState &W,
-                  uint64_t WakeAt, Stall Reason) {
+  void blockEntry(SchedState &S, unsigned Idx, uint64_t WakeAt,
+                  Stall Reason) {
     S.ReadyMask &= ~(uint64_t(1) << Idx);
-    W.WakeAt = WakeAt;
-    W.CachedReason = Reason;
+    S.Live[Idx].WakeAt = WakeAt;
+    S.Live[Idx].Reason = Reason;
     if (StatsFull)
       ++S.BlockedCounts[size_t(Reason)];
     if (WakeAt < S.NextWake)
       S.NextWake = WakeAt;
   }
 
+  /// Live indices whose ready bit is clear.
+  static uint64_t blockedMask(const SchedState &S) {
+    const size_t L = S.Live.size();
+    return ~S.ReadyMask & (L >= 64 ? ~uint64_t(0) : (uint64_t(1) << L) - 1);
+  }
+
   /// Moves entries whose wake cycle has arrived back into the ready
   /// mask. O(1) until the scheduler's earliest wake is due.
-  void popDue(SMState &SM, SchedState &S) {
+  void popDue(SchedState &S) {
     if (S.NextWake > Cycle)
       return;
     uint64_t NewNext = UINT64_MAX;
-    const size_t L = S.Live.size();
-    for (size_t I = 0; I < L; ++I) {
-      if (S.ReadyMask & (uint64_t(1) << I))
-        continue;
-      WarpState &W = SM.Warps[S.Live[I].WarpSlot];
-      if (W.WakeAt <= Cycle) {
+    for (uint64_t Rem = blockedMask(S); Rem; Rem &= Rem - 1) {
+      unsigned I = static_cast<unsigned>(std::countr_zero(Rem));
+      const SchedEntry &E = S.Live[I];
+      if (E.WakeAt <= Cycle) {
         S.ReadyMask |= uint64_t(1) << I;
         if (StatsFull)
-          --S.BlockedCounts[size_t(W.CachedReason)];
-      } else if (W.WakeAt < NewNext) {
-        NewNext = W.WakeAt;
+          --S.BlockedCounts[size_t(E.Reason)];
+      } else if (E.WakeAt < NewNext) {
+        NewNext = E.WakeAt;
       }
     }
     S.NextWake = NewNext;
   }
 
-  void recomputeNextWake(SMState &SM, SchedState &S) {
+  static void recomputeNextWake(SchedState &S) {
     uint64_t NewNext = UINT64_MAX;
-    const size_t L = S.Live.size();
-    for (size_t I = 0; I < L; ++I) {
-      if (S.ReadyMask & (uint64_t(1) << I))
-        continue;
-      const WarpState &W = SM.Warps[S.Live[I].WarpSlot];
-      if (W.WakeAt < NewNext)
-        NewNext = W.WakeAt;
-    }
+    for (uint64_t Rem = blockedMask(S); Rem; Rem &= Rem - 1)
+      NewNext = std::min(NewNext, S.Live[std::countr_zero(Rem)].WakeAt);
     S.NextWake = NewNext;
   }
 
@@ -579,6 +590,7 @@ struct Simulator::Impl {
   /// asynchronous state change) and invalidates its instruction cache.
   void wakeWarp(SMState &SM, uint32_t Slot) {
     WarpState &W = SM.Warps[Slot];
+    W.invalidateSchedCache();
     SchedState &S = SM.Scheds[W.SchedIdx];
     for (size_t I = 0, L = S.Live.size(); I < L; ++I) {
       if (S.Live[I].WarpSlot != Slot)
@@ -586,16 +598,12 @@ struct Simulator::Impl {
       if (!(S.ReadyMask & (uint64_t(1) << I))) {
         S.ReadyMask |= uint64_t(1) << I;
         if (StatsFull)
-          --S.BlockedCounts[size_t(W.CachedReason)];
-        if (W.WakeAt != UINT64_MAX) {
-          W.invalidateSchedCache();
-          recomputeNextWake(SM, S); // its wake may have been NextWake
-          return;
-        }
+          --S.BlockedCounts[size_t(S.Live[I].Reason)];
+        if (S.Live[I].WakeAt != UINT64_MAX)
+          recomputeNextWake(S); // its wake may have been NextWake
       }
-      break;
+      return;
     }
-    W.invalidateSchedCache();
   }
 
   /// Removes \p Slot's (Done) warp from its scheduler's live list.
@@ -688,7 +696,6 @@ struct Simulator::Impl {
     W.RegReady = W.Regs + size_t(K->NumRegs) * WarpSize;
     W.RegMemSrc = SM.ArenaU8.data() + W.U8Off;
     W.Local = W.RegMemSrc + K->NumRegs;
-    W.LocalSize = size_t(K->LocalBytes) * WarpSize;
     std::memset(W.Regs, 0, Need64 * sizeof(uint64_t));
     std::memset(W.RegMemSrc, 0, Need8);
   }
@@ -752,8 +759,6 @@ struct Simulator::Impl {
       W.PendingBarCount = 0;
       W.CacheValid = false;
       W.Uniform = true;
-      W.WakeAt = 0;
-      W.CachedReason = Stall::ExecDep;
       allocWarpStorage(SM, W, K);
       W.PC.fill(K->BlockStart.empty() ? 0 : K->BlockStart[0]);
       // Parameters: registers, plus local memory for spilled ones.
@@ -775,7 +780,7 @@ struct Simulator::Impl {
           static_cast<unsigned>(SM.WarpSeq++ % SM.Scheds.size());
       W.SchedIdx = static_cast<uint8_t>(SchedIdx);
       SchedState &S = SM.Scheds[SchedIdx];
-      S.Live.push_back({S.NAppended++, WId});
+      S.Live.push_back({.Pos = S.NAppended++, .WarpSlot = WId});
       S.ReadyMask |= uint64_t(1) << (S.Live.size() - 1);
       ++SM.ActiveWarps;
     }
@@ -1468,7 +1473,10 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
     // L1-resident at spill-sized footprints: fixed short latency, no
     // DRAM bandwidth or MSHR pressure. Spill traffic (Src[0] == NoReg,
     // the register allocator's fixed offsets) dominates; it is in-bounds
-    // by construction but keeps the same checked path.
+    // by construction but keeps the same checked path. Each lane owns a
+    // LocalBytes frame and is bounds-checked against its own frame, so
+    // an overrun never lands in a neighbouring lane's data.
+    const size_t Frame = K->LocalBytes;
     const uint64_t *BaseR =
         I.Src[0] == NoReg ? ZeroLanes : W.Regs + size_t(I.Src[0]) * WarpSize;
     if (I.Op == Opcode::LdLocal) {
@@ -1476,10 +1484,9 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
       for (uint32_t Rem = Mask; Rem;) {
         unsigned Lane = static_cast<unsigned>(std::countr_zero(Rem));
         Rem &= Rem - 1;
-        uint64_t Addr = size_t(K->LocalBytes) * Lane + BaseR[Lane] + I.Imm;
         uint64_t V;
-        if (!loadBytes(W.Local, W.LocalSize, Addr, I.MemSize, I.MemSigned,
-                       V))
+        if (!loadBytes(W.Local + Frame * Lane, Frame, BaseR[Lane] + I.Imm,
+                       I.MemSize, I.MemSigned, V))
           return Fatal("local load out of bounds");
         Dst[Lane] = V;
       }
@@ -1489,8 +1496,8 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
       for (uint32_t Rem = Mask; Rem;) {
         unsigned Lane = static_cast<unsigned>(std::countr_zero(Rem));
         Rem &= Rem - 1;
-        uint64_t Addr = size_t(K->LocalBytes) * Lane + BaseR[Lane] + I.Imm;
-        if (!storeBytes(W.Local, W.LocalSize, Addr, I.MemSize, Val[Lane]))
+        if (!storeBytes(W.Local + Frame * Lane, Frame, BaseR[Lane] + I.Imm,
+                        I.MemSize, Val[Lane]))
           return Fatal("local store out of bounds");
       }
     }
@@ -1627,7 +1634,6 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
 
   int CandIdx = -1;
   uint32_t CandMask = 0;
-  uint32_t CandPC = 0;
   uint64_t CandPos = 0;
   CandSectorsValid = false;
 
@@ -1646,7 +1652,7 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
       uint32_t Runnable = W.LiveMask & ~W.WaitMask;
       if (Runnable == 0) {
         // Waiting at a barrier; woken explicitly by checkBarrierRelease.
-        blockEntry(Sched, Idx, W, UINT64_MAX, Stall::Barrier);
+        blockEntry(Sched, Idx, UINT64_MAX, Stall::Barrier);
         if constexpr (FullStats)
           ++ReasonSamples[size_t(Stall::Barrier)];
         continue;
@@ -1654,65 +1660,62 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
 
       // The warp's current instruction only changes when it executes or
       // a barrier releases lanes, both of which invalidate the cache.
-      uint32_t MinPC;
-      uint32_t Mask;
-      if (W.CacheValid) {
-        MinPC = W.CachedPC;
-        Mask = W.CachedMask;
-      } else if (W.Uniform) {
-        // Convergent fast path: every runnable lane shares one PC.
-        MinPC = W.PC[std::countr_zero(Runnable)];
-        Mask = Runnable;
-        W.CacheValid = true;
-        W.CachedPC = MinPC;
-        W.CachedMask = Mask;
-      } else {
-        MinPC = UINT32_MAX;
-        for (uint32_t Scan = Runnable; Scan;) {
-          unsigned Lane = static_cast<unsigned>(std::countr_zero(Scan));
-          Scan &= Scan - 1;
-          if (W.PC[Lane] < MinPC)
-            MinPC = W.PC[Lane];
+      if (!W.CacheValid) {
+        uint32_t MinPC;
+        uint32_t Mask;
+        if (W.Uniform) {
+          // Convergent fast path: every runnable lane shares one PC.
+          MinPC = W.PC[std::countr_zero(Runnable)];
+          Mask = Runnable;
+        } else {
+          MinPC = UINT32_MAX;
+          for (uint32_t Scan = Runnable; Scan;) {
+            unsigned Lane = static_cast<unsigned>(std::countr_zero(Scan));
+            Scan &= Scan - 1;
+            if (W.PC[Lane] < MinPC)
+              MinPC = W.PC[Lane];
+          }
+          Mask = 0;
+          for (uint32_t Scan = Runnable; Scan;) {
+            unsigned Lane = static_cast<unsigned>(std::countr_zero(Scan));
+            Scan &= Scan - 1;
+            if (W.PC[Lane] == MinPC)
+              Mask |= 1u << Lane;
+          }
+          if (Mask == Runnable)
+            W.Uniform = true; // reconverged
         }
-        Mask = 0;
-        for (uint32_t Scan = Runnable; Scan;) {
-          unsigned Lane = static_cast<unsigned>(std::countr_zero(Scan));
-          Scan &= Scan - 1;
-          if (W.PC[Lane] == MinPC)
-            Mask |= 1u << Lane;
-        }
-        if (Mask == Runnable)
-          W.Uniform = true; // reconverged
+        const Instruction &I = Launches[W.KernelIdx].L->Kernel->Flat[MinPC];
+        uint64_t MaxReady = I.Dst != NoReg ? W.RegReady[I.Dst] : 0;
+        for (Reg S : I.Src)
+          if (S != NoReg)
+            MaxReady = std::max(MaxReady, W.RegReady[S]);
         W.CacheValid = true;
-        W.CachedPC = MinPC;
         W.CachedMask = Mask;
+        W.CachedInst = &I;
+        W.CachedCls = classify(I);
+        W.CachedMaxReady = MaxReady;
       }
+      const uint32_t Mask = W.CachedMask;
+      const Instruction &I = *W.CachedInst;
+      const InstrClass Cls = W.CachedCls;
 
-      const IRKernel *K = Launches[W.KernelIdx].L->Kernel;
-      const Instruction &I = K->Flat[MinPC];
-      InstrClass Cls = classify(I);
-
-      // Scoreboard.
-      bool Blocked = false;
-      bool BlockedByMem = false;
-      uint64_t ReadyAt = 0;
-      auto CheckReg = [&](Reg R) {
-        if (R == NoReg)
-          return;
-        if (W.RegReady[R] > Cycle) {
-          Blocked = true;
-          BlockedByMem |= W.RegMemSrc[R] != 0;
-          ReadyAt = std::max(ReadyAt, W.RegReady[R]);
-        }
-      };
-      for (Reg S : I.Src)
-        CheckReg(S);
-      CheckReg(I.Dst);
-      if (Blocked) {
-        blockEntry(Sched, Idx, W, ReadyAt,
-                   BlockedByMem ? Stall::MemDep : Stall::ExecDep);
+      // Scoreboard: blocked until the latest operand is ready. Only a
+      // blocked warp pays the per-operand walk, to tell memory from
+      // execution dependencies.
+      if (W.CachedMaxReady > Cycle) {
+        bool BlockedByMem = false;
+        auto CheckReg = [&](Reg R) {
+          if (R != NoReg && W.RegReady[R] > Cycle)
+            BlockedByMem |= W.RegMemSrc[R] != 0;
+        };
+        for (Reg S : I.Src)
+          CheckReg(S);
+        CheckReg(I.Dst);
+        const Stall Reason = BlockedByMem ? Stall::MemDep : Stall::ExecDep;
+        blockEntry(Sched, Idx, W.CachedMaxReady, Reason);
         if constexpr (FullStats)
-          ++ReasonSamples[size_t(W.CachedReason)];
+          ++ReasonSamples[size_t(Reason)];
         continue;
       }
 
@@ -1722,7 +1725,7 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
       Pipe P = pipeOf(Cls);
       if (Cls != InstrClass::Barrier && Cls != InstrClass::Control &&
           Sched.PipeFree[P] > Cycle) {
-        blockEntry(Sched, Idx, W, Sched.PipeFree[P], Stall::PipeBusy);
+        blockEntry(Sched, Idx, Sched.PipeFree[P], Stall::PipeBusy);
         if constexpr (FullStats)
           ++ReasonSamples[size_t(Stall::PipeBusy)];
         continue;
@@ -1730,7 +1733,7 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
 
       // Shared-memory atomic unit back-pressure.
       if (Cls == InstrClass::SharedAtomic && SM.AtomUnitFree > Cycle) {
-        blockEntry(Sched, Idx, W, SM.AtomUnitFree, Stall::PipeBusy);
+        blockEntry(Sched, Idx, SM.AtomUnitFree, Stall::PipeBusy);
         if constexpr (FullStats)
           ++ReasonSamples[size_t(Stall::PipeBusy)];
         continue;
@@ -1744,7 +1747,7 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
         NumSectors = collectSectors(W, I.Src[0], I.Imm, I.MemSize, Mask,
                                     ScratchSectors);
         if (!SM.Inflight->canIssue(Cycle, NumSectors)) {
-          blockEntry(Sched, Idx, W, SM.Inflight->nextCompletion(),
+          blockEntry(Sched, Idx, SM.Inflight->nextCompletion(),
                      Stall::MemThrottle);
           if constexpr (FullStats)
             ++ReasonSamples[size_t(Stall::MemThrottle)];
@@ -1755,7 +1758,6 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
       if (CandIdx < 0) {
         CandIdx = static_cast<int>(Idx);
         CandMask = Mask;
-        CandPC = MinPC;
         CandPos = Sched.Live[Idx].Pos;
         if (IsGlobalAccess) {
           // Hand the collected sector set to execute() for pricing.
@@ -1783,9 +1785,8 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
 
   uint32_t WId = Sched.Live[CandIdx].WarpSlot;
   WarpState &W = SM.Warps[WId];
-  const IRKernel *K = Launches[W.KernelIdx].L->Kernel;
-  const Instruction &I = K->Flat[CandPC];
-  InstrClass Cls = classify(I);
+  const Instruction &I = *W.CachedInst;
+  const InstrClass Cls = W.CachedCls;
   Pipe P = pipeOf(Cls);
 
   // Issue! Note: execute() may retire the block and dispatch a new one,
@@ -1906,7 +1907,7 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
           continue;
         if constexpr (FullStats)
           ++ActiveScheds;
-        popDue(SM, Sched);
+        popDue(Sched);
         if constexpr (FullStats)
           for (size_t R = 0; R < NumStalls; ++R)
             CycleSamples[R] += Sched.BlockedCounts[R];
@@ -2170,8 +2171,7 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
         static_cast<double>(LS.CompletionCycle) / (A.ClockGHz * 1e9) * 1e3;
     M.IssuedInsts = LS.Issued;
     // Export measured issue counts (the paper's Figure 8 data) for
-    // profiled runs only — search sweeps run StatsLevel::Minimal and
-    // would otherwise thrash these gauges thousands of times per pair.
+    // profiled runs only; Minimal runs leave the registry alone.
     if (StatsFull && telemetry::metricsOn())
       telemetry::MetricsRegistry::instance()
           .gauge("sim.issued." + M.Label)

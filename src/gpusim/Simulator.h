@@ -40,8 +40,7 @@
 /// (tests/GoldenSimTest.cpp pins them). StatsLevel selects how much
 /// profiling work rides along: Full (default) keeps nvprof-style
 /// stall-reason sampling, occupancy integration, and per-launch traffic
-/// accounting; Minimal skips all of it and reports timing only — the
-/// mode the Figure 6 search sweep runs in.
+/// accounting; Minimal skips all of it and reports timing only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,7 +148,7 @@ struct SimResult {
 enum class StatsLevel : uint8_t {
   /// Completion cycles and issue counts only: no stall-reason sampling,
   /// no active-warp/occupancy integration, no per-launch memory-traffic
-  /// accounting. The cheap mode for search sweeps that only need
+  /// accounting. The cheap mode for callers that only need
   /// TotalCycles.
   Minimal,
   /// Everything: nvprof-style stall shares, achieved occupancy,

@@ -265,15 +265,17 @@ RegAllocResult hfuse::ir::allocateRegisters(IRKernel &K,
   }
 
   // ---- Slot assignment ----------------------------------------------------
-  // Each surviving vreg gets a storage slot; slots are reused when
-  // intervals do not overlap. Spilled vregs get local-memory offsets.
-  std::vector<Reg> SlotOf(NumVRegs, NoReg);
-  {
+  // Assigns a slot to every vreg \p Want selects, reusing a slot once
+  // its previous holder's interval has ended; returns the slot count.
+  // Surviving vregs get register slots this way, and spilled vregs get
+  // 8-byte local-memory slots the same way, so the spill frame holds
+  // only the spills that are live at the same time.
+  auto AssignSlots = [&](auto Want, std::vector<Reg> &SlotOf) {
     std::multimap<uint32_t, Reg> ActiveSlots; // End -> slot
     std::vector<Reg> FreeSlots;
     Reg NextSlot = 0;
     for (const Interval *I : Order) {
-      if (Spilled.count(I->VReg))
+      if (!Want(I->VReg))
         continue;
       while (!ActiveSlots.empty() && ActiveSlots.begin()->first < I->Start) {
         FreeSlots.push_back(ActiveSlots.begin()->second);
@@ -289,16 +291,20 @@ RegAllocResult hfuse::ir::allocateRegisters(IRKernel &K,
       SlotOf[I->VReg] = Slot;
       ActiveSlots.emplace(I->End, Slot);
     }
-    Res.NumSlots = NextSlot;
-  }
+    return static_cast<unsigned>(NextSlot);
+  };
+  std::vector<Reg> SlotOf(NumVRegs, NoReg);
+  Res.NumSlots = AssignSlots(
+      [&](Reg R) { return !Spilled.count(R); }, SlotOf);
 
   // Spill slots in local memory, appended after existing local data.
+  std::vector<Reg> SpillSlotOf(NumVRegs, NoReg);
+  const unsigned SpillSlots = AssignSlots(
+      [&](Reg R) { return Spilled.count(R) != 0; }, SpillSlotOf);
   std::map<Reg, uint32_t> SpillOffset;
-  uint32_t LocalTop = K.LocalBytes;
-  for (Reg R : Spilled) {
-    SpillOffset[R] = LocalTop;
-    LocalTop += 8;
-  }
+  for (Reg R : Spilled)
+    SpillOffset[R] = K.LocalBytes + SpillSlotOf[R] * 8;
+  const uint32_t LocalTop = K.LocalBytes + SpillSlots * 8;
 
   // Scratch slots for spill reloads.
   Reg ScratchBase = static_cast<Reg>(Res.NumSlots);
@@ -391,7 +397,7 @@ RegAllocResult hfuse::ir::allocateRegisters(IRKernel &K,
 
   Res.Ok = true;
   Res.NumSpilled = static_cast<unsigned>(Spilled.size());
-  Res.SpillBytes = static_cast<unsigned>(Spilled.size() * 8);
+  Res.SpillBytes = SpillSlots * 8;
   Res.ArchRegs = K.ArchRegsPerThread;
   return Res;
 }

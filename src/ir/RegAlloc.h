@@ -44,7 +44,9 @@ struct RegAllocResult {
   unsigned ArchRegs = 0;
   /// Virtual registers spilled to local memory.
   unsigned NumSpilled = 0;
-  /// Bytes of local memory added for spills.
+  /// Bytes of local memory added for spills. Spills whose live
+  /// intervals do not overlap share an 8-byte slot, so this can be far
+  /// below NumSpilled * 8.
   unsigned SpillBytes = 0;
 };
 

@@ -40,7 +40,7 @@ namespace hfuse::profile {
 /// ResultStore: the SimResult codec, the compile-digest layout, and the
 /// disk-key construction. Bump it whenever any of those changes — old
 /// records are then quarantined on open instead of being misread.
-inline constexpr uint32_t kStoreSchemaVersion = 1;
+inline constexpr uint32_t kStoreSchemaVersion = 2;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
 /// integer field round-trips verbatim and doubles round-trip by IEEE

@@ -189,10 +189,10 @@ Status statusFromSim(const SimResult &R) {
 SimResult NWayRunner::runLaunches(SimContext &C,
                                   const std::vector<KernelLaunch> &Launches,
                                   const std::vector<int> &VerifyThreads,
-                                  StatsLevel Level, uint64_t CycleBudget) {
+                                  uint64_t CycleBudget) {
   for (auto &W : C.W)
     W->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, Level, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, CycleBudget);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -227,7 +227,7 @@ SimResult NWayRunner::runNative() {
     VerifyThreads.push_back(L.GridDim * W->preferredBlockThreads());
     Launches.push_back(std::move(L));
   }
-  return runLaunches(Primary, Launches, VerifyThreads, StatsLevel::Full);
+  return runLaunches(Primary, Launches, VerifyThreads);
 }
 
 SimResult NWayRunner::runSerial() {
@@ -246,8 +246,7 @@ SimResult NWayRunner::runSerial() {
     L.Label = kernelDisplayName(Ids[I]);
     std::vector<int> VerifyThreads(Ids.size(), 0);
     VerifyThreads[I] = L.GridDim * W->preferredBlockThreads();
-    SimResult R =
-        runLaunches(Primary, {L}, VerifyThreads, StatsLevel::Full);
+    SimResult R = runLaunches(Primary, {L}, VerifyThreads);
     if (!R.Ok)
       return R;
     Agg.TotalCycles += R.TotalCycles;
@@ -364,8 +363,7 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 SimResult NWayRunner::runHFusedIn(SimContext &C,
                                   const std::vector<int> &Dims,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, StatsLevel Level,
-                                  uint64_t CycleBudget) {
+                                  SearchStats *Stats, uint64_t CycleBudget) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(Dims, RegBound, DynShared, Err);
@@ -378,13 +376,13 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     BlockDim += D;
   auto MemoKey = std::make_tuple(
       static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared, static_cast<int>(Level));
+      DynShared);
 
   // Disk key: the memo key with pointer identity widened to content
   // identity (the fused IR dump hash) plus everything else the
-  // simulation is a pure function of — launch geometry, stats level,
-  // simulator model, and workload identity (kernel set, seed, scale) —
-  // so warm --cache-dir reruns are bit-identical to cold ones. Same
+  // simulation is a pure function of — launch geometry, simulator
+  // model, and workload identity (kernel set, seed, scale) — so warm
+  // --cache-dir reruns are bit-identical to cold ones. Same
   // contract as the pair runner's key; the kernel-count field keeps
   // the layouts disjoint.
   const bool UseDisk =
@@ -397,7 +395,6 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
-    KW.u32(static_cast<uint32_t>(Level));
     KW.str(Opts.Arch.Name);
     KW.u32(static_cast<uint32_t>(Opts.Arch.NumSMs));
     KW.f64(Opts.Arch.ClockGHz);
@@ -489,8 +486,7 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     Cache->count(&CompileCache::Stats::SimRuns);
     if (Stats)
       ++Stats->Simulations;
-    SimResult R =
-        runLaunches(C, {L}, VerifyThreads, Level, CycleBudget);
+    SimResult R = runLaunches(C, {L}, VerifyThreads, CycleBudget);
     if (Stats) {
       Stats->SimulatedInsts += R.TotalIssued;
       if (R.BudgetExceeded)
@@ -518,8 +514,7 @@ SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
   if (Dims.size() != Ids.size())
     return fail("partition count does not match kernel count");
   Status E;
-  SimResult R = runHFusedIn(Primary, Dims, RegBound, E, nullptr,
-                            StatsLevel::Full);
+  SimResult R = runHFusedIn(Primary, Dims, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -867,7 +862,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
     FC.RegBound = C.RegBound;
     Status E;
     FC.Result = runHFusedIn(*Ctx, C.Dims, C.RegBound, E, &KeptStats[K],
-                            Opts.SearchStats, Budget);
+                            Budget);
     if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
@@ -1113,24 +1108,5 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         return X.Cycles < Y.Cycles;
       });
   SR.Ok = true;
-
-  // Re-profile the winner at Full stats (same reasoning as the pair
-  // sweep: the candidates ranked on timing-only stats, Best should
-  // carry the complete metrics; cycles are identical by construction).
-  if (Opts.SearchStats != gpusim::StatsLevel::Full &&
-      !Opts.Cancel.cancelled()) {
-    std::string CtxErr;
-    if (SimContext *Ctx = acquireContext(CtxErr)) {
-      Status E;
-      SimResult R = runHFusedIn(*Ctx, SR.Best.Dims, SR.Best.RegBound, E,
-                                nullptr, gpusim::StatsLevel::Full);
-      releaseContext(Ctx);
-      if (R.Ok) {
-        SR.Best.Cycles = R.TotalCycles;
-        SR.Best.TimeMs = R.TotalMs;
-        SR.Best.Result = std::move(R);
-      }
-    }
-  }
   return SR;
 }

@@ -211,14 +211,12 @@ private:
   gpusim::SimResult runHFusedIn(SimContext &C, const std::vector<int> &Dims,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                gpusim::StatsLevel Level,
                                 uint64_t CycleBudget = 0);
-  /// \p VerifyThreads[k] > 0 verifies workload k against that many
-  /// threads' worth of output.
+  /// Runs \p L at StatsLevel::Full; \p VerifyThreads[k] > 0 verifies
+  /// workload k against that many threads' worth of output.
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 const std::vector<int> &VerifyThreads,
-                                gpusim::StatsLevel Level,
                                 uint64_t CycleBudget = 0);
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
@@ -249,7 +247,7 @@ private:
 
   /// Simulation memo — same contract and retirement rules as
   /// PairRunner::SimMemo.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t, int>,
+  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t>,
            std::shared_ptr<std::shared_future<gpusim::SimResult>>>
       SimMemo;
   std::mutex SimMemoMu;

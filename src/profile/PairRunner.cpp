@@ -174,10 +174,10 @@ Status statusFromSim(const SimResult &R) {
 
 SimResult PairRunner::runLaunches(
     SimContext &C, const std::vector<KernelLaunch> &Launches, int Threads1,
-    int Threads2, StatsLevel Level, uint64_t CycleBudget) {
+    int Threads2, uint64_t CycleBudget) {
   C.W1->clearOutputs(*C.Sim);
   C.W2->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, Level, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, CycleBudget);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -218,8 +218,7 @@ SimResult PairRunner::runNative() {
   L2.Label = kernelDisplayName(IdB);
   return runLaunches(Primary, {L1, L2},
                      L1.GridDim * W1->preferredBlockThreads(),
-                     L2.GridDim * W2->preferredBlockThreads(),
-                     StatsLevel::Full);
+                     L2.GridDim * W2->preferredBlockThreads());
 }
 
 SimResult PairRunner::runSolo(int Which) {
@@ -237,7 +236,7 @@ SimResult PairRunner::runSolo(int Which) {
   L.Label = kernelDisplayName(Which == 0 ? IdA : IdB);
   int Total = L.GridDim * W->preferredBlockThreads();
   return runLaunches(Primary, {L}, Which == 0 ? Total : 0,
-                     Which == 1 ? Total : 0, StatsLevel::Full);
+                     Which == 1 ? Total : 0);
 }
 
 uint64_t PairRunner::soloIssuedCount(int Which, Status &E,
@@ -311,8 +310,7 @@ SimResult PairRunner::runVFused() {
                   Primary.W2->params().end());
   L.Label = formatString("VFuse(%s+%s)", kernelDisplayName(IdA),
                          kernelDisplayName(IdB));
-  return runLaunches(Primary, {L}, Grid * 256, Grid * 256,
-                     StatsLevel::Full);
+  return runLaunches(Primary, {L}, Grid * 256, Grid * 256);
 }
 
 std::shared_ptr<ir::IRKernel>
@@ -423,8 +421,7 @@ PairRunner::getFusedIR(int D1, int D2, unsigned RegBound,
 
 SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, StatsLevel Level,
-                                  uint64_t CycleBudget) {
+                                  SearchStats *Stats, uint64_t CycleBudget) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(D1, D2, RegBound, DynShared, Err);
@@ -435,14 +432,14 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
   int BlockDim = D1 + D2;
   auto MemoKey = std::make_tuple(
       static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared, static_cast<int>(Level));
+      DynShared);
 
   // Disk key for the second-level ResultStore. It mirrors the memo key
   // with pointer identity widened to content identity — the IR dump
   // hash — plus everything else the simulation is a pure function of:
-  // launch geometry, stats level, the architecture/simulator model, and
-  // the workload identity (pair, seed, scales) that determines the
-  // kernel parameters. Verified runs bypass the disk: a served result
+  // launch geometry, the architecture/simulator model, and the
+  // workload identity (pair, seed, scales) that determines the kernel
+  // parameters. Verified runs bypass the disk: a served result
   // skips simulation, so the workload outputs verify() needs would not
   // exist.
   const bool UseDisk =
@@ -455,7 +452,6 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
-    KW.u32(static_cast<uint32_t>(Level));
     KW.str(Opts.Arch.Name);
     KW.u32(static_cast<uint32_t>(Opts.Arch.NumSMs));
     KW.f64(Opts.Arch.ClockGHz);
@@ -564,8 +560,7 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
     Cache->count(&CompileCache::Stats::SimRuns);
     if (Stats)
       ++Stats->Simulations;
-    SimResult R =
-        runLaunches(C, {L}, Grid * D1, Grid * D2, Level, CycleBudget);
+    SimResult R = runLaunches(C, {L}, Grid * D1, Grid * D2, CycleBudget);
     if (Stats) {
       Stats->SimulatedInsts += R.TotalIssued;
       if (R.BudgetExceeded)
@@ -601,8 +596,7 @@ SimResult PairRunner::runHFused(int D1, int D2, unsigned RegBound) {
   if (!Ready)
     return fail(Err);
   Status E;
-  SimResult R = runHFusedIn(Primary, D1, D2, RegBound, E, nullptr,
-                            StatsLevel::Full);
+  SimResult R = runHFusedIn(Primary, D1, D2, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -956,7 +950,7 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
     FC.RegBound = C.RegBound;
     Status E;
     FC.Result = runHFusedIn(*Ctx, C.D1, C.D2, C.RegBound, E, &KeptStats[K],
-                            Opts.SearchStats, Budget);
+                            Budget);
     if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
@@ -1253,30 +1247,6 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
         return X.Cycles < Y.Cycles;
       });
   SR.Ok = true;
-
-  // The sweep ranked candidates on timing-only stats; re-profile the
-  // winner at Full so Best carries the complete nvprof-style metrics
-  // (stall shares, occupancy, traffic). Cycle counts are identical by
-  // construction — tests/GoldenSimTest.cpp enforces it.
-  // A cancelled request skips the upgrade: the incumbent's minimal
-  // stats are already correct, and the re-profile would burn a full
-  // simulation after the caller asked us to stop.
-  if (Opts.SearchStats != gpusim::StatsLevel::Full &&
-      !Opts.Cancel.cancelled()) {
-    std::string CtxErr;
-    if (SimContext *Ctx = acquireContext(CtxErr)) {
-      Status E;
-      SimResult R = runHFusedIn(*Ctx, SR.Best.D1, SR.Best.D2,
-                                SR.Best.RegBound, E, nullptr,
-                                gpusim::StatsLevel::Full);
-      releaseContext(Ctx);
-      if (R.Ok) {
-        SR.Best.Cycles = R.TotalCycles;
-        SR.Best.TimeMs = R.TotalMs;
-        SR.Best.Result = std::move(R);
-      }
-    }
-  }
   return SR;
 }
 

@@ -346,12 +346,11 @@ private:
   gpusim::SimResult runHFusedIn(SimContext &C, int D1, int D2,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                gpusim::StatsLevel Level,
                                 uint64_t CycleBudget = 0);
+  /// Runs \p L at StatsLevel::Full and verifies the outputs.
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 int Threads1, int Threads2,
-                                gpusim::StatsLevel Level,
                                 uint64_t CycleBudget = 0);
   std::optional<unsigned> figure6RegBoundImpl(int D1, int D2, Status &Err);
   int commonGrid() const;
@@ -388,7 +387,7 @@ private:
   std::mutex FusionCacheMu;
 
   /// Memoized simulation results keyed on the exact launch: same IR
-  /// object, grid, block shape, and stats level replay the stored
+  /// object, grid, block shape, and dynamic shared size replay the stored
   /// result. Entries are shared futures so concurrent workers
   /// requesting the same launch block on the first runner instead of
   /// simulating twice. A BudgetExceeded result stays memoized — its
@@ -402,7 +401,7 @@ private:
   /// The shared_ptr wrapper gives entries identity, so that
   /// retirement can no-op when a concurrent retirement already
   /// installed a fresh runner's entry.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t, int>,
+  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t>,
            std::shared_ptr<std::shared_future<gpusim::SimResult>>>
       SimMemo;
   std::mutex SimMemoMu;

@@ -79,15 +79,6 @@ struct SearchOptions {
   bool UsePartialBarriers = true;
   /// Fidelity study: model the device L2 cache (bench_ablation_cache).
   bool ModelL2 = false;
-  /// Stats level for the searchBestConfig sweep. Minimal (default)
-  /// runs candidate simulations with timing only — no stall-reason
-  /// sampling, occupancy integration, or traffic accounting — which
-  /// is all the search needs to rank candidates; the winner is
-  /// re-profiled at Full so the result's Best carries complete
-  /// metrics. Benches that read per-candidate metrics from the All
-  /// list (bench_fig9) request Full. Cycle counts are identical
-  /// either way.
-  gpusim::StatsLevel SearchStats = gpusim::StatsLevel::Minimal;
   uint32_t Seed = 42;
   /// Worker threads for searchBestConfig; <= 0 picks the host's
   /// hardware concurrency, 1 is the serial reference path.

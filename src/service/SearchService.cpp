@@ -48,18 +48,19 @@ SearchService::SearchService(Config C) : Cfg(std::move(C)) {
     Cfg.MaxQueue = 0;
   if (Cfg.WatchSignals)
     Watcher = std::thread([this] {
-      for (;;) {
-        {
-          std::lock_guard<std::mutex> Lock(Mu);
-          if (StopWatcher || Draining)
-            return;
-        }
+      // A signal handler cannot notify a condition variable, so the
+      // flag is still polled every 20 ms; waiting on Cv instead of
+      // sleeping lets the destructor and shutdown() end the wait at once.
+      auto Stop = [this] { return StopWatcher || Draining; };
+      std::unique_lock<std::mutex> Lock(Mu);
+      while (!Stop()) {
         if (shutdownRequested()) {
+          Lock.unlock();
           logInfo("service: shutdown requested (signal); draining");
           shutdown();
           return;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        Cv.wait_for(Lock, std::chrono::milliseconds(20), Stop);
       }
     });
 }
@@ -69,6 +70,7 @@ SearchService::~SearchService() {
     std::lock_guard<std::mutex> Lock(Mu);
     StopWatcher = true;
   }
+  Cv.notify_all();
   shutdown();
   if (Watcher.joinable())
     Watcher.join();
@@ -95,12 +97,12 @@ std::string SearchService::fingerprint(const SearchRequest &R) {
   for (kernels::BenchKernelId Id : R.Kernels)
     Kernels += formatString("%d+", static_cast<int>(Id));
   return formatString(
-      "[%s]%d+%d|n%d|%s|sms%d|s%.6f/%.6f|v%d|pb%d|l2%d|st%d|seed%u|j%d|p%d|"
+      "[%s]%d+%d|n%d|%s|sms%d|s%.6f/%.6f|v%d|pb%d|l2%d|seed%u|j%d|p%d|"
       "b%d|m%.4f|mb%d|w%llu|t%llu|c%d|$%p",
       Kernels.c_str(), static_cast<int>(R.A), static_cast<int>(R.B),
       R.NaiveEvenSplit ? 1 : 0, O.Arch.Name.c_str(), O.SimSMs, O.Scale1,
       O.Scale2, O.Verify ? 1 : 0, O.UsePartialBarriers ? 1 : 0,
-      O.ModelL2 ? 1 : 0, static_cast<int>(O.SearchStats), O.Seed,
+      O.ModelL2 ? 1 : 0, O.Seed,
       O.SearchJobs, O.PruneLevel, static_cast<int>(O.Budget),
       O.BudgetMarginPct, O.MeasuredBound ? 1 : 0,
       static_cast<unsigned long long>(O.WatchdogCycles),

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gpusim/Simulator.h"
+#include "ir/RegAlloc.h"
 #include "kernels/Workload.h"
 #include "profile/Compile.h"
 
@@ -120,6 +121,57 @@ TEST(BenchKernels, SharedMemoryUsage) {
   ASSERT_NE(H, nullptr) << Diags.str();
   EXPECT_EQ(H->IR->StaticSharedBytes, 0u);
   EXPECT_TRUE(H->IR->UsesDynamicShared);
+}
+
+TEST(BenchKernels, SpillFrameHoldsOnlySimultaneouslyLiveSpills) {
+  // SHA256 at r32 spills thousands of short-lived values; packing their
+  // slots by liveness keeps the frame far below one slot per spill.
+  DiagnosticEngine Diags;
+  auto K = compileBenchKernel(BenchKernelId::SHA256, 0, Diags);
+  ASSERT_NE(K, nullptr) << Diags.str();
+  auto IR = lowerFunctionNoRegAlloc(*K->Pre->Ctx, K->Pre->Kernel, Diags);
+  ASSERT_NE(IR, nullptr) << Diags.str();
+  ir::RegAllocResult RA = ir::allocateRegisters(*IR, 32);
+  ASSERT_TRUE(RA.Ok) << RA.Error;
+  EXPECT_GT(RA.NumSpilled, 0u);
+  EXPECT_LT(RA.SpillBytes, RA.NumSpilled * 8);
+  EXPECT_EQ(IR->LocalBytes, RA.SpillBytes);
+}
+
+TEST(BenchKernels, CryptoKernelsVerifyWithPackedSpillFramesAtR32) {
+  // The bounded Figure 6 arm of every crypto pair: spilled values that
+  // share a local slot must never clobber each other.
+  for (BenchKernelId Id : {BenchKernelId::Ethash, BenchKernelId::SHA256,
+                           BenchKernelId::Blake256, BenchKernelId::Blake2B}) {
+    DiagnosticEngine Diags;
+    auto K = compileBenchKernel(Id, 32, Diags);
+    ASSERT_NE(K, nullptr) << kernelDisplayName(Id) << "\n" << Diags.str();
+    EXPECT_LE(K->IR->ArchRegsPerThread, 32u) << kernelDisplayName(Id);
+    EXPECT_LE(K->IR->LocalBytes, 512u) << kernelDisplayName(Id);
+
+    SimConfig SC;
+    SC.Arch = makeGTX1080Ti();
+    SC.SimSMs = 2;
+    Simulator Sim(SC);
+    WorkloadConfig WC;
+    WC.SimSMs = SC.SimSMs;
+    WC.SizeScale = 0.2;
+    auto W = makeWorkload(Id, WC);
+    W->setup(Sim);
+    W->clearOutputs(Sim);
+    KernelLaunch L;
+    L.Kernel = K->IR.get();
+    L.GridDim = W->preferredGrid();
+    L.BlockDim = W->preferredBlock();
+    L.BlockDimY = W->preferredBlockY();
+    L.DynSharedBytes = W->dynSharedBytes();
+    L.Params = W->params();
+    SimResult R = Sim.run({L}, StatsLevel::Minimal);
+    ASSERT_TRUE(R.Ok) << kernelDisplayName(Id) << ": " << R.Error;
+    std::string Err;
+    EXPECT_TRUE(W->verify(Sim, L.GridDim * W->preferredBlockThreads(), Err))
+        << kernelDisplayName(Id) << ": " << Err;
+  }
 }
 
 TEST(BenchKernels, EthashIsMemoryBoundCryptoAreComputeBound) {

@@ -269,9 +269,6 @@ PairRunner::Options budgetCacheOptions() {
   Opts.Verify = false;
   Opts.PruneLevel = 0; // pin the full candidate set
   Opts.Budget = SearchBudgetMode::Incumbent;
-  // Full-stats sweep: runHFused (always Full) then shares the sweep's
-  // memo key space, which is what the poisoning regression needs.
-  Opts.SearchStats = StatsLevel::Full;
   Opts.Cache = std::make_shared<CompileCache>();
   return Opts;
 }
@@ -296,8 +293,7 @@ TEST(BudgetedSearchCache, CompileCountsMatchTheUnbudgetedSweep) {
   EXPECT_EQ(S.Lowerings,
             static_cast<uint64_t>(SR.All.size()) + SR.Stats.Abandoned);
   // Every candidate simulated exactly once (abandoned runs count: they
-  // executed until the cutoff); nothing replayed from the memo, and no
-  // winner re-profile under a Full-stats sweep.
+  // executed until the cutoff); nothing replayed from the memo.
   EXPECT_EQ(S.SimRuns, static_cast<uint64_t>(SR.Stats.Simulations));
   EXPECT_EQ(S.SimRuns,
             static_cast<uint64_t>(SR.All.size()) + SR.Stats.Abandoned);

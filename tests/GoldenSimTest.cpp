@@ -21,8 +21,8 @@
 ///    V100 split-pipe arch, and the round-robin scheduler policy.
 ///
 /// It also asserts StatsLevel::Minimal reproduces the same cycle
-/// counts as Full — the guarantee that lets the Figure 6 search sweep
-/// run with profiling compiled out.
+/// counts as Full, and that the Figure 6 sweep (which profiles every
+/// candidate at Full) hands back a Best with complete metrics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -464,36 +464,48 @@ TEST(GoldenSim, PerRunBudgetOverridesConfig) {
   EXPECT_EQ(Cut.TotalCycles, 10u);
 }
 
-TEST(GoldenSim, MinimalSweepFindsSameWinnerAsFullSweep) {
-  // The search default (Minimal-stats sweep + Full-stats winner
-  // restatement) must agree with an all-Full sweep candidate for
-  // candidate.
-  PairRunner::Options MinOpts = goldenOptions();
-  MinOpts.Scale1 = MinOpts.Scale2 = 0.2;
-  PairRunner RMin(BenchKernelId::Batchnorm, BenchKernelId::Hist, MinOpts);
-  ASSERT_TRUE(RMin.ok()) << RMin.error();
-  SearchResult SMin = RMin.searchBestConfig();
-  ASSERT_TRUE(SMin.Ok) << SMin.Error;
+TEST(GoldenSim, SweepBestCarriesFullStatsAtGoldenCycles) {
+  // The Figure 6 sweep profiles every candidate at StatsLevel::Full, so
+  // its Best already carries the complete nvprof-style metrics — no
+  // second simulation of the winner. Ethash+SHA256 has one partition
+  // (256/256), so its two candidates are exactly the golden even-split
+  // runs, and the unbounded one wins.
+  const PairGolden &G = PairGoldens[12];
+  ASSERT_STREQ(G.A, "Ethash");
+  ASSERT_STREQ(G.B, "SHA256");
+  PairRunner Runner(BenchKernelId::Ethash, BenchKernelId::SHA256,
+                    goldenOptions());
+  ASSERT_TRUE(Runner.ok()) << Runner.error();
+  SearchResult SR = Runner.searchBestConfig();
+  ASSERT_TRUE(SR.Ok) << SR.Error;
+  EXPECT_EQ(SR.Stats.Simulations, SR.All.size());
 
-  PairRunner::Options FullOpts = MinOpts;
-  FullOpts.SearchStats = StatsLevel::Full;
-  PairRunner RFull(BenchKernelId::Batchnorm, BenchKernelId::Hist,
-                   FullOpts);
-  ASSERT_TRUE(RFull.ok()) << RFull.error();
-  SearchResult SFull = RFull.searchBestConfig();
-  ASSERT_TRUE(SFull.Ok) << SFull.Error;
+  EXPECT_EQ(SR.Best.D1, 256);
+  EXPECT_EQ(SR.Best.D2, 256);
+  EXPECT_EQ(SR.Best.RegBound, 0u);
+  EXPECT_EQ(SR.Best.Cycles, G.HFusedCycles);
+  EXPECT_EQ(SR.Best.Result.TotalIssued, G.HFusedIssued);
+  for (const FusionCandidate &C : SR.All)
+    if (C.RegBound == G.R0)
+      EXPECT_EQ(C.Cycles, G.BoundedCycles);
 
-  EXPECT_EQ(SMin.Best.D1, SFull.Best.D1);
-  EXPECT_EQ(SMin.Best.D2, SFull.Best.D2);
-  EXPECT_EQ(SMin.Best.RegBound, SFull.Best.RegBound);
-  EXPECT_EQ(SMin.Best.Cycles, SFull.Best.Cycles);
-  ASSERT_EQ(SMin.All.size(), SFull.All.size());
-  for (size_t I = 0; I < SMin.All.size(); ++I)
-    EXPECT_EQ(SMin.All[I].Cycles, SFull.All[I].Cycles) << "candidate " << I;
-  // The Minimal sweep's winner was re-profiled at Full: its Best result
-  // carries complete metrics even though the sweep skipped them.
-  EXPECT_GT(SMin.Best.Result.DeviceIssueSlotUtilPct, 0.0);
-  EXPECT_GT(SMin.Best.Result.DeviceOccupancyPct, 0.0);
+  // Full metrics, identical to a standalone Full-stats profile.
+  const SimResult &B = SR.Best.Result;
+  EXPECT_GT(B.DeviceIssueSlotUtilPct, 0.0);
+  EXPECT_GT(B.DeviceOccupancyPct, 0.0);
+  ASSERT_FALSE(B.Kernels.empty());
+  EXPECT_GT(B.Kernels[0].GlobalSectors, 0u);
+  PairRunner Fresh(BenchKernelId::Ethash, BenchKernelId::SHA256,
+                   goldenOptions());
+  ASSERT_TRUE(Fresh.ok()) << Fresh.error();
+  SimResult Ref = Fresh.runHFused(256, 256, 0);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  EXPECT_EQ(B.DeviceIssueSlotUtilPct, Ref.DeviceIssueSlotUtilPct);
+  EXPECT_EQ(B.DeviceMemStallPct, Ref.DeviceMemStallPct);
+  EXPECT_EQ(B.DeviceOccupancyPct, Ref.DeviceOccupancyPct);
+  for (int I = 0; I < 6; ++I)
+    EXPECT_EQ(B.StallSharePct[I], Ref.StallSharePct[I]) << "stall " << I;
+  EXPECT_EQ(B.Kernels[0].GlobalSectors, Ref.Kernels[0].GlobalSectors);
 }
 
 } // namespace

@@ -198,7 +198,10 @@ TEST(RegAllocUnit, BoundForcesSpills) {
   ASSERT_TRUE(Bounded.Ok) << Bounded.Error;
   EXPECT_LE(Bounded.ArchRegs, 30u);
   EXPECT_GT(Bounded.NumSpilled, 0u);
-  EXPECT_EQ(Bounded.SpillBytes, Bounded.NumSpilled * 8);
+  // Spill slots are shared between spills whose intervals do not
+  // overlap, so the frame grows by at most one slot per spill.
+  EXPECT_GT(Bounded.SpillBytes, 0u);
+  EXPECT_LE(Bounded.SpillBytes, Bounded.NumSpilled * 8);
   EXPECT_EQ(K2.LocalBytes, Bounded.SpillBytes);
 
   // Spill code present: local loads/stores appear in the stream.

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -346,6 +347,30 @@ TEST(ServiceTest, ShutdownEvictsQueueCancelsInFlightAndRejectsAfter) {
   ASSERT_FALSE(After);
   EXPECT_EQ(After.status().code(), ErrorCode::Cancelled);
   EXPECT_GE(Svc.stats().RejectedDrain, 2u);
+}
+
+TEST(ServiceTest, WatchingServiceDestructsWithoutWaitingForAPollTick) {
+  // The signal watcher polls the shutdown flag every 20 ms, but the
+  // destructor wakes it at once: every hfusec --search builds and tears
+  // down one such service, so a whole poll tick per exit would show up
+  // in every request's wall time.
+  ASSERT_FALSE(SearchService::shutdownRequested());
+  double DestroyMs = 0;
+  for (int I = 0; I < 20; ++I) {
+    SearchService::Config SC;
+    SC.Workers = 1;
+    SC.WatchSignals = true;
+    auto Svc = std::make_unique<SearchService>(SC);
+    // Let the watcher reach its poll wait, as it has in any real run.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_FALSE(Svc->shuttingDown());
+    auto Start = std::chrono::steady_clock::now();
+    Svc.reset();
+    DestroyMs += std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - Start)
+                     .count();
+  }
+  EXPECT_LT(DestroyMs, 100.0);
 }
 
 // Keep this test LAST: requestShutdown() latches a process-wide flag

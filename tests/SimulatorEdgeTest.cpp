@@ -272,6 +272,65 @@ TEST(SimEdge, OutOfBoundsLoadReported) {
   EXPECT_NE(R.Error.find("out of bounds"), std::string::npos) << R.Error;
 }
 
+TEST(SimEdge, LocalOverrunIsCheckedPerLane) {
+  // Lane 0 reads one element past its own local array. Lanes' frames
+  // are adjacent in the warp's local memory, so only a per-lane bound
+  // catches this; a warp-wide bound would quietly hand lane 0 lane 1's
+  // buf[0].
+  auto Run = [](int Past) {
+    std::string Src = "__global__ void overrun(int *a) {\n"
+                      "  int buf[4];\n"
+                      "  for (int i = 0; i < 4; i++) buf[i] = i + 1;\n"
+                      "  int k = 0;\n"
+                      "  if (threadIdx.x == 0u) k = " +
+                      std::to_string(Past) +
+                      ";\n"
+                      "  a[threadIdx.x] = buf[k];\n"
+                      "}\n";
+    auto K = compile(Src.c_str());
+    EXPECT_NE(K, nullptr);
+    if (!K)
+      return SimResult();
+    EXPECT_EQ(K->LocalBytes, 16u);
+    Simulator Sim(smallConfig());
+    uint64_t A = Sim.allocGlobal(32 * 4);
+    KernelLaunch L;
+    L.Kernel = K.get();
+    L.GridDim = 1;
+    L.BlockDim = 32;
+    L.Params = {A};
+    return Sim.run({L});
+  };
+  SimResult InBounds = Run(3);
+  EXPECT_TRUE(InBounds.Ok) << InBounds.Error;
+  SimResult Overrun = Run(4);
+  EXPECT_FALSE(Overrun.Ok);
+  EXPECT_NE(Overrun.Error.find("local load out of bounds"), std::string::npos)
+      << Overrun.Error;
+}
+
+TEST(SimEdge, AddressBelowZeroIsOutOfBounds) {
+  // The buffer sits at arena offset 0, so lane 0's a[-1] is address
+  // 2^64 - 4. Adding the access size to it wraps past zero; the bounds
+  // check must not let that through to a read before the arena.
+  auto K = compile("__global__ void under(int *a) {\n"
+                   "  a[threadIdx.x] = a[(int)threadIdx.x - 1];\n"
+                   "}\n");
+  ASSERT_NE(K, nullptr);
+  Simulator Sim(smallConfig());
+  uint64_t A = Sim.allocGlobal(32 * 4);
+  ASSERT_EQ(A, 0u);
+  KernelLaunch L;
+  L.Kernel = K.get();
+  L.GridDim = 1;
+  L.BlockDim = 32;
+  L.Params = {A};
+  SimResult R = Sim.run({L});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("global load out of bounds"), std::string::npos)
+      << R.Error;
+}
+
 TEST(SimEdge, LaunchValidation) {
   auto K = compile("__global__ void k(int *a) { a[threadIdx.x] = 1; }\n");
   ASSERT_NE(K, nullptr);
