@@ -29,6 +29,14 @@ struct ConversionCase {
   const char *Expected;
 };
 
+/// Names each case by its operand types. Without this gtest prints the
+/// raw bytes of the three pointers, so the ctest names that
+/// gtest_discover_tests derives from the printed value would change with
+/// every build's load address.
+void PrintTo(const ConversionCase &C, std::ostream *OS) {
+  *OS << C.TypeA << " + " << C.TypeB;
+}
+
 class UsualConversions : public testing::TestWithParam<ConversionCase> {};
 
 TEST_P(UsualConversions, BinaryAddType) {
