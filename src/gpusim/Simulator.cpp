@@ -65,6 +65,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 using namespace hfuse;
 using namespace hfuse::ir;
@@ -211,10 +212,12 @@ struct SMState {
   /// over it (the historical WId % NumScheds with an append-only list).
   uint64_t WarpSeq = 0;
   // Storage arenas for warp register files / scoreboards / local
-  // memory; sized once per run, extents recycled with warp slots.
-  std::vector<uint64_t> ArenaU64;
+  // memory; sized once per run, extents recycled with warp slots. Left
+  // uninitialized: allocWarpStorage zeroes every extent it hands out,
+  // so pages no warp ever uses are never touched.
+  std::unique_ptr<uint64_t[]> ArenaU64;
   size_t ArenaU64Top = 0;
-  std::vector<uint8_t> ArenaU8;
+  std::unique_ptr<uint8_t[]> ArenaU8;
   size_t ArenaU8Top = 0;
   int UsedThreads = 0;
   int UsedRegs = 0;
@@ -263,6 +266,13 @@ struct Simulator::Impl {
   uint64_t Cycle = 0;
   /// Active cycle budget of the current run (0 = unlimited).
   uint64_t Budget = 0;
+  /// Incumbent fence of the current run: the seed publishes its progress
+  /// into Publish; a follower is gated by Gate until the fence settles
+  /// (Gate is cleared once the run adopts the resolved budget).
+  IncumbentFence *Publish = nullptr;
+  IncumbentFence *Gate = nullptr;
+  /// Host time the current run spent blocked on Gate.
+  double GateWaitMs = 0.0;
   /// Cycle of the last scheduler macro progress (block dispatch/retire,
   /// barrier release, warp exit); drives the watchdog.
   uint64_t ProgressCycle = 0;
@@ -401,42 +411,74 @@ struct Simulator::Impl {
     return AccessSize <= Size && Addr <= Size - AccessSize;
   }
 
-  bool loadBytes(const uint8_t *Base, size_t Size, uint64_t Addr,
-                 uint8_t AccessSize, bool Signed, uint64_t &Out) {
-    if (!inBounds(Size, Addr, AccessSize))
-      return false;
+  /// Loads \p AccessSize bytes at \p P (no bounds check).
+  static uint64_t loadRaw(const uint8_t *P, uint8_t AccessSize,
+                          bool Signed) {
     // Fixed-size copies compile to single loads; this runs per lane of
     // every memory instruction.
     uint64_t V;
     switch (AccessSize) {
     case 4: {
       uint32_t T;
-      std::memcpy(&T, Base + Addr, 4);
+      std::memcpy(&T, P, 4);
       V = T;
       break;
     }
     case 8:
-      std::memcpy(&V, Base + Addr, 8);
+      std::memcpy(&V, P, 8);
       break;
     case 1:
-      V = Base[Addr];
+      V = *P;
       break;
     case 2: {
       uint16_t T;
-      std::memcpy(&T, Base + Addr, 2);
+      std::memcpy(&T, P, 2);
       V = T;
       break;
     }
     default:
       V = 0;
-      std::memcpy(&V, Base + Addr, AccessSize);
+      std::memcpy(&V, P, AccessSize);
       break;
     }
     if (Signed && AccessSize < 8) {
       unsigned Shift = 64 - AccessSize * 8;
       V = static_cast<uint64_t>(static_cast<int64_t>(V << Shift) >> Shift);
     }
-    Out = V;
+    return V;
+  }
+
+  /// Stores the low \p AccessSize bytes of \p V at \p P (no bounds
+  /// check).
+  static void storeRaw(uint8_t *P, uint8_t AccessSize, uint64_t V) {
+    switch (AccessSize) {
+    case 4: {
+      uint32_t T = static_cast<uint32_t>(V);
+      std::memcpy(P, &T, 4);
+      break;
+    }
+    case 8:
+      std::memcpy(P, &V, 8);
+      break;
+    case 1:
+      *P = static_cast<uint8_t>(V);
+      break;
+    case 2: {
+      uint16_t T = static_cast<uint16_t>(V);
+      std::memcpy(P, &T, 2);
+      break;
+    }
+    default:
+      std::memcpy(P, &V, AccessSize);
+      break;
+    }
+  }
+
+  bool loadBytes(const uint8_t *Base, size_t Size, uint64_t Addr,
+                 uint8_t AccessSize, bool Signed, uint64_t &Out) {
+    if (!inBounds(Size, Addr, AccessSize))
+      return false;
+    Out = loadRaw(Base + Addr, AccessSize, Signed);
     return true;
   }
 
@@ -444,27 +486,7 @@ struct Simulator::Impl {
                   uint8_t AccessSize, uint64_t V) {
     if (!inBounds(Size, Addr, AccessSize))
       return false;
-    switch (AccessSize) {
-    case 4: {
-      uint32_t T = static_cast<uint32_t>(V);
-      std::memcpy(Base + Addr, &T, 4);
-      break;
-    }
-    case 8:
-      std::memcpy(Base + Addr, &V, 8);
-      break;
-    case 1:
-      Base[Addr] = static_cast<uint8_t>(V);
-      break;
-    case 2: {
-      uint16_t T = static_cast<uint16_t>(V);
-      std::memcpy(Base + Addr, &T, 2);
-      break;
-    }
-    default:
-      std::memcpy(Base + Addr, &V, AccessSize);
-      break;
-    }
+    storeRaw(Base + Addr, AccessSize, V);
     return true;
   }
 
@@ -692,9 +714,9 @@ struct Simulator::Impl {
       SM.ArenaU8Top += Need8;
       W.U8Cap = Need8;
     }
-    W.Regs = SM.ArenaU64.data() + W.U64Off;
+    W.Regs = SM.ArenaU64.get() + W.U64Off;
     W.RegReady = W.Regs + size_t(K->NumRegs) * WarpSize;
-    W.RegMemSrc = SM.ArenaU8.data() + W.U8Off;
+    W.RegMemSrc = SM.ArenaU8.get() + W.U8Off;
     W.Local = W.RegMemSrc + K->NumRegs;
     std::memset(W.Regs, 0, Need64 * sizeof(uint64_t));
     std::memset(W.RegMemSrc, 0, Need8);
@@ -848,8 +870,26 @@ struct Simulator::Impl {
 
   template <bool FullStats> bool runLoop(SimResult &Res);
 
+  /// Holds a gated run at the loop top until the seed has passed Cycle
+  /// or the fence settles; adopts the resolved budget. False (with Res
+  /// filled in) when the run must abort: its fence failed, or the
+  /// request was cancelled while it waited.
+  bool passGate(SimResult &Res);
+
+  /// Sizes the arena to cover every allocGlobal reservation. Growth
+  /// reserves twice the size, so the small buffers a later workload
+  /// reserves never move a filled multi-MB arena; capacity beyond the
+  /// size is never written and so never becomes resident.
+  void sizeGlobal() {
+    if (Global.size() >= GlobalTop)
+      return;
+    if (Global.capacity() < GlobalTop)
+      Global.reserve(2 * GlobalTop);
+    Global.resize(GlobalTop);
+  }
+
   SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel S,
-                uint64_t CycleBudget);
+                const RunBudget &B);
 };
 
 //===----------------------------------------------------------------------===//
@@ -867,356 +907,243 @@ inline uint64_t fromF32(float F) {
 inline double asF64(uint64_t V) { return std::bit_cast<double>(V); }
 inline uint64_t fromF64(double D) { return std::bit_cast<uint64_t>(D); }
 
-/// Scalar ALU semantics shared by all lanes.
-uint64_t evalAlu(const Instruction &I, uint64_t A, uint64_t B, uint64_t C) {
-  const bool W64 = I.W == Width::W64;
-  auto Wrap = [&](uint64_t V) { return W64 ? V : uint64_t(lo32(V)); };
-  auto SExt = [&](uint64_t V) {
+/// Calls \p Fn with the comparison \p P selects.
+template <typename FnT> void withPred(CmpPred P, FnT &&Fn) {
+  switch (P) {
+  case CmpPred::EQ:
+    return Fn(std::equal_to<>());
+  case CmpPred::NE:
+    return Fn(std::not_equal_to<>());
+  case CmpPred::LT:
+    return Fn(std::less<>());
+  case CmpPred::LE:
+    return Fn(std::less_equal<>());
+  case CmpPred::GT:
+    return Fn(std::greater<>());
+  case CmpPred::GE:
+    return Fn(std::greater_equal<>());
+  }
+  Fn([](auto, auto) { return false; });
+}
+
+/// The single definition of every ALU opcode's semantics: calls
+/// \p Apply once with a functor (a, b, c) -> result that computes one
+/// lane of \p I from that lane's source operands (NoReg reads as 0).
+/// Opcode, width, predicate and source-width dispatch happen here, once
+/// per instruction, so the lane loops inside \p Apply are branch-free.
+template <bool W64, typename ApplyT>
+void withAluOpW(const Instruction &I, ApplyT &&Apply) {
+  using U = uint64_t;
+  static constexpr auto Wrap = [](U V) -> U { return W64 ? V : U(lo32(V)); };
+  static constexpr auto SExt = [](U V) -> int64_t {
     return W64 ? static_cast<int64_t>(V)
                : static_cast<int64_t>(static_cast<int32_t>(lo32(V)));
   };
+  static constexpr U ShiftMask = W64 ? 63 : 31;
   switch (I.Op) {
-  case Opcode::MovImm:
-    return Wrap(static_cast<uint64_t>(I.Imm));
+  case Opcode::MovImm: {
+    const U V = Wrap(static_cast<U>(I.Imm));
+    return Apply([V](U, U, U) { return V; });
+  }
   case Opcode::Mov:
-    return Wrap(A);
+    return Apply([](U A, U, U) { return Wrap(A); });
   case Opcode::IAdd:
-    return Wrap(A + B);
+    return Apply([](U A, U B, U) { return Wrap(A + B); });
   case Opcode::ISub:
-    return Wrap(A - B);
+    return Apply([](U A, U B, U) { return Wrap(A - B); });
   case Opcode::IMul:
-    return Wrap(A * B);
-  case Opcode::IDivS: {
-    int64_t D = SExt(B);
-    if (D == 0)
-      return 0;
-    return Wrap(static_cast<uint64_t>(SExt(A) / D));
-  }
-  case Opcode::IDivU: {
-    uint64_t D = Wrap(B);
-    return D == 0 ? 0 : Wrap(Wrap(A) / D);
-  }
-  case Opcode::IRemS: {
-    int64_t D = SExt(B);
-    if (D == 0)
-      return 0;
-    return Wrap(static_cast<uint64_t>(SExt(A) % D));
-  }
-  case Opcode::IRemU: {
-    uint64_t D = Wrap(B);
-    return D == 0 ? 0 : Wrap(Wrap(A) % D);
-  }
+    return Apply([](U A, U B, U) { return Wrap(A * B); });
+  case Opcode::IDivS:
+    return Apply([](U A, U B, U) -> U {
+      int64_t D = SExt(B);
+      return D == 0 ? 0 : Wrap(static_cast<U>(SExt(A) / D));
+    });
+  case Opcode::IDivU:
+    return Apply([](U A, U B, U) -> U {
+      U D = Wrap(B);
+      return D == 0 ? 0 : Wrap(Wrap(A) / D);
+    });
+  case Opcode::IRemS:
+    return Apply([](U A, U B, U) -> U {
+      int64_t D = SExt(B);
+      return D == 0 ? 0 : Wrap(static_cast<U>(SExt(A) % D));
+    });
+  case Opcode::IRemU:
+    return Apply([](U A, U B, U) -> U {
+      U D = Wrap(B);
+      return D == 0 ? 0 : Wrap(Wrap(A) % D);
+    });
   case Opcode::IMinS:
-    return Wrap(SExt(A) < SExt(B) ? A : B);
+    return Apply([](U A, U B, U) { return Wrap(SExt(A) < SExt(B) ? A : B); });
   case Opcode::IMinU:
-    return Wrap(std::min(Wrap(A), Wrap(B)));
+    return Apply([](U A, U B, U) { return Wrap(std::min(Wrap(A), Wrap(B))); });
   case Opcode::IMaxS:
-    return Wrap(SExt(A) > SExt(B) ? A : B);
+    return Apply([](U A, U B, U) { return Wrap(SExt(A) > SExt(B) ? A : B); });
   case Opcode::IMaxU:
-    return Wrap(std::max(Wrap(A), Wrap(B)));
+    return Apply([](U A, U B, U) { return Wrap(std::max(Wrap(A), Wrap(B))); });
   case Opcode::Shl:
-    return Wrap(Wrap(A) << (B & (W64 ? 63 : 31)));
+    return Apply([](U A, U B, U) { return Wrap(Wrap(A) << (B & ShiftMask)); });
   case Opcode::ShrU:
-    return Wrap(Wrap(A) >> (B & (W64 ? 63 : 31)));
+    return Apply([](U A, U B, U) { return Wrap(Wrap(A) >> (B & ShiftMask)); });
   case Opcode::ShrS:
-    return Wrap(static_cast<uint64_t>(SExt(A) >> (B & (W64 ? 63 : 31))));
+    return Apply([](U A, U B, U) {
+      return Wrap(static_cast<U>(SExt(A) >> (B & ShiftMask)));
+    });
   case Opcode::And:
-    return Wrap(A & B);
+    return Apply([](U A, U B, U) { return Wrap(A & B); });
   case Opcode::Or:
-    return Wrap(A | B);
+    return Apply([](U A, U B, U) { return Wrap(A | B); });
   case Opcode::Xor:
-    return Wrap(A ^ B);
+    return Apply([](U A, U B, U) { return Wrap(A ^ B); });
   case Opcode::Not:
-    return Wrap(~A);
-  case Opcode::ICmpS: {
-    int64_t X = SExt(A), Y = SExt(B);
-    switch (I.Pred) {
-    case CmpPred::EQ:
-      return X == Y;
-    case CmpPred::NE:
-      return X != Y;
-    case CmpPred::LT:
-      return X < Y;
-    case CmpPred::LE:
-      return X <= Y;
-    case CmpPred::GT:
-      return X > Y;
-    case CmpPred::GE:
-      return X >= Y;
-    }
-    return 0;
-  }
-  case Opcode::ICmpU: {
-    uint64_t X = Wrap(A), Y = Wrap(B);
-    switch (I.Pred) {
-    case CmpPred::EQ:
-      return X == Y;
-    case CmpPred::NE:
-      return X != Y;
-    case CmpPred::LT:
-      return X < Y;
-    case CmpPred::LE:
-      return X <= Y;
-    case CmpPred::GT:
-      return X > Y;
-    case CmpPred::GE:
-      return X >= Y;
-    }
-    return 0;
-  }
+    return Apply([](U A, U, U) { return Wrap(~A); });
+  case Opcode::ICmpS:
+    return withPred(I.Pred, [&](auto Cmp) {
+      Apply([Cmp](U A, U B, U) { return U(Cmp(SExt(A), SExt(B))); });
+    });
+  case Opcode::ICmpU:
+    return withPred(I.Pred, [&](auto Cmp) {
+      Apply([Cmp](U A, U B, U) { return U(Cmp(Wrap(A), Wrap(B))); });
+    });
   case Opcode::Sel:
-    return Wrap(A != 0 ? B : C);
+    return Apply([](U A, U B, U C) { return Wrap(A != 0 ? B : C); });
   // Float.
   case Opcode::FAdd:
-    return W64 ? fromF64(asF64(A) + asF64(B)) : fromF32(asF32(A) + asF32(B));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(asF64(A) + asF64(B)) : fromF32(asF32(A) + asF32(B));
+    });
   case Opcode::FSub:
-    return W64 ? fromF64(asF64(A) - asF64(B)) : fromF32(asF32(A) - asF32(B));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(asF64(A) - asF64(B)) : fromF32(asF32(A) - asF32(B));
+    });
   case Opcode::FMul:
-    return W64 ? fromF64(asF64(A) * asF64(B)) : fromF32(asF32(A) * asF32(B));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(asF64(A) * asF64(B)) : fromF32(asF32(A) * asF32(B));
+    });
   case Opcode::FDiv:
-    return W64 ? fromF64(asF64(A) / asF64(B)) : fromF32(asF32(A) / asF32(B));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(asF64(A) / asF64(B)) : fromF32(asF32(A) / asF32(B));
+    });
   case Opcode::FSqrt:
-    return W64 ? fromF64(std::sqrt(asF64(A)))
-               : fromF32(std::sqrt(asF32(A)));
+    return Apply([](U A, U, U) {
+      return W64 ? fromF64(std::sqrt(asF64(A))) : fromF32(std::sqrt(asF32(A)));
+    });
   case Opcode::FRsqrt:
-    return fromF32(1.0f / std::sqrt(asF32(A)));
+    return Apply(
+        [](U A, U, U) { return fromF32(1.0f / std::sqrt(asF32(A))); });
   case Opcode::FExp:
-    return fromF32(std::exp(asF32(A)));
+    return Apply([](U A, U, U) { return fromF32(std::exp(asF32(A))); });
   case Opcode::FLog:
-    return fromF32(std::log(asF32(A)));
+    return Apply([](U A, U, U) { return fromF32(std::log(asF32(A))); });
   case Opcode::FMin:
-    return W64 ? fromF64(std::fmin(asF64(A), asF64(B)))
-               : fromF32(std::fmin(asF32(A), asF32(B)));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(std::fmin(asF64(A), asF64(B)))
+                 : fromF32(std::fmin(asF32(A), asF32(B)));
+    });
   case Opcode::FMax:
-    return W64 ? fromF64(std::fmax(asF64(A), asF64(B)))
-               : fromF32(std::fmax(asF32(A), asF32(B)));
+    return Apply([](U A, U B, U) {
+      return W64 ? fromF64(std::fmax(asF64(A), asF64(B)))
+                 : fromF32(std::fmax(asF32(A), asF32(B)));
+    });
   case Opcode::FNeg:
-    return W64 ? fromF64(-asF64(A)) : fromF32(-asF32(A));
+    return Apply([](U A, U, U) {
+      return W64 ? fromF64(-asF64(A)) : fromF32(-asF32(A));
+    });
   case Opcode::FAbs:
-    return W64 ? fromF64(std::fabs(asF64(A))) : fromF32(std::fabs(asF32(A)));
+    return Apply([](U A, U, U) {
+      return W64 ? fromF64(std::fabs(asF64(A))) : fromF32(std::fabs(asF32(A)));
+    });
   case Opcode::FFloor:
-    return W64 ? fromF64(std::floor(asF64(A)))
-               : fromF32(std::floor(asF32(A)));
-  case Opcode::FCmp: {
-    double X, Y;
-    if (W64) {
-      X = asF64(A);
-      Y = asF64(B);
-    } else {
-      X = asF32(A);
-      Y = asF32(B);
-    }
-    switch (I.Pred) {
-    case CmpPred::EQ:
-      return X == Y;
-    case CmpPred::NE:
-      return X != Y;
-    case CmpPred::LT:
-      return X < Y;
-    case CmpPred::LE:
-      return X <= Y;
-    case CmpPred::GT:
-      return X > Y;
-    case CmpPred::GE:
-      return X >= Y;
-    }
-    return 0;
-  }
-  // Conversions.
-  case Opcode::CvtSI2F: {
-    int64_t V = I.SrcW == Width::W64
-                    ? static_cast<int64_t>(A)
-                    : static_cast<int64_t>(static_cast<int32_t>(lo32(A)));
-    return W64 ? fromF64(static_cast<double>(V))
-               : fromF32(static_cast<float>(V));
-  }
-  case Opcode::CvtUI2F: {
-    uint64_t V = I.SrcW == Width::W64 ? A : lo32(A);
-    return W64 ? fromF64(static_cast<double>(V))
-               : fromF32(static_cast<float>(V));
-  }
-  case Opcode::CvtF2SI: {
-    double V = I.SrcW == Width::W64 ? asF64(A) : asF32(A);
-    int64_t R = static_cast<int64_t>(V);
-    return W64 ? static_cast<uint64_t>(R)
-               : uint64_t(lo32(static_cast<uint64_t>(R)));
-  }
-  case Opcode::CvtF2UI: {
-    double V = I.SrcW == Width::W64 ? asF64(A) : asF32(A);
-    uint64_t R = V <= 0 ? 0 : static_cast<uint64_t>(V);
-    return W64 ? R : uint64_t(lo32(R));
-  }
+    return Apply([](U A, U, U) {
+      return W64 ? fromF64(std::floor(asF64(A)))
+                 : fromF32(std::floor(asF32(A)));
+    });
+  case Opcode::FCmp:
+    return withPred(I.Pred, [&](auto Cmp) {
+      Apply([Cmp](U A, U B, U) {
+        double X = W64 ? asF64(A) : double(asF32(A));
+        double Y = W64 ? asF64(B) : double(asF32(B));
+        return U(Cmp(X, Y));
+      });
+    });
+  // Conversions; the source width is dispatched here too.
+  case Opcode::CvtSI2F:
+    if (I.SrcW == Width::W64)
+      return Apply([](U A, U, U) {
+        int64_t V = static_cast<int64_t>(A);
+        return W64 ? fromF64(static_cast<double>(V))
+                   : fromF32(static_cast<float>(V));
+      });
+    return Apply([](U A, U, U) {
+      int64_t V = static_cast<int32_t>(lo32(A));
+      return W64 ? fromF64(static_cast<double>(V))
+                 : fromF32(static_cast<float>(V));
+    });
+  case Opcode::CvtUI2F:
+    if (I.SrcW == Width::W64)
+      return Apply([](U A, U, U) {
+        return W64 ? fromF64(static_cast<double>(A))
+                   : fromF32(static_cast<float>(A));
+      });
+    return Apply([](U A, U, U) {
+      U V = lo32(A);
+      return W64 ? fromF64(static_cast<double>(V))
+                 : fromF32(static_cast<float>(V));
+    });
+  case Opcode::CvtF2SI:
+    if (I.SrcW == Width::W64)
+      return Apply([](U A, U, U) {
+        return Wrap(static_cast<U>(static_cast<int64_t>(asF64(A))));
+      });
+    return Apply([](U A, U, U) {
+      return Wrap(static_cast<U>(static_cast<int64_t>(double(asF32(A)))));
+    });
+  case Opcode::CvtF2UI:
+    if (I.SrcW == Width::W64)
+      return Apply([](U A, U, U) {
+        double V = asF64(A);
+        return Wrap(V <= 0 ? 0 : static_cast<U>(V));
+      });
+    return Apply([](U A, U, U) {
+      double V = asF32(A);
+      return Wrap(V <= 0 ? 0 : static_cast<U>(V));
+    });
   case Opcode::CvtF2F:
-    return W64 ? fromF64(static_cast<double>(asF32(A)))
-               : fromF32(static_cast<float>(asF64(A)));
+    return Apply([](U A, U, U) {
+      return W64 ? fromF64(static_cast<double>(asF32(A)))
+                 : fromF32(static_cast<float>(asF64(A)));
+    });
   case Opcode::CvtSExt:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(lo32(A))));
+    return Apply([](U A, U, U) {
+      return static_cast<U>(static_cast<int64_t>(static_cast<int32_t>(lo32(A))));
+    });
   case Opcode::CvtZExt:
-    return W64 ? uint64_t(lo32(A)) : uint64_t(lo32(A));
+    return Apply([](U A, U, U) { return U(lo32(A)); });
   default:
-    return 0;
+    return Apply([](U, U, U) { return U(0); });
   }
 }
 
-/// Applies \p F to all 32 lanes — a branch-free loop the compiler can
-/// vectorize.
-template <typename F>
-inline void denseMap(uint64_t *D, const uint64_t *A, const uint64_t *B,
-                     const uint64_t *C, F Op) {
-  for (unsigned Lane = 0; Lane < WarpSize; ++Lane)
-    D[Lane] = Op(A[Lane], B[Lane], C[Lane]);
-}
-
-/// Convergent-warp ALU specialization: the hottest opcodes with the
-/// switch hoisted out of the lane loop. Semantics are copied verbatim
-/// from evalAlu (which remains the reference for the masked path and
-/// every other opcode); returns false to fall back to it.
-bool denseAlu(const Instruction &I, const uint64_t *A, const uint64_t *B,
-              const uint64_t *C, uint64_t *D) {
-  const bool W64 = I.W == Width::W64;
-  auto W32Of = [](uint64_t V) { return uint64_t(lo32(V)); };
-  switch (I.Op) {
-  case Opcode::Mov:
-    if (W64)
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t, uint64_t) { return a; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t, uint64_t) {
-        return W32Of(a);
-      });
-    return true;
-  case Opcode::IAdd:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a + b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a + b);
-      });
-    return true;
-  case Opcode::ISub:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a - b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a - b);
-      });
-    return true;
-  case Opcode::IMul:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a * b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a * b);
-      });
-    return true;
-  case Opcode::And:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a & b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a & b);
-      });
-    return true;
-  case Opcode::Or:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a | b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a | b);
-      });
-    return true;
-  case Opcode::Xor:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t b, uint64_t) { return a ^ b; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(a ^ b);
-      });
-    return true;
-  case Opcode::Not:
-    if (W64)
-      denseMap(D, A, B, C,
-               [](uint64_t a, uint64_t, uint64_t) { return ~a; });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t, uint64_t) {
-        return W32Of(~a);
-      });
-    return true;
-  case Opcode::Shl:
-    if (W64)
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return a << (b & 63);
-      });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(W32Of(a) << (b & 31));
-      });
-    return true;
-  case Opcode::ShrU:
-    if (W64)
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return a >> (b & 63);
-      });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(W32Of(a) >> (b & 31));
-      });
-    return true;
-  case Opcode::ShrS:
-    if (W64)
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
-      });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t) {
-        return W32Of(static_cast<uint64_t>(
-            static_cast<int64_t>(static_cast<int32_t>(lo32(a))) >>
-            (b & 31)));
-      });
-    return true;
-  case Opcode::Sel:
-    if (W64)
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t c) {
-        return a != 0 ? b : c;
-      });
-    else
-      denseMap(D, A, B, C, [&](uint64_t a, uint64_t b, uint64_t c) {
-        return W32Of(a != 0 ? b : c);
-      });
-    return true;
-  case Opcode::FAdd:
-    if (!W64) {
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return fromF32(asF32(a) + asF32(b));
-      });
-      return true;
+/// Computes ALU instruction \p I into \p D for the \p Mask lanes:
+/// dense over all 32 lanes for a convergent warp (vectorizable, no bit
+/// tests), lane by lane otherwise — both from withAluOpW's functor.
+void execAlu(const Instruction &I, uint32_t Mask, const uint64_t *A,
+             const uint64_t *B, const uint64_t *C, uint64_t *D) {
+  auto Apply = [&](auto Op) {
+    if (Mask == FullMask) {
+      for (unsigned Lane = 0; Lane < WarpSize; ++Lane)
+        D[Lane] = Op(A[Lane], B[Lane], C[Lane]);
+      return;
     }
-    return false;
-  case Opcode::FSub:
-    if (!W64) {
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return fromF32(asF32(a) - asF32(b));
-      });
-      return true;
+    for (uint32_t Rem = Mask; Rem; Rem &= Rem - 1) {
+      unsigned Lane = static_cast<unsigned>(std::countr_zero(Rem));
+      D[Lane] = Op(A[Lane], B[Lane], C[Lane]);
     }
-    return false;
-  case Opcode::FMul:
-    if (!W64) {
-      denseMap(D, A, B, C, [](uint64_t a, uint64_t b, uint64_t) {
-        return fromF32(asF32(a) * asF32(b));
-      });
-      return true;
-    }
-    return false;
-  default:
-    return false;
-  }
+  };
+  if (I.W == Width::W64)
+    withAluOpW<true>(I, Apply);
+  else
+    withAluOpW<false>(I, Apply);
 }
 
 } // namespace
@@ -1471,12 +1398,32 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
   case Opcode::StLocal: {
     // Local memory (spills, local arrays) is interleaved per lane and
     // L1-resident at spill-sized footprints: fixed short latency, no
-    // DRAM bandwidth or MSHR pressure. Spill traffic (Src[0] == NoReg,
-    // the register allocator's fixed offsets) dominates; it is in-bounds
-    // by construction but keeps the same checked path. Each lane owns a
-    // LocalBytes frame and is bounds-checked against its own frame, so
-    // an overrun never lands in a neighbouring lane's data.
+    // DRAM bandwidth or MSHR pressure. Each lane owns a LocalBytes frame
+    // and is bounds-checked against its own frame, so an overrun never
+    // lands in a neighbouring lane's data.
     const size_t Frame = K->LocalBytes;
+    if (I.Src[0] == NoReg && Mask == FullMask) {
+      // Spill traffic (the register allocator's fixed offsets)
+      // dominates: every lane uses the same offset, so one check covers
+      // all 32 frames.
+      const uint64_t Off = static_cast<uint64_t>(I.Imm);
+      if (!inBounds(Frame, Off, I.MemSize))
+        return Fatal(I.Op == Opcode::LdLocal ? "local load out of bounds"
+                                             : "local store out of bounds");
+      uint8_t *Slot = W.Local + Off;
+      if (I.Op == Opcode::LdLocal) {
+        uint64_t *Dst = W.Regs + size_t(I.Dst) * WarpSize;
+        for (unsigned Lane = 0; Lane < WarpSize; ++Lane)
+          Dst[Lane] = loadRaw(Slot + Frame * Lane, I.MemSize, I.MemSigned);
+        SetDstReady(Cycle + A.LatLocal, false);
+      } else {
+        const uint64_t *Val = W.Regs + size_t(I.Src[1]) * WarpSize;
+        for (unsigned Lane = 0; Lane < WarpSize; ++Lane)
+          storeRaw(Slot + Frame * Lane, I.MemSize, Val[Lane]);
+      }
+      AdvancePC();
+      return true;
+    }
     const uint64_t *BaseR =
         I.Src[0] == NoReg ? ZeroLanes : W.Regs + size_t(I.Src[0]) * WarpSize;
     if (I.Op == Opcode::LdLocal) {
@@ -1584,22 +1531,8 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
     const uint64_t *SrcC =
         I.Src[2] != NoReg ? W.Regs + size_t(I.Src[2]) * WarpSize
                           : ZeroLanes;
-    if (I.Dst != NoReg) {
-      uint64_t *Dst = W.Regs + size_t(I.Dst) * WarpSize;
-      if (Mask == FullMask) {
-        // Convergent fast path: dense over all lanes, no bit tests;
-        // hot opcodes get vectorizable op-hoisted loops.
-        if (!denseAlu(I, SrcA, SrcB, SrcC, Dst))
-          for (unsigned Lane = 0; Lane < WarpSize; ++Lane)
-            Dst[Lane] = evalAlu(I, SrcA[Lane], SrcB[Lane], SrcC[Lane]);
-      } else {
-        for (uint32_t Rem = Mask; Rem;) {
-          unsigned Lane = static_cast<unsigned>(std::countr_zero(Rem));
-          Rem &= Rem - 1;
-          Dst[Lane] = evalAlu(I, SrcA[Lane], SrcB[Lane], SrcC[Lane]);
-        }
-      }
-    }
+    if (I.Dst != NoReg)
+      execAlu(I, Mask, SrcA, SrcB, SrcC, W.Regs + size_t(I.Dst) * WarpSize);
     SetDstReady(Cycle + latencyOf(Cls), false);
     AdvancePC();
     return true;
@@ -1819,6 +1752,44 @@ bool Simulator::Impl::tryIssue(SMState &SM, unsigned SMIdx,
 // Main loop
 //===----------------------------------------------------------------------===//
 
+bool Simulator::Impl::passGate(SimResult &Res) {
+  if (!Gate->clears(Cycle)) {
+    double Ms = Gate->waitFor(Cycle, Config.Cancel);
+    GateWaitMs += Ms;
+    // Waiting is not running: keep it off the wall-clock allowance.
+    if (WallTimed)
+      WallDeadline += std::chrono::duration_cast<
+          std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::milli>(Ms));
+  }
+  switch (Gate->state()) {
+  case IncumbentFence::State::Open:
+    if (Gate->clears(Cycle))
+      return true;
+    // Cancelled while waiting.
+    Res.Cancelled = true;
+    Res.Error = Config.Cancel.status().message();
+    break;
+  case IncumbentFence::State::Failed:
+    Res.Cancelled = true;
+    Res.Error = "incumbent seed failed";
+    break;
+  case IncumbentFence::State::Resolved:
+    // From here on this is a run under a fixed budget. Only an idle
+    // fast-forward can have carried it past the budget (every issuing
+    // iteration ran at a cycle the seed outlasted); a fixed-budget run
+    // would have clamped that fast-forward to the budget, so clamp back.
+    Budget = Gate->budget();
+    Gate = nullptr;
+    if (Cycle > Budget)
+      Cycle = Budget;
+    return true;
+  }
+  Res.TotalCycles = Cycle;
+  Res.TotalIssued = IssuedSlots;
+  return false;
+}
+
 template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
   auto AllDone = [&]() {
     for (const LaunchState &LS : Launches)
@@ -1828,6 +1799,12 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
   };
 
   while (!AllDone()) {
+    // Seed: some kernel is still running at Cycle. Follower: wait until
+    // the seed is known to outlast Cycle (or its budget is known).
+    if (Publish)
+      Publish->publish(Cycle);
+    if (Gate && !passGate(Res))
+      return false;
     if (Cycle >= Config.MaxCycles) {
       Res.Error = "simulation exceeded the cycle limit (deadlock or "
                   "runaway kernel?)";
@@ -1968,16 +1945,20 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
 }
 
 SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
-                               StatsLevel Stats, uint64_t CycleBudget) {
+                               StatsLevel Stats, const RunBudget &B) {
   SimResult Res;
   const GpuArch &A = Config.Arch;
   StatsFull = Stats == StatsLevel::Full;
+  sizeGlobal();
 
   // Reset machine state.
   SMs.clear();
   Launches.clear();
   Cycle = 0;
-  Budget = CycleBudget;
+  Budget = B.Fence ? 0 : B.Cycles;
+  Publish = B.Seed ? B.Fence : nullptr;
+  Gate = B.isGated() ? B.Fence : nullptr;
+  GateWaitMs = 0.0;
   ProgressCycle = 0;
   Watchdog = Config.WatchdogCycles;
   LoopIters = 0;
@@ -2093,8 +2074,10 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
     SMs[S].Inflight =
         std::make_unique<InflightTracker>(A.MaxInflightSectorsPerSM);
     SMs[S].Warps.reserve(WarpSlotCap);
-    SMs[S].ArenaU64.resize(WarpSlotCap * NeedU64);
-    SMs[S].ArenaU8.resize(WarpSlotCap * NeedU8);
+    SMs[S].ArenaU64 =
+        std::make_unique_for_overwrite<uint64_t[]>(WarpSlotCap * NeedU64);
+    SMs[S].ArenaU8 =
+        std::make_unique_for_overwrite<uint8_t[]>(WarpSlotCap * NeedU8);
     dispatchBlocks(SMs[S], static_cast<unsigned>(S));
   }
 
@@ -2209,23 +2192,33 @@ Simulator::~Simulator() = default;
 uint64_t Simulator::allocGlobal(size_t Bytes) {
   uint64_t Base = (P->GlobalTop + 63) & ~size_t(63);
   P->GlobalTop = Base + Bytes;
-  if (P->Global.size() < P->GlobalTop)
-    P->Global.resize(P->GlobalTop);
   return Base;
 }
 
-std::vector<uint8_t> &Simulator::globalMem() { return P->Global; }
+std::vector<uint8_t> &Simulator::globalMem() {
+  P->sizeGlobal();
+  return P->Global;
+}
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches) {
-  return P->run(Launches, P->Config.Stats, P->Config.CycleBudget);
+  return run(Launches, P->Config.Stats, P->Config.CycleBudget);
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
                          StatsLevel Stats) {
-  return P->run(Launches, Stats, P->Config.CycleBudget);
+  return run(Launches, Stats, P->Config.CycleBudget);
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
                          StatsLevel Stats, uint64_t CycleBudget) {
-  return P->run(Launches, Stats, CycleBudget);
+  return P->run(Launches, Stats, RunBudget::fixed(CycleBudget));
+}
+
+SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
+                         StatsLevel Stats, const RunBudget &Budget,
+                         double *FenceWaitMs) {
+  SimResult R = P->run(Launches, Stats, Budget);
+  if (FenceWaitMs)
+    *FenceWaitMs += P->GateWaitMs;
+  return R;
 }

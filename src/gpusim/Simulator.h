@@ -48,6 +48,7 @@
 #define HFUSE_GPUSIM_SIMULATOR_H
 
 #include "gpusim/GpuArch.h"
+#include "gpusim/IncumbentFence.h"
 #include "ir/IR.h"
 #include "support/CancellationToken.h"
 
@@ -125,7 +126,8 @@ struct SimResult {
   /// fired (Ok is false). Like TimedOut this is a lifecycle abort, not
   /// a property of the kernel — transient by nature, never memoized or
   /// persisted, and the partial TotalCycles/TotalIssued only say how
-  /// far the run got before it noticed.
+  /// far the run got before it noticed. A run gated by an
+  /// IncumbentFence whose seed failed ends the same way.
   bool Cancelled = false;
   /// Makespan: cycle when the last kernel finished ("elapsed time after
   /// the first kernel launches and before the second kernel finishes").
@@ -207,6 +209,24 @@ struct SimConfig {
   CancellationToken Cancel;
 };
 
+/// The cycle budget of one run: a fixed number of cycles, or an
+/// IncumbentFence the run either publishes its progress into (the
+/// seed, which runs unbudgeted) or is gated by (a follower, whose
+/// budget is the cycle count the fence resolves to).
+struct RunBudget {
+  /// Fixed budget (SimConfig::CycleBudget semantics); 0 = unlimited.
+  /// Ignored when Fence is set.
+  uint64_t Cycles = 0;
+  IncumbentFence *Fence = nullptr;
+  /// Publish into Fence instead of being gated by it.
+  bool Seed = false;
+
+  static RunBudget fixed(uint64_t Cycles) { return {Cycles, nullptr, false}; }
+  static RunBudget seed(IncumbentFence &F) { return {0, &F, true}; }
+  static RunBudget gated(IncumbentFence &F) { return {0, &F, false}; }
+  bool isGated() const { return Fence && !Seed; }
+};
+
 /// Owns the global-memory arena and runs kernel launches to completion.
 /// Allocate buffers, fill them via globalMem(), run(), read results.
 class Simulator {
@@ -214,10 +234,14 @@ public:
   explicit Simulator(SimConfig Config);
   ~Simulator();
 
-  /// Allocates \p Bytes of device memory (64-byte aligned); returns the
-  /// arena offset to pass as a pointer parameter.
+  /// Reserves \p Bytes of device memory (64-byte aligned); returns the
+  /// arena offset to pass as a pointer parameter. The arena is sized to
+  /// cover every reservation by the next globalMem() or run(), so a
+  /// set-up that reserves all its buffers before filling them never
+  /// copies a filled buffer into a larger one.
   uint64_t allocGlobal(size_t Bytes);
 
+  /// The arena, zero-filled up to the last reservation.
   std::vector<uint8_t> &globalMem();
 
   /// Runs all launches concurrently (one stream per launch), to
@@ -233,6 +257,15 @@ public:
   /// (0 = unlimited regardless of SimConfig::CycleBudget).
   SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats,
                 uint64_t CycleBudget);
+
+  /// Same, under \p Budget. A gated run returns exactly what run() under
+  /// the fixed budget the fence resolves to would return; one whose
+  /// fence fails aborts as Cancelled ("incumbent seed failed"). Host
+  /// time a gated run spends blocked on its fence is added to
+  /// \p FenceWaitMs (when non-null) and is not charged to
+  /// SimConfig::WallTimeoutMs.
+  SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats,
+                const RunBudget &Budget, double *FenceWaitMs = nullptr);
 
 private:
   struct Impl;

@@ -357,15 +357,18 @@ public:
     Grid = Cfg.SimSMs * 24;
   }
 
+  // The 4 MB DAG lives only in simulator memory: setup generates it in
+  // place and verify() regenerates the reference copy from the seed.
   void setup(Simulator &Sim) override {
-    Dag.resize(DagWords);
-    std::mt19937 Rng(Cfg.Seed ^ 0x66);
-    for (uint32_t &W : Dag)
-      W = Rng();
-    DagBase = Sim.allocGlobal(Dag.size() * 4);
+    DagBase = Sim.allocGlobal(size_t(DagWords) * 4);
     MaxThreads = Grid * Block;
     OutBase = Sim.allocGlobal(size_t(MaxThreads) * 4);
-    writeVec(Sim, DagBase, Dag);
+    uint8_t *Dst = Sim.globalMem().data() + DagBase;
+    std::mt19937 Rng = dagRng();
+    for (int I = 0; I < DagWords; ++I) {
+      uint32_t W = Rng();
+      std::memcpy(Dst + size_t(I) * 4, &W, 4);
+    }
     Params = {OutBase, DagBase, uint64_t(DagWords), uint64_t(Iters),
               uint64_t(Seed)};
   }
@@ -376,6 +379,10 @@ public:
 
   bool verify(Simulator &Sim, int TotalThreads, std::string &Err) override {
     auto Got = readVec<uint32_t>(Sim, OutBase, TotalThreads);
+    std::vector<uint32_t> Dag(DagWords);
+    std::mt19937 Rng = dagRng();
+    for (uint32_t &W : Dag)
+      W = Rng();
     for (int G = 0; G < TotalThreads; ++G) {
       uint32_t Want = refEthashOne(G, Dag, Iters, Seed);
       if (Got[G] != Want) {
@@ -388,9 +395,10 @@ public:
   }
 
 private:
+  std::mt19937 dagRng() const { return std::mt19937(Cfg.Seed ^ 0x66); }
+
   int Iters, DagWords = 1 << 20, MaxThreads = 0;
   uint32_t Seed = 0xE7A5A5E7u;
-  std::vector<uint32_t> Dag;
   uint64_t DagBase = 0, OutBase = 0;
 };
 

@@ -8,6 +8,7 @@
 
 #include "gpusim/Occupancy.h"
 #include "ir/RegAlloc.h"
+#include "profile/IncumbentSweep.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
 #include "support/Hashing.h"
@@ -17,7 +18,6 @@
 #include "transform/Fusion.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <climits>
 #include <functional>
@@ -161,38 +161,14 @@ SimResult NWayRunner::fail(const std::string &Message) const {
   return R;
 }
 
-namespace {
-
-/// Same classification as the pair runner's (see PairRunner.cpp).
-Status statusFromSim(const SimResult &R) {
-  if (R.Cancelled)
-    return Status::transient(
-        R.Error.find("deadline") != std::string::npos
-            ? ErrorCode::DeadlineExceeded
-            : ErrorCode::Cancelled,
-        R.Error);
-  ErrorCode Code = ErrorCode::SimError;
-  if (R.Deadlock)
-    Code = ErrorCode::SimDeadlock;
-  else if (R.TimedOut)
-    Code = ErrorCode::SimTimeout;
-  else if (R.BudgetExceeded)
-    Code = ErrorCode::SimBudget;
-  else if (R.Error.rfind("verification failed", 0) == 0)
-    Code = ErrorCode::VerifyError;
-  return R.FaultInjected ? Status::transient(Code, R.Error)
-                         : Status(Code, R.Error);
-}
-
-} // namespace
-
 SimResult NWayRunner::runLaunches(SimContext &C,
                                   const std::vector<KernelLaunch> &Launches,
                                   const std::vector<int> &VerifyThreads,
-                                  uint64_t CycleBudget) {
+                                  const RunBudget &Budget,
+                                  double *FenceWaitMs) {
   for (auto &W : C.W)
     W->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, StatsLevel::Full, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, Budget, FenceWaitMs);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -360,10 +336,11 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
   return IR;
 }
 
-SimResult NWayRunner::runHFusedIn(SimContext &C,
+SimResult NWayRunner::runHFusedIn(SimContext *C,
                                   const std::vector<int> &Dims,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, uint64_t CycleBudget) {
+                                  SearchStats *Stats, const RunBudget &Budget,
+                                  double *FenceWaitMs) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(Dims, RegBound, DynShared, Err);
@@ -374,9 +351,7 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
   int BlockDim = 0;
   for (int D : Dims)
     BlockDim += D;
-  auto MemoKey = std::make_tuple(
-      static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared);
+  SimMemo::Key MemoKey{IR.get(), Grid, BlockDim, DynShared};
 
   // Disk key: the memo key with pointer identity widened to content
   // identity (the fused IR dump hash) plus everything else the
@@ -385,10 +360,8 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
   // --cache-dir reruns are bit-identical to cold ones. Same
   // contract as the pair runner's key; the kernel-count field keeps
   // the layouts disjoint.
-  const bool UseDisk =
-      Opts.UseCompileCache && !Opts.Verify && Cache->hasStore();
   std::string DiskKey;
-  if (UseDisk) {
+  if (Opts.UseCompileCache && !Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
     KW.u64(fnv1a64(IR->str()));
@@ -408,75 +381,21 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     }
     DiskKey = KW.take();
   }
-  for (;;) {
-    std::promise<SimResult> MemoPromise;
-    bool IsMemoRunner = false;
-    std::shared_ptr<std::shared_future<SimResult>> Entry;
-    if (Opts.UseCompileCache) {
-      {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end()) {
-          Entry = It->second;
-        } else {
-          IsMemoRunner = true;
-          Entry = std::make_shared<std::shared_future<SimResult>>(
-              MemoPromise.get_future().share());
-          SimMemo.emplace(MemoKey, Entry);
-        }
-      }
-      if (!IsMemoRunner) {
-        SimResult R = Entry->get();
-        if (R.BudgetExceeded) {
-          // Stored abort looser than this caller needs: retire and
-          // retry (see the pair runner's commentary).
-          if (CycleBudget == 0 || CycleBudget > R.TotalCycles) {
-            std::lock_guard<std::mutex> Lock(SimMemoMu);
-            auto It = SimMemo.find(MemoKey);
-            if (It != SimMemo.end() && It->second == Entry)
-              SimMemo.erase(It);
-            continue;
-          }
-        } else if (R.Ok && CycleBudget != 0 &&
-                   R.TotalCycles > CycleBudget) {
-          SimResult A;
-          A.BudgetExceeded = true;
-          A.Error = "cycle budget exceeded";
-          A.TotalCycles = CycleBudget;
-          R = A;
-        }
-        Cache->count(&CompileCache::Stats::SimMemoHits);
-        if (Stats)
-          ++Stats->MemoHits;
-        return R;
-      }
-
-      if (UseDisk) {
-        if (std::optional<SimResult> Disk = Cache->loadSimResult(DiskKey)) {
-          SimResult R = std::move(*Disk);
-          MemoPromise.set_value(R);
-          if (CycleBudget != 0 && R.TotalCycles > CycleBudget) {
-            SimResult A;
-            A.BudgetExceeded = true;
-            A.Error = "cycle budget exceeded";
-            A.TotalCycles = CycleBudget;
-            R = A;
-          }
-          if (Stats)
-            ++Stats->MemoHits;
-          return R;
-        }
-      }
+  auto Simulate = [&](const RunBudget &B) -> std::optional<SimResult> {
+    std::string CtxErr;
+    SimContext *Ctx = C ? C : acquireContext(CtxErr);
+    if (!Ctx) {
+      Err = Status(ErrorCode::WorkloadError, CtxErr);
+      return std::nullopt;
     }
-
     KernelLaunch L;
     L.Kernel = IR.get();
     L.GridDim = Grid;
     L.BlockDim = BlockDim;
     L.DynSharedBytes = DynShared;
     std::vector<int> VerifyThreads;
-    for (size_t I = 0; I < C.W.size(); ++I) {
-      const auto &P = C.W[I]->params();
+    for (size_t I = 0; I < Ctx->W.size(); ++I) {
+      const auto &P = Ctx->W[I]->params();
       L.Params.insert(L.Params.end(), P.begin(), P.end());
       VerifyThreads.push_back(Grid * Dims[I]);
     }
@@ -486,25 +405,18 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     Cache->count(&CompileCache::Stats::SimRuns);
     if (Stats)
       ++Stats->Simulations;
-    SimResult R = runLaunches(C, {L}, VerifyThreads, CycleBudget);
+    SimResult R = runLaunches(*Ctx, {L}, VerifyThreads, B, FenceWaitMs);
+    if (!C)
+      releaseContext(Ctx);
     if (Stats) {
       Stats->SimulatedInsts += R.TotalIssued;
       if (R.BudgetExceeded)
         Stats->AbandonedInsts += R.TotalIssued;
     }
-    if (IsMemoRunner) {
-      if ((R.FaultInjected || R.Cancelled) && Opts.UseCompileCache) {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end() && It->second == Entry)
-          SimMemo.erase(It);
-      }
-      if (UseDisk)
-        Cache->storeSimResult(DiskKey, R);
-      MemoPromise.set_value(R);
-    }
     return R;
-  }
+  };
+  return Memo.run(MemoKey, DiskKey, Opts, *Cache, Stats, Budget, FenceWaitMs,
+                  Simulate);
 }
 
 SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
@@ -514,7 +426,7 @@ SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
   if (Dims.size() != Ids.size())
     return fail("partition count does not match kernel count");
   Status E;
-  SimResult R = runHFusedIn(Primary, Dims, RegBound, E, nullptr);
+  SimResult R = runHFusedIn(&Primary, Dims, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -829,7 +741,8 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
 
-  auto Measure = [&](size_t K, uint64_t Budget) {
+  auto Measure = [&](size_t K, const RunBudget &Budget,
+                     double WaitedMs) -> std::optional<uint64_t> {
     Candidate &C = Cands[Kept[K]];
     if (!FaultInjector::instance()
              .check(FaultSite::CancelSimulate, dimsLabel(C.Dims))
@@ -837,13 +750,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       Opts.Cancel.cancel();
     if (Opts.Cancel.cancelled()) {
       C.Skipped = true;
-      return;
-    }
-    std::string CtxErr;
-    SimContext *Ctx = acquireContext(CtxErr);
-    if (!Ctx) {
-      C.Error = Status(ErrorCode::WorkloadError, CtxErr);
-      return;
+      return std::nullopt;
     }
     telemetry::TraceSpan CandSpan;
     if (telemetry::traceOn())
@@ -853,41 +760,41 @@ NWaySearchResult NWayRunner::searchBestConfig() {
                                     dimsLabel(C.Dims).c_str(), C.RegBound)
                      : formatString("c%d %s", C.Id,
                                     dimsLabel(C.Dims).c_str()),
-          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu}",
-                       SR.RunId.c_str(), C.Id,
-                       static_cast<unsigned long long>(Budget)));
+          simulateSpanArgs(SR.RunId, C.Id, Budget));
     NWayCandidate FC;
     FC.Id = C.Id;
     FC.Dims = C.Dims;
     FC.RegBound = C.RegBound;
     Status E;
-    FC.Result = runHFusedIn(*Ctx, C.Dims, C.RegBound, E, &KeptStats[K],
-                            Budget);
+    double FenceWaitMs = WaitedMs;
+    FC.Result = runHFusedIn(nullptr, C.Dims, C.RegBound, E, &KeptStats[K],
+                            Budget, &FenceWaitMs);
+    recordFenceWait(CandSpan, Budget, FenceWaitMs);
     if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
       C.Measured = std::move(FC);
-    } else if (FC.Result.Cancelled ||
-               (Opts.Cancel.cancelled() && !E.ok() &&
-                (E.code() == ErrorCode::Cancelled ||
-                 E.code() == ErrorCode::DeadlineExceeded))) {
+      return C.Measured->Cycles;
+    }
+    if (FC.Result.Cancelled ||
+        (Opts.Cancel.cancelled() && !E.ok() &&
+         (E.code() == ErrorCode::Cancelled ||
+          E.code() == ErrorCode::DeadlineExceeded))) {
       C.Skipped = true;
     } else if (FC.Result.BudgetExceeded) {
       C.Abandoned = true;
-      C.AbandonBudget = Budget;
+      C.AbandonBudget = effectiveBudget(Budget);
       C.AbandonIssued = FC.Result.TotalIssued;
     } else if (C.Error.ok())
       C.Error = !E.ok() ? E : statusFromSim(FC.Result);
-    releaseContext(Ctx);
+    return std::nullopt;
   };
 
-  // Budgeted ordering + incumbent seeding (see PairRunner.cpp; this is
-  // the same algorithm with the generalized N-way lower bound).
+  // Budgeted ordering + the fenced incumbent sweep (see PairRunner.cpp;
+  // this is the same algorithm with the generalized N-way lower bound).
   const bool Budgeted = Opts.Budget != SearchBudgetMode::Off;
   const bool Tight = Opts.Budget == SearchBudgetMode::IncumbentTight;
   telemetry::TraceSpan SimPhaseSpan("phase", "simulate");
-  uint64_t Incumbent = 0;
-  size_t Seeded = 0;
   std::vector<size_t> Order(Kept.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
@@ -941,64 +848,41 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         return CB.MarginReadmit;
       return Bound[A] < Bound[B];
     });
-    while (Seeded < Order.size()) {
-      size_t K = Order[Seeded++];
-      Measure(K, 0);
-      if (Cands[Kept[K]].Measured) {
-        Incumbent = Cands[Kept[K]].Measured->Cycles;
-        break;
-      }
-    }
   }
-  auto MarginOf = [&](uint64_t Inc) -> uint64_t {
-    return Inc == 0
-               ? 0
-               : std::max<uint64_t>(
-                     1, static_cast<uint64_t>(
-                            static_cast<double>(Inc) /
-                            (1.0 +
-                             std::max(0.0, Opts.BudgetMarginPct) / 100.0)));
+  SweepHooks Hooks;
+  Hooks.Measure = Measure;
+  Hooks.Discard = [&](size_t K) {
+    Candidate &C = Cands[Kept[K]];
+    C.Measured.reset();
+    C.Abandoned = false;
+    C.AbandonBudget = C.AbandonIssued = 0;
+    C.Error = Status();
+    C.Skipped = false;
+    KeptStats[K] = SearchStats();
   };
-  std::atomic<uint64_t> SharedIncumbent{Incumbent};
-  parallelFor(Pool.get(), Kept.size() - Seeded, [&](size_t I) {
-    size_t K = Order[Seeded + I];
-    uint64_t Budget = 0;
-    const uint64_t Inc =
-        Tight ? SharedIncumbent.load(std::memory_order_relaxed) : Incumbent;
-    if (Budgeted && Inc != 0)
-      Budget = Cands[Kept[K]].MarginReadmit ? MarginOf(Inc) : Inc;
-    Measure(K, Budget);
-    if (Tight && Cands[Kept[K]].Measured) {
-      uint64_t Cycles = Cands[Kept[K]].Measured->Cycles;
-      uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
-      while ((Cur == 0 || Cycles < Cur) &&
-             !SharedIncumbent.compare_exchange_weak(
-                 Cur, Cycles, std::memory_order_relaxed))
-        ;
-    }
-  });
+  Hooks.MarginReadmit = [&](size_t K) { return Cands[Kept[K]].MarginReadmit; };
+  Hooks.SameLaunch = [&](size_t K, size_t SeedK) {
+    return Cands[Kept[K]].IR == Cands[Kept[SeedK]].IR;
+  };
+  uint64_t Incumbent = runSimulatePhase(Pool.get(), Opts, Order, Hooks);
   SimPhaseSpan.finish();
 
-  if (Tight) {
+  if (Tight && Incumbent != 0) {
     // Canonical post-sweep reporting under the final incumbent (see
     // the pair runner and SearchOptions.h for the determinism story).
-    Incumbent = SharedIncumbent.load(std::memory_order_relaxed);
-    if (Incumbent != 0) {
-      const uint64_t FinalMargin = MarginOf(Incumbent);
-      for (size_t K : Kept) {
-        Candidate &C = Cands[K];
-        if (C.Skipped || !C.Error.ok())
-          continue;
-        const uint64_t FinalBudget =
-            C.MarginReadmit ? FinalMargin : Incumbent;
-        if (C.Measured && C.Measured->Cycles > FinalBudget) {
-          C.Measured.reset();
-          C.Abandoned = true;
-        }
-        if (C.Abandoned) {
-          C.AbandonBudget = FinalBudget;
-          C.AbandonIssued = 0;
-        }
+    const uint64_t FinalMargin = marginBudget(Incumbent, Opts.BudgetMarginPct);
+    for (size_t K : Kept) {
+      Candidate &C = Cands[K];
+      if (C.Skipped || !C.Error.ok())
+        continue;
+      const uint64_t FinalBudget = C.MarginReadmit ? FinalMargin : Incumbent;
+      if (C.Measured && C.Measured->Cycles > FinalBudget) {
+        C.Measured.reset();
+        C.Abandoned = true;
+      }
+      if (C.Abandoned) {
+        C.AbandonBudget = FinalBudget;
+        C.AbandonIssued = 0;
       }
     }
   }

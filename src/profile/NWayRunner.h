@@ -30,7 +30,8 @@
 ///      waves x max_k(S_k / D_k) x spill-inflation
 ///    (S_k the kernel's static instruction count, or its measured solo
 ///    issued count with Options::MeasuredBound) and everything after
-///    the seed runs under CycleBudget = incumbent;
+///    the seed runs under CycleBudget = incumbent, overlapping the
+///    seed behind an incumbent fence (profile/IncumbentSweep.h);
 ///    SearchBudgetMode::IncumbentTight additionally tightens the
 ///    budget through a shared atomic minimum with the deterministic
 ///    post-sweep reporting described in SearchOptions.h.
@@ -53,6 +54,7 @@
 #include "profile/Compile.h"
 #include "profile/PairRunner.h"
 #include "profile/SearchOptions.h"
+#include "profile/SimMemo.h"
 #include "support/Status.h"
 
 #include <map>
@@ -208,16 +210,19 @@ private:
                                            unsigned RegBound,
                                            uint32_t &DynShared,
                                            Status &Err);
-  gpusim::SimResult runHFusedIn(SimContext &C, const std::vector<int> &Dims,
+  /// Same contract as PairRunner::runHFusedIn.
+  gpusim::SimResult runHFusedIn(SimContext *C, const std::vector<int> &Dims,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {},
+                                double *FenceWaitMs = nullptr);
   /// Runs \p L at StatsLevel::Full; \p VerifyThreads[k] > 0 verifies
   /// workload k against that many threads' worth of output.
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 const std::vector<int> &VerifyThreads,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {},
+                                double *FenceWaitMs = nullptr);
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
   uint64_t soloIssuedCount(size_t Which, Status &E, SearchStats *Stats);
@@ -245,12 +250,8 @@ private:
       FusionCache;
   std::mutex FusionCacheMu;
 
-  /// Simulation memo — same contract and retirement rules as
-  /// PairRunner::SimMemo.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t>,
-           std::shared_ptr<std::shared_future<gpusim::SimResult>>>
-      SimMemo;
-  std::mutex SimMemoMu;
+  /// Memoized simulation results (profile/SimMemo.h).
+  SimMemo Memo;
 };
 
 /// "/"-joined partition sizes ("256/256/256"), the N-way analogue of

@@ -9,6 +9,7 @@
 #include "cudalang/ASTPrinter.h"
 #include "gpusim/Occupancy.h"
 #include "ir/RegAlloc.h"
+#include "profile/IncumbentSweep.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
 #include "support/Hashing.h"
@@ -144,40 +145,12 @@ SimResult PairRunner::fail(const std::string &Message) const {
   return R;
 }
 
-namespace {
-
-/// Classifies a failed SimResult into the error taxonomy, preserving
-/// the transient flag of fault-injected runs.
-Status statusFromSim(const SimResult &R) {
-  // A cancelled run is a verdict about the request, not the candidate;
-  // transient so retry machinery never treats it as a kernel property.
-  if (R.Cancelled)
-    return Status::transient(
-        R.Error.find("deadline") != std::string::npos
-            ? ErrorCode::DeadlineExceeded
-            : ErrorCode::Cancelled,
-        R.Error);
-  ErrorCode Code = ErrorCode::SimError;
-  if (R.Deadlock)
-    Code = ErrorCode::SimDeadlock;
-  else if (R.TimedOut)
-    Code = ErrorCode::SimTimeout;
-  else if (R.BudgetExceeded)
-    Code = ErrorCode::SimBudget;
-  else if (R.Error.rfind("verification failed", 0) == 0)
-    Code = ErrorCode::VerifyError;
-  return R.FaultInjected ? Status::transient(Code, R.Error)
-                         : Status(Code, R.Error);
-}
-
-} // namespace
-
 SimResult PairRunner::runLaunches(
     SimContext &C, const std::vector<KernelLaunch> &Launches, int Threads1,
-    int Threads2, uint64_t CycleBudget) {
+    int Threads2, const RunBudget &Budget, double *FenceWaitMs) {
   C.W1->clearOutputs(*C.Sim);
   C.W2->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, StatsLevel::Full, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, Budget, FenceWaitMs);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -419,9 +392,10 @@ PairRunner::getFusedIR(int D1, int D2, unsigned RegBound,
   return IR;
 }
 
-SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
+SimResult PairRunner::runHFusedIn(SimContext *C, int D1, int D2,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, uint64_t CycleBudget) {
+                                  SearchStats *Stats, const RunBudget &Budget,
+                                  double *FenceWaitMs) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(D1, D2, RegBound, DynShared, Err);
@@ -430,9 +404,7 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
 
   int Grid = commonGrid();
   int BlockDim = D1 + D2;
-  auto MemoKey = std::make_tuple(
-      static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared);
+  SimMemo::Key MemoKey{IR.get(), Grid, BlockDim, DynShared};
 
   // Disk key for the second-level ResultStore. It mirrors the memo key
   // with pointer identity widened to content identity — the IR dump
@@ -442,10 +414,8 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
   // parameters. Verified runs bypass the disk: a served result
   // skips simulation, so the workload outputs verify() needs would not
   // exist.
-  const bool UseDisk =
-      Opts.UseCompileCache && !Opts.Verify && Cache->hasStore();
   std::string DiskKey;
-  if (UseDisk) {
+  if (Opts.UseCompileCache && !Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
     KW.u64(fnv1a64(IR->str()));
@@ -464,95 +434,23 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
     KW.str(kernelDisplayName(IdB));
     DiskKey = KW.take();
   }
-  // The retry loop exists for one case: a memoized entry that turns
-  // out to be a budget abort looser than what this caller needs. The
-  // caller retires that entry (if nobody else has yet) and re-enters
-  // the memo as a fresh runner.
-  for (;;) {
-    std::promise<SimResult> MemoPromise;
-    bool IsMemoRunner = false;
-    std::shared_ptr<std::shared_future<SimResult>> Entry;
-    if (Opts.UseCompileCache) {
-      {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end()) {
-          Entry = It->second;
-        } else {
-          IsMemoRunner = true;
-          Entry = std::make_shared<std::shared_future<SimResult>>(
-              MemoPromise.get_future().share());
-          SimMemo.emplace(MemoKey, Entry);
-        }
-      }
-      if (!IsMemoRunner) {
-        // Served by a completed — or currently running — identical
-        // launch; failures replay too (the simulator is deterministic).
-        SimResult R = Entry->get();
-        if (R.BudgetExceeded) {
-          // The stored run was abandoned at its own budget
-          // (R.TotalCycles). That verdict is deterministic for any
-          // caller at least as tight — aliases sharing the launch get
-          // the same abandonment whether they waited on the running
-          // future or replayed the stored one. A caller needing more
-          // simulation retires the entry and retries; the identity
-          // check keeps a concurrent retirement from erasing the
-          // fresh runner that replaced it.
-          if (CycleBudget == 0 || CycleBudget > R.TotalCycles) {
-            std::lock_guard<std::mutex> Lock(SimMemoMu);
-            auto It = SimMemo.find(MemoKey);
-            if (It != SimMemo.end() && It->second == Entry)
-              SimMemo.erase(It);
-            continue;
-          }
-        } else if (R.Ok && CycleBudget != 0 &&
-                   R.TotalCycles > CycleBudget) {
-          // Full result known to exceed this caller's budget: abandon
-          // without simulating — the exact decision a budgeted run
-          // would have reached, for free.
-          SimResult A;
-          A.BudgetExceeded = true;
-          A.Error = "cycle budget exceeded";
-          A.TotalCycles = CycleBudget;
-          R = A;
-        }
-        Cache->count(&CompileCache::Stats::SimMemoHits);
-        if (Stats)
-          ++Stats->MemoHits;
-        return R;
-      }
-
-      // This thread owns the memo entry: consult the disk before
-      // simulating. A hit is always a completed Ok run (failures are
-      // never persisted), published to the memo in full so concurrent
-      // waiters apply their own budget logic exactly as they would to
-      // a fresh result.
-      if (UseDisk) {
-        if (std::optional<SimResult> Disk = Cache->loadSimResult(DiskKey)) {
-          SimResult R = std::move(*Disk);
-          MemoPromise.set_value(R);
-          if (CycleBudget != 0 && R.TotalCycles > CycleBudget) {
-            SimResult A;
-            A.BudgetExceeded = true;
-            A.Error = "cycle budget exceeded";
-            A.TotalCycles = CycleBudget;
-            R = A;
-          }
-          if (Stats)
-            ++Stats->MemoHits;
-          return R;
-        }
-      }
+  // Only a simulation needs a context: memo and disk hits never take
+  // one from the pool (or build a fresh one).
+  auto Simulate = [&](const RunBudget &B) -> std::optional<SimResult> {
+    std::string CtxErr;
+    SimContext *Ctx = C ? C : acquireContext(CtxErr);
+    if (!Ctx) {
+      Err = Status(ErrorCode::WorkloadError, CtxErr);
+      return std::nullopt;
     }
-
     KernelLaunch L;
     L.Kernel = IR.get();
     L.GridDim = Grid;
     L.BlockDim = BlockDim;
     L.DynSharedBytes = DynShared;
-    L.Params = C.W1->params();
-    L.Params.insert(L.Params.end(), C.W2->params().begin(),
-                    C.W2->params().end());
+    L.Params = Ctx->W1->params();
+    L.Params.insert(L.Params.end(), Ctx->W2->params().begin(),
+                    Ctx->W2->params().end());
     L.Label = formatString("HFuse(%s+%s,%d/%d%s)", kernelDisplayName(IdA),
                            kernelDisplayName(IdB), D1, D2,
                            RegBound ? formatString(",r%u", RegBound).c_str()
@@ -560,43 +458,25 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
     Cache->count(&CompileCache::Stats::SimRuns);
     if (Stats)
       ++Stats->Simulations;
-    SimResult R = runLaunches(C, {L}, Grid * D1, Grid * D2, CycleBudget);
+    SimResult R = runLaunches(*Ctx, {L}, Grid * D1, Grid * D2, B, FenceWaitMs);
+    if (!C)
+      releaseContext(Ctx);
     if (Stats) {
       Stats->SimulatedInsts += R.TotalIssued;
       if (R.BudgetExceeded)
         Stats->AbandonedInsts += R.TotalIssued;
     }
-    if (IsMemoRunner) {
-      // A fault-injected failure is transient: retire the entry before
-      // publishing so waiters get the error but any later request
-      // re-simulates (the identity check spares a successor entry).
-      // Cancelled runs are retired for the same reason — a cancel is a
-      // property of the request, never of the launch, so it must not
-      // be replayed to an un-cancelled request sharing the key.
-      // Deterministic failures stay memoized — replaying them is
-      // correct and cheap.
-      if ((R.FaultInjected || R.Cancelled) && Opts.UseCompileCache) {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end() && It->second == Entry)
-          SimMemo.erase(It);
-      }
-      // Persist only completed, healthy runs (storeSimResult enforces
-      // R.Ok): budget aborts depend on the caller's budget, and no
-      // failure may ever be servable from cache.
-      if (UseDisk)
-        Cache->storeSimResult(DiskKey, R);
-      MemoPromise.set_value(R);
-    }
     return R;
-  }
+  };
+  return Memo.run(MemoKey, DiskKey, Opts, *Cache, Stats, Budget, FenceWaitMs,
+                  Simulate);
 }
 
 SimResult PairRunner::runHFused(int D1, int D2, unsigned RegBound) {
   if (!Ready)
     return fail(Err);
   Status E;
-  SimResult R = runHFusedIn(Primary, D1, D2, RegBound, E, nullptr);
+  SimResult R = runHFusedIn(&Primary, D1, D2, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -912,8 +792,10 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
 
-  // Measures Kept[K] under \p Budget cycles (0 = to completion).
-  auto Measure = [&](size_t K, uint64_t Budget) {
+  // Measures Kept[K] under \p Budget; returns its cycles when it
+  // completed. \p WaitedMs is fence wait before it started.
+  auto Measure = [&](size_t K, const RunBudget &Budget,
+                     double WaitedMs) -> std::optional<uint64_t> {
     Candidate &C = Cands[Kept[K]];
     // Deterministic cancel point for the simulate phase (see the
     // compile-phase comment); Kept candidates are still unresolved, so
@@ -925,13 +807,7 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
       Opts.Cancel.cancel();
     if (Opts.Cancel.cancelled()) {
       C.Skipped = true;
-      return;
-    }
-    std::string CtxErr;
-    SimContext *Ctx = acquireContext(CtxErr);
-    if (!Ctx) {
-      C.Error = Status(ErrorCode::WorkloadError, CtxErr);
-      return;
+      return std::nullopt;
     }
     telemetry::TraceSpan CandSpan;
     if (telemetry::traceOn())
@@ -940,56 +816,57 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
           C.RegBound ? formatString("c%d %d/%d:r%u", C.Id, C.D1, C.D2,
                                     C.RegBound)
                      : formatString("c%d %d/%d", C.Id, C.D1, C.D2),
-          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu}",
-                       SR.RunId.c_str(), C.Id,
-                       static_cast<unsigned long long>(Budget)));
+          simulateSpanArgs(SR.RunId, C.Id, Budget));
     FusionCandidate FC;
     FC.Id = C.Id;
     FC.D1 = C.D1;
     FC.D2 = C.D2;
     FC.RegBound = C.RegBound;
     Status E;
-    FC.Result = runHFusedIn(*Ctx, C.D1, C.D2, C.RegBound, E, &KeptStats[K],
-                            Budget);
+    double FenceWaitMs = WaitedMs;
+    FC.Result = runHFusedIn(nullptr, C.D1, C.D2, C.RegBound, E,
+                            &KeptStats[K], Budget, &FenceWaitMs);
+    recordFenceWait(CandSpan, Budget, FenceWaitMs);
     if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
       C.Measured = std::move(FC);
-    } else if (FC.Result.Cancelled ||
-               (Opts.Cancel.cancelled() && !E.ok() &&
-                (E.code() == ErrorCode::Cancelled ||
-                 E.code() == ErrorCode::DeadlineExceeded))) {
+      return C.Measured->Cycles;
+    }
+    if (FC.Result.Cancelled ||
+        (Opts.Cancel.cancelled() && !E.ok() &&
+         (E.code() == ErrorCode::Cancelled ||
+          E.code() == ErrorCode::DeadlineExceeded))) {
       // The cancel landed mid-simulation (or mid-compile-wait): the
       // candidate was interrupted, not measured and not at fault —
       // account it as unvisited like the ones never started.
       C.Skipped = true;
     } else if (FC.Result.BudgetExceeded) {
       C.Abandoned = true;
-      C.AbandonBudget = Budget;
+      C.AbandonBudget = effectiveBudget(Budget);
       C.AbandonIssued = FC.Result.TotalIssued;
     } else if (C.Error.ok())
       // Pipeline failures arrive in E; simulation failures (deadlock,
       // timeout, OOB, verification) are classified off the SimResult.
       C.Error = !E.ok() ? E : statusFromSim(FC.Result);
-    releaseContext(Ctx);
+    return std::nullopt;
   };
 
   // Unbudgeted search keeps the historical canonical measurement order.
   // Budgeted search reorders phase 3 best-first: candidates are ranked
-  // by a lower bound on their cycle count, the front-runner is
-  // simulated to completion to seed the incumbent, and everything else
-  // runs under CycleBudget = incumbent (margin-readmitted candidates
-  // under the tighter incumbent/(1+margin)). Whether a candidate
-  // completes or aborts depends only on its own true cycle count
-  // against a fixed budget, so results stay deterministic across
-  // SearchJobs — and Best is bit-identical to the unbudgeted sweep,
-  // because any candidate at or below the incumbent still completes
-  // with exact cycles while aborted ones were strictly worse.
+  // by a lower bound on their cycle count, the front-runner seeds the
+  // incumbent, and everything else runs under CycleBudget = incumbent
+  // (margin-readmitted candidates under the tighter
+  // incumbent/(1+margin)), overlapping the seed behind an incumbent
+  // fence (profile/IncumbentSweep.h). Whether a candidate completes or
+  // aborts depends only on its own true cycle count against that
+  // budget, so results stay deterministic across SearchJobs — and Best
+  // is bit-identical to the unbudgeted sweep, because any candidate at
+  // or below the incumbent still completes with exact cycles while
+  // aborted ones were strictly worse.
   const bool Budgeted = Opts.Budget != SearchBudgetMode::Off;
   const bool Tight = Opts.Budget == SearchBudgetMode::IncumbentTight;
   telemetry::TraceSpan SimPhaseSpan("phase", "simulate");
-  uint64_t Incumbent = 0;
-  size_t Seeded = 0;
   std::vector<size_t> Order(Kept.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
@@ -1047,53 +924,26 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
         return CB.MarginReadmit;
       return Bound[A] < Bound[B];
     });
-    while (Seeded < Order.size()) {
-      size_t K = Order[Seeded++];
-      Measure(K, 0);
-      if (Cands[Kept[K]].Measured) {
-        Incumbent = Cands[Kept[K]].Measured->Cycles;
-        break;
-      }
-      // Seed candidate failed outright; try the next-best one.
-    }
   }
-  auto MarginOf = [&](uint64_t Inc) -> uint64_t {
-    return Inc == 0
-               ? 0
-               : std::max<uint64_t>(
-                     1, static_cast<uint64_t>(
-                            static_cast<double>(Inc) /
-                            (1.0 +
-                             std::max(0.0, Opts.BudgetMarginPct) / 100.0)));
+  SweepHooks Hooks;
+  Hooks.Measure = Measure;
+  Hooks.Discard = [&](size_t K) {
+    Candidate &C = Cands[Kept[K]];
+    C.Measured.reset();
+    C.Abandoned = false;
+    C.AbandonBudget = C.AbandonIssued = 0;
+    C.Error = Status();
+    C.Skipped = false;
+    KeptStats[K] = SearchStats();
   };
-  // IncumbentTight: completed candidates publish their cycles into a
-  // shared minimum, so later candidates start under the best cycle
-  // count seen so far instead of the seed's. Every budget handed out
-  // is <= the plain-incumbent budget, and a candidate whose true
-  // cycles are <= the eventual Best always completes (its budget is
-  // always >= the running minimum >= its own cycles) — so Best stays
-  // bit-identical; the ledger is canonicalized after the sweep.
-  std::atomic<uint64_t> SharedIncumbent{Incumbent};
-  parallelFor(Pool.get(), Kept.size() - Seeded, [&](size_t I) {
-    size_t K = Order[Seeded + I];
-    uint64_t Budget = 0;
-    const uint64_t Inc =
-        Tight ? SharedIncumbent.load(std::memory_order_relaxed) : Incumbent;
-    if (Budgeted && Inc != 0)
-      Budget = Cands[Kept[K]].MarginReadmit ? MarginOf(Inc) : Inc;
-    Measure(K, Budget);
-    if (Tight && Cands[Kept[K]].Measured) {
-      uint64_t Cycles = Cands[Kept[K]].Measured->Cycles;
-      uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
-      while ((Cur == 0 || Cycles < Cur) &&
-             !SharedIncumbent.compare_exchange_weak(
-                 Cur, Cycles, std::memory_order_relaxed))
-        ;
-    }
-  });
+  Hooks.MarginReadmit = [&](size_t K) { return Cands[Kept[K]].MarginReadmit; };
+  Hooks.SameLaunch = [&](size_t K, size_t SeedK) {
+    return Cands[Kept[K]].IR == Cands[Kept[SeedK]].IR;
+  };
+  uint64_t Incumbent = runSimulatePhase(Pool.get(), Opts, Order, Hooks);
   SimPhaseSpan.finish();
 
-  if (Tight) {
+  if (Tight && Incumbent != 0) {
     // Deterministic reporting for the tightened sweep: which
     // non-winning candidates completed (vs were abandoned) depends on
     // the budget each happened to run under, i.e. on worker timing.
@@ -1106,23 +956,19 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
     // are bit-identical across SearchJobs — only the cost counters
     // (SimulatedInsts/AbandonedInsts) keep reflecting the real,
     // timing-dependent work done.
-    Incumbent = SharedIncumbent.load(std::memory_order_relaxed);
-    if (Incumbent != 0) {
-      const uint64_t FinalMargin = MarginOf(Incumbent);
-      for (size_t K : Kept) {
-        Candidate &C = Cands[K];
-        if (C.Skipped || !C.Error.ok())
-          continue;
-        const uint64_t FinalBudget =
-            C.MarginReadmit ? FinalMargin : Incumbent;
-        if (C.Measured && C.Measured->Cycles > FinalBudget) {
-          C.Measured.reset();
-          C.Abandoned = true;
-        }
-        if (C.Abandoned) {
-          C.AbandonBudget = FinalBudget;
-          C.AbandonIssued = 0;
-        }
+    const uint64_t FinalMargin = marginBudget(Incumbent, Opts.BudgetMarginPct);
+    for (size_t K : Kept) {
+      Candidate &C = Cands[K];
+      if (C.Skipped || !C.Error.ok())
+        continue;
+      const uint64_t FinalBudget = C.MarginReadmit ? FinalMargin : Incumbent;
+      if (C.Measured && C.Measured->Cycles > FinalBudget) {
+        C.Measured.reset();
+        C.Abandoned = true;
+      }
+      if (C.Abandoned) {
+        C.AbandonBudget = FinalBudget;
+        C.AbandonIssued = 0;
       }
     }
   }

@@ -57,7 +57,10 @@
 /// the most promising one is simulated to completion to seed the
 /// incumbent, and every other candidate runs under
 /// SimConfig::CycleBudget = incumbent — the simulator abandons it the
-/// moment its elapsed cycles provably exceed the incumbent's. This is
+/// moment its elapsed cycles provably exceed the incumbent's. The
+/// other candidates start while the seed still runs, behind an
+/// incumbent fence that keeps each result bit-identical to a run under
+/// the seed's fixed cycle count (profile/IncumbentSweep.h). This is
 /// exactly result-preserving: a candidate abandoned at the budget has
 /// strictly more cycles than the incumbent, so it can never be Best,
 /// and every candidate whose cycles are <= the incumbent (including
@@ -101,6 +104,7 @@
 #include "kernels/Workload.h"
 #include "profile/Compile.h"
 #include "profile/SearchOptions.h"
+#include "profile/SimMemo.h"
 #include "support/Status.h"
 
 #include <map>
@@ -337,21 +341,28 @@ private:
                                            unsigned RegBound,
                                            uint32_t &DynShared, Status &Err);
 
-  /// \p CycleBudget of 0 runs to completion; otherwise the simulation
-  /// is abandoned (SimResult::BudgetExceeded) once its cycles provably
-  /// exceed the budget. An abort is served from the memo only to
-  /// callers whose budget is at least as tight as the stored abort's;
-  /// a later run under a looser (or no) budget retires the entry and
-  /// re-simulates instead of replaying the cutoff.
-  gpusim::SimResult runHFusedIn(SimContext &C, int D1, int D2,
+  /// Simulates (D1, D2, RegBound) under \p Budget in context \p C, or,
+  /// when \p C is null, in a pooled context taken only if no memo or
+  /// disk hit answers first. A fixed budget of 0 runs to completion;
+  /// otherwise the simulation is abandoned (SimResult::BudgetExceeded)
+  /// once its cycles provably exceed the budget. An abort is served
+  /// from the memo only to callers whose budget is at least as tight as
+  /// the stored abort's; a later run under a looser (or no) budget
+  /// retires the entry and re-simulates instead of replaying the
+  /// cutoff. A gated budget's result is published (memo, store) and
+  /// returned only once its fence resolved; a run whose fence failed
+  /// comes back void (voidRun). Fence waits add to \p FenceWaitMs.
+  gpusim::SimResult runHFusedIn(SimContext *C, int D1, int D2,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {},
+                                double *FenceWaitMs = nullptr);
   /// Runs \p L at StatsLevel::Full and verifies the outputs.
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 int Threads1, int Threads2,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {},
+                                double *FenceWaitMs = nullptr);
   std::optional<unsigned> figure6RegBoundImpl(int D1, int D2, Status &Err);
   int commonGrid() const;
 
@@ -386,25 +397,8 @@ private:
       FusionCache;
   std::mutex FusionCacheMu;
 
-  /// Memoized simulation results keyed on the exact launch: same IR
-  /// object, grid, block shape, and dynamic shared size replay the stored
-  /// result. Entries are shared futures so concurrent workers
-  /// requesting the same launch block on the first runner instead of
-  /// simulating twice. A BudgetExceeded result stays memoized — its
-  /// verdict is deterministic for any caller at least as tight — and
-  /// is retired lazily by the first caller that needs more simulation
-  /// (no budget, or a looser one). A fault-injected failure
-  /// (SimResult::FaultInjected) is retired eagerly by its own runner
-  /// before the result is published — waiters see the failure, later
-  /// requests re-simulate. Deterministic failures (OOB, genuine
-  /// deadlock) stay memoized: replaying them is correct and cheap.
-  /// The shared_ptr wrapper gives entries identity, so that
-  /// retirement can no-op when a concurrent retirement already
-  /// installed a fresh runner's entry.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t>,
-           std::shared_ptr<std::shared_future<gpusim::SimResult>>>
-      SimMemo;
-  std::mutex SimMemoMu;
+  /// Memoized simulation results (profile/SimMemo.h).
+  SimMemo Memo;
 };
 
 } // namespace hfuse::profile

@@ -1,0 +1,87 @@
+//===-- profile/SimMemo.h - Memoized candidate simulations -------*- C++ -*-===//
+//
+// Part of the HFuse reproduction. Distributed under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The simulation memo shared by PairRunner and NWayRunner: one entry
+/// per exact launch (fused IR object, grid, block size, dynamic shared
+/// bytes), backed by the CompileCache's ResultStore.
+///
+/// Entries are shared futures, so concurrent workers requesting the
+/// same launch block on the first runner instead of simulating twice.
+/// A BudgetExceeded result stays memoized — its verdict is
+/// deterministic for any caller at least as tight — and is retired
+/// lazily by the first caller that needs more simulation (no budget,
+/// or a looser one). A fault-injected, cancelled or void (failed-seed)
+/// result is retired eagerly by its own runner before it is published:
+/// waiters see it, later requests re-simulate. Deterministic failures
+/// (OOB, genuine deadlock) stay memoized: replaying them is correct and
+/// cheap. The shared_ptr wrapper gives entries identity, so retirement
+/// no-ops when a concurrent retirement already installed a fresh
+/// runner's entry.
+///
+/// A caller gated by an incumbent fence (gpusim::RunBudget::gated)
+/// makes nothing visible before the fence resolves: a memo or disk hit
+/// waits for it and then applies the abandon-or-keep rule to the
+/// resolved budget, and a fresh simulation is published and persisted
+/// only once its seed resolved. If the seed failed, the caller gets a
+/// void result (voidRun) and the entry is retired.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef HFUSE_PROFILE_SIMMEMO_H
+#define HFUSE_PROFILE_SIMMEMO_H
+
+#include "gpusim/Simulator.h"
+#include "ir/IR.h"
+#include "profile/Compile.h"
+#include "profile/SearchOptions.h"
+
+#include <functional>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <tuple>
+
+namespace hfuse::profile {
+
+struct SearchStats;
+
+class SimMemo {
+public:
+  /// The exact launch: same IR object, grid, block size and dynamic
+  /// shared bytes replay the stored result.
+  using Key = std::tuple<const ir::IRKernel *, int, int, uint32_t>;
+
+  /// Runs one candidate launch under \p Budget, or replays it. \p DiskKey
+  /// (empty = no store) names it in the ResultStore. \p Simulate
+  /// simulates it under the budget it is given and returns the result,
+  /// or nullopt when no simulator context could be had. With
+  /// Opts.UseCompileCache off, every call simulates. \p Stats (may be
+  /// null) counts memo and disk hits; fence waits add to
+  /// \p FenceWaitMs.
+  gpusim::SimResult
+  run(const Key &K, const std::string &DiskKey, const SearchOptions &Opts,
+      CompileCache &Cache, SearchStats *Stats,
+      const gpusim::RunBudget &Budget, double *FenceWaitMs,
+      const std::function<std::optional<gpusim::SimResult>(
+          const gpusim::RunBudget &)> &Simulate);
+
+private:
+  using Entry = std::shared_ptr<std::shared_future<gpusim::SimResult>>;
+
+  /// Erases \p K if it still maps to \p E.
+  void retire(const Key &K, const Entry &E);
+
+  std::map<Key, Entry> Map;
+  std::mutex Mu;
+};
+
+} // namespace hfuse::profile
+
+#endif // HFUSE_PROFILE_SIMMEMO_H

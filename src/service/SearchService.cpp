@@ -110,6 +110,23 @@ std::string SearchService::fingerprint(const SearchRequest &R) {
       O.UseCompileCache ? 1 : 0, static_cast<const void *>(O.Cache.get()));
 }
 
+namespace {
+
+/// The anytime result of a request cancelled before its sweep began
+/// (during input-kernel compilation): Partial, with a ledger of 0
+/// candidates.
+profile::SearchResult cancelledBeforeSearch(const CancellationToken &Token,
+                                            const std::string &Error) {
+  profile::SearchResult SR;
+  SR.Partial = true;
+  SR.PartialReason = Token.status();
+  SR.Err = SR.PartialReason;
+  SR.Error = Error;
+  return SR;
+}
+
+} // namespace
+
 SearchOutcome SearchService::execute(const SearchRequest &R,
                                      const CancellationToken &Token) {
   SearchOutcome Out;
@@ -129,9 +146,18 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
     NO.Scale = RO.Scale1;
     profile::NWayRunner Runner(R.Kernels, std::move(NO));
     if (!Runner.ok()) {
-      Out.Search.Err = Token.cancelled()
-                           ? Token.status()
-                           : Status(ErrorCode::Internal, Runner.error());
+      if (Token.cancelled()) {
+        // Cancelled during input-kernel compilation: an anytime result
+        // with an empty ledger, like a pair request's.
+        Out.Search = cancelledBeforeSearch(Token, Runner.error());
+        Out.NWay.emplace();
+        Out.NWay->Err = Out.Search.Err;
+        Out.NWay->Error = Out.Search.Error;
+        Out.NWay->Partial = true;
+        Out.NWay->PartialReason = Out.Search.PartialReason;
+        return Out;
+      }
+      Out.Search.Err = Status(ErrorCode::Internal, Runner.error());
       Out.Search.Error = Runner.error();
       return Out;
     }
@@ -156,10 +182,13 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
   profile::PairRunner Runner(R.A, R.B, std::move(RO));
   if (!Runner.ok()) {
     // A cancel that landed during input-kernel compilation is a
-    // request verdict; anything else is a genuine setup failure.
-    Out.Search.Err = Token.cancelled()
-                         ? Token.status()
-                         : Status(ErrorCode::Internal, Runner.error());
+    // request verdict (a partial result that reached no candidate);
+    // anything else is a genuine setup failure.
+    if (Token.cancelled()) {
+      Out.Search = cancelledBeforeSearch(Token, Runner.error());
+      return Out;
+    }
+    Out.Search.Err = Status(ErrorCode::Internal, Runner.error());
     Out.Search.Error = Runner.error();
     return Out;
   }

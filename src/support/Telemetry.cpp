@@ -299,9 +299,10 @@ void Tracer::begin(uint64_t TsUs, std::string Cat, std::string Name,
                          std::move(Name), std::move(Args)});
 }
 
-void Tracer::end(uint64_t TsUs, std::string Cat, std::string Name) {
+void Tracer::end(uint64_t TsUs, std::string Cat, std::string Name,
+                 std::string Args) {
   impl().push(TraceEvent{'E', currentThreadId(), TsUs, std::move(Cat),
-                         std::move(Name), std::string()});
+                         std::move(Name), std::move(Args)});
 }
 
 void Tracer::instant(std::string Cat, std::string Name, std::string Args) {
@@ -435,6 +436,6 @@ void TraceSpan::beginSpan(const char *CatIn, std::string NameIn,
 
 void TraceSpan::endSpan() {
   Tracer &T = Tracer::instance();
-  T.end(T.nowUs(), std::move(Cat), std::move(Name));
+  T.end(T.nowUs(), std::move(Cat), std::move(Name), std::move(EndArgs));
   Active = false;
 }

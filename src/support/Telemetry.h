@@ -162,7 +162,10 @@ public:
 
   void begin(uint64_t TsUs, std::string Cat, std::string Name,
              std::string Args);
-  void end(uint64_t TsUs, std::string Cat, std::string Name);
+  /// \p Args (optional) are merged into the span's args by trace
+  /// viewers.
+  void end(uint64_t TsUs, std::string Cat, std::string Name,
+           std::string Args = std::string());
   /// Instant event stamped at call time.
   void instant(std::string Cat, std::string Name, std::string Args);
 
@@ -217,12 +220,16 @@ public:
       endSpan();
     Active = false;
   }
+  /// Args known only once the span's work is done (a JSON object),
+  /// emitted on its end event.
+  void setEndArgs(std::string ArgsIn) { EndArgs = std::move(ArgsIn); }
 
 private:
   void endSpan();
   bool Active = false;
   std::string Cat;
   std::string Name;
+  std::string EndArgs;
 };
 
 /// Escapes \p S for inclusion inside a JSON string literal.

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace hfuse;
 using namespace hfuse::gpusim;
 using namespace hfuse::kernels;
@@ -172,6 +174,41 @@ TEST(BenchKernels, CryptoKernelsVerifyWithPackedSpillFramesAtR32) {
     EXPECT_TRUE(W->verify(Sim, L.GridDim * W->preferredBlockThreads(), Err))
         << kernelDisplayName(Id) << ": " << Err;
   }
+}
+
+TEST(BenchKernels, EthashVerifiesWithItsDagOnlyInSimulatorMemory) {
+  // The 4 MB DAG is generated straight into the simulator's arena; the
+  // workload keeps no host copy, and verify() regenerates the reference
+  // DAG from the seed instead of reading the arena back.
+  DiagnosticEngine Diags;
+  auto K = compileBenchKernel(BenchKernelId::Ethash, 0, Diags);
+  ASSERT_NE(K, nullptr) << Diags.str();
+  SimConfig SC;
+  SC.Arch = makeGTX1080Ti();
+  SC.SimSMs = 1;
+  Simulator Sim(SC);
+  WorkloadConfig WC;
+  WC.SimSMs = 1;
+  WC.SizeScale = 0.25;
+  auto W = makeWorkload(BenchKernelId::Ethash, WC);
+  W->setup(Sim);
+  KernelLaunch L;
+  L.Kernel = K->IR.get();
+  L.GridDim = W->preferredGrid();
+  L.BlockDim = W->preferredBlock();
+  L.Params = W->params();
+  auto RunAndVerify = [&] {
+    W->clearOutputs(Sim);
+    SimResult R = Sim.run({L});
+    EXPECT_TRUE(R.Ok) << R.Error;
+    std::string Err;
+    return W->verify(Sim, L.GridDim * L.BlockDim, Err);
+  };
+  EXPECT_TRUE(RunAndVerify());
+  // A kernel reading a different DAG must fail verification.
+  const uint64_t DagBase = L.Params[1], DagWords = L.Params[2];
+  std::memset(Sim.globalMem().data() + DagBase, 0x5A, DagWords * 4);
+  EXPECT_FALSE(RunAndVerify());
 }
 
 TEST(BenchKernels, EthashIsMemoryBoundCryptoAreComputeBound) {

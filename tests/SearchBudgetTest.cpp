@@ -22,6 +22,8 @@
 
 #include "BenchCommon.h"
 #include "profile/PairRunner.h"
+#include "support/FaultInjector.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +77,25 @@ SearchResult runSearch(const BenchPair &P, SearchBudgetMode Budget,
   return SR;
 }
 
+/// The full ledger: every measured, abandoned (with budget and issued
+/// instructions) and failed candidate, by canonical id.
+std::vector<std::string> ledger(const SearchResult &SR) {
+  std::vector<std::string> L;
+  for (const FusionCandidate &C : SR.All)
+    L.push_back("all c" + std::to_string(C.Id) + " " +
+                std::to_string(C.Cycles));
+  for (const AbandonedCandidate &A : SR.Abandoned)
+    L.push_back("abandoned c" + std::to_string(A.Id) + " " +
+                std::to_string(A.BudgetCycles) + " " +
+                std::to_string(A.IssuedInsts));
+  for (const FailedCandidate &F : SR.Failed)
+    L.push_back("failed c" + std::to_string(F.Id) + " " +
+                errorCodeName(F.Err.code()));
+  for (const PrunedCandidate &P : SR.Pruned)
+    L.push_back("pruned c" + std::to_string(P.Id));
+  return L;
+}
+
 std::string caseName(const testing::TestParamInfo<BenchPair> &Info) {
   return std::string(kernelDisplayName(Info.param.A)) + "_" +
          kernelDisplayName(Info.param.B);
@@ -89,11 +110,21 @@ TEST_P(SearchBudget, BitIdenticalBestAcrossBudgetModesAndJobs) {
     return;
   auto Exhaustive = candidateMap(Off);
 
+  std::vector<std::string> SerialLedger;
   for (int Jobs : {1, 4}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     SearchResult Bud = runSearch(P, SearchBudgetMode::Incumbent, Jobs);
     if (!Bud.Ok)
       continue;
+
+    // At 4 jobs followers overlap the seed behind the incumbent fence;
+    // each must end exactly as under the seed's fixed cycle count, so
+    // the whole ledger — abandoned budgets and issued counts included —
+    // equals the serial sweep's.
+    if (Jobs == 1)
+      SerialLedger = ledger(Bud);
+    else
+      EXPECT_EQ(ledger(Bud), SerialLedger);
 
     // The headline contract: bit-identical Best config and cycles.
     EXPECT_EQ(Bud.Best.D1, Off.Best.D1);
@@ -191,25 +222,70 @@ INSTANTIATE_TEST_SUITE_P(AllPaperPairs, SearchBudget,
 //===----------------------------------------------------------------------===//
 
 TEST(SearchBudgetDeterminism, AbandonmentSetIdenticalAcrossJobs) {
-  // Budgets are fixed before the parallel phase (incumbent from a
-  // deterministic best-first seed), so not just Best but the whole
-  // measured/abandoned split and the abandoned instruction counts must
-  // be identical across SearchJobs.
+  // Every follower ends exactly as it would under the seed's fixed
+  // cycle count, whether it started before the seed finished (gated by
+  // the incumbent fence) or after. So not just Best but the whole
+  // measured/abandoned split, the abandoned instruction counts and the
+  // work done must be identical across SearchJobs. (Every paper pair's
+  // ledger is compared the same way in
+  // BitIdenticalBestAcrossBudgetModesAndJobs.)
   BenchPair P{BenchKernelId::Batchnorm, BenchKernelId::Hist};
   SearchResult A = runSearch(P, SearchBudgetMode::Incumbent, 1);
   SearchResult B = runSearch(P, SearchBudgetMode::Incumbent, 4);
   if (!A.Ok || !B.Ok)
     return;
   EXPECT_EQ(A.Stats.IncumbentCycles, B.Stats.IncumbentCycles);
-  EXPECT_EQ(candidateMap(A), candidateMap(B));
-  ASSERT_EQ(A.Abandoned.size(), B.Abandoned.size());
-  for (size_t I = 0; I < A.Abandoned.size(); ++I) {
-    EXPECT_EQ(A.Abandoned[I].D1, B.Abandoned[I].D1);
-    EXPECT_EQ(A.Abandoned[I].RegBound, B.Abandoned[I].RegBound);
-    EXPECT_EQ(A.Abandoned[I].IssuedInsts, B.Abandoned[I].IssuedInsts);
-  }
+  EXPECT_EQ(ledger(A), ledger(B));
   EXPECT_EQ(A.Stats.SimulatedInsts, B.Stats.SimulatedInsts);
   EXPECT_EQ(A.Stats.AbandonedInsts, B.Stats.AbandonedInsts);
+}
+
+TEST(SearchBudgetDeterminism, FailedSeedLedgerIdenticalAcrossJobs) {
+  // Wedge the seed: its simulation deadlocks, the fence fails, every
+  // follower that ran gated by it is discarded, and the sweep goes on
+  // with the next-best seed. The result must be the serial ledger.
+  BenchPair P{BenchKernelId::Batchnorm, BenchKernelId::Upsample};
+  SearchResult Clean = runSearch(P, SearchBudgetMode::Incumbent, 1);
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  const FusionCandidate *Seed = nullptr;
+  for (const FusionCandidate &C : Clean.All)
+    if (C.Cycles == Clean.Stats.IncumbentCycles)
+      Seed = &C;
+  ASSERT_NE(Seed, nullptr);
+  std::string Label = Seed->RegBound
+                          ? formatString("%d/%d,r%u)", Seed->D1, Seed->D2,
+                                         Seed->RegBound)
+                          : formatString("%d/%d)", Seed->D1, Seed->D2);
+
+  auto Wedged = [&](int Jobs) {
+    std::string Err;
+    EXPECT_TRUE(FaultInjector::instance().configure("sim-wedge:label=" + Label,
+                                                    &Err))
+        << Err;
+    PairRunner::Options Opts = quickOptions();
+    Opts.Budget = SearchBudgetMode::Incumbent;
+    Opts.SearchJobs = Jobs;
+    // A private cache: a memoized clean run of the seed would dodge
+    // the wedge.
+    Opts.Cache = std::make_shared<CompileCache>();
+    PairRunner R(P.A, P.B, Opts);
+    EXPECT_TRUE(R.ok()) << R.error();
+    SearchResult SR = R.searchBestConfig();
+    FaultInjector::instance().reset();
+    return SR;
+  };
+  SearchResult Serial = Wedged(1);
+  SearchResult Parallel = Wedged(4);
+  ASSERT_TRUE(Serial.Ok) << Serial.Error;
+  ASSERT_EQ(Serial.Failed.size(), 1u);
+  EXPECT_EQ(Serial.Failed[0].Id, Seed->Id);
+  EXPECT_NE(Serial.Stats.IncumbentCycles, Clean.Stats.IncumbentCycles);
+  EXPECT_EQ(ledger(Serial), ledger(Parallel));
+  EXPECT_EQ(Serial.Stats.IncumbentCycles, Parallel.Stats.IncumbentCycles);
+  EXPECT_EQ(Serial.Best.Id, Parallel.Best.Id);
+  EXPECT_EQ(Serial.Stats.Candidates,
+            Parallel.All.size() + Parallel.Pruned.size() +
+                Parallel.Abandoned.size() + Parallel.Failed.size());
 }
 
 //===----------------------------------------------------------------------===//

@@ -153,6 +153,38 @@ TEST(SearchNWay, ParallelSweepMatchesSerialSweep) {
   expectLedgerCloses(Par);
 }
 
+TEST(SearchNWay, AbandonmentSetIdenticalAcrossJobs) {
+  // A DL triple under the incumbent budget: followers overlap the seed
+  // behind the incumbent fence at 4 jobs, and every measured, abandoned
+  // (budget and issued instructions) and failed verdict must equal the
+  // serial sweep's.
+  auto Ledger = [](int Jobs) {
+    NWayRunner::Options Opts = quickOptions();
+    Opts.Budget = SearchBudgetMode::Incumbent;
+    Opts.SearchJobs = Jobs;
+    NWaySearchResult SR =
+        runSweep({BenchKernelId::Hist, BenchKernelId::Im2Col,
+                  BenchKernelId::Maxpool},
+                 Opts);
+    EXPECT_TRUE(SR.Ok) << SR.Error;
+    std::vector<std::string> L;
+    for (const NWayCandidate &C : SR.All)
+      L.push_back("all c" + std::to_string(C.Id) + " " +
+                  std::to_string(C.Cycles));
+    for (const NWayAbandonedCandidate &A : SR.Abandoned)
+      L.push_back("abandoned c" + std::to_string(A.Id) + " " +
+                  std::to_string(A.BudgetCycles) + " " +
+                  std::to_string(A.IssuedInsts));
+    for (const NWayFailedCandidate &F : SR.Failed)
+      L.push_back("failed c" + std::to_string(F.Id));
+    L.push_back("incumbent " + std::to_string(SR.Stats.IncumbentCycles));
+    return L;
+  };
+  std::vector<std::string> Serial = Ledger(1);
+  EXPECT_GT(Serial.size(), 2u);
+  EXPECT_EQ(Serial, Ledger(4));
+}
+
 //===----------------------------------------------------------------------===//
 // The acceptance criterion: the fused triple beats both baselines
 //===----------------------------------------------------------------------===//

@@ -243,6 +243,41 @@ TEST(ServiceTest, DeadlineYieldsPartialWithDeadlineReason) {
   expectLedgerIntact(Out->Search);
 }
 
+TEST(ServiceTest, CancelDuringInputCompilationIsPartial) {
+  // A token fired before search() stops the request while the runner
+  // compiles its input kernels — the window a 1 ms deadline hits on a
+  // slow host. That is an anytime result with an empty ledger, for a
+  // pair and for an N-way request alike, not a search failure.
+  SearchService::Config SC;
+  SC.Workers = 1;
+  SC.Cache = std::make_shared<CompileCache>();
+  SearchService Svc(SC);
+
+  SearchRequest Pair = quickRequest();
+  Pair.Cancel = CancellationToken::make();
+  Pair.Cancel.cancel();
+  Expected<SearchOutcome> P = Svc.search(Pair);
+  ASSERT_TRUE(P) << P.status().message();
+  EXPECT_FALSE(P->Search.Ok);
+  EXPECT_TRUE(P->Search.Partial);
+  EXPECT_EQ(P->Search.PartialReason.code(), ErrorCode::Cancelled);
+  EXPECT_EQ(P->Search.Stats.Candidates, 0u);
+  expectLedgerIntact(P->Search);
+
+  SearchRequest Triple = quickRequest();
+  Triple.Kernels = {BenchKernelId::Blake256, BenchKernelId::SHA256,
+                    BenchKernelId::Ethash};
+  Triple.Cancel = CancellationToken::make();
+  Triple.Cancel.cancel();
+  Expected<SearchOutcome> T = Svc.search(Triple);
+  ASSERT_TRUE(T) << T.status().message();
+  EXPECT_TRUE(T->Search.Partial);
+  EXPECT_EQ(T->Search.PartialReason.code(), ErrorCode::Cancelled);
+  ASSERT_TRUE(T->NWay.has_value());
+  EXPECT_TRUE(T->NWay->Partial);
+  EXPECT_EQ(T->NWay->Stats.Candidates, 0u);
+}
+
 TEST(ServiceTest, IdenticalConcurrentRequestsJoinOneExecution) {
   SearchService::Config SC;
   SC.Workers = 1;

@@ -323,6 +323,16 @@ TEST_F(TelemetryTest, SearchSpansBalancedAcrossWorkers) {
   EXPECT_EQ(R.counter("search.abandoned").value(), SR.Stats.Abandoned);
   EXPECT_EQ(R.counter("search.sim_insts").value(), SR.Stats.SimulatedInsts);
   EXPECT_GT(R.counter("sim.runs").value(), 0u);
+
+  // Followers that started while the seed ran were gated by its fence;
+  // their wait is host time no layer owns, so it is exported.
+  EXPECT_GT(R.histogram("search.fence_wait_ms").count(), 0u);
+  bool FenceWaitArg = false;
+  for (const TraceEvent &Ev : Evs)
+    if (Ev.Phase == 'E' && Ev.Cat == "simulate" &&
+        Ev.Args.find("\"fence_wait_ms\":") != std::string::npos)
+      FenceWaitArg = true;
+  EXPECT_TRUE(FenceWaitArg);
 }
 
 using BestKey = std::tuple<int, int, unsigned, uint64_t>;
