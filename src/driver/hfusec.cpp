@@ -588,6 +588,49 @@ aggregateDelta(const std::vector<telemetry::SpanAgg> &Before,
   return Out;
 }
 
+/// This request's share of the process-wide cache counters: one cache
+/// serves a whole --search all or --portfolio run.
+profile::CompileCache::Stats
+statsSince(const profile::CompileCache::Stats &Before,
+           const profile::CompileCache::Stats &After) {
+  using S = profile::CompileCache::Stats;
+  S D;
+  for (uint64_t S::*F :
+       {&S::KernelCompiles, &S::KernelHits, &S::FusionRuns, &S::FusionHits,
+        &S::Lowerings, &S::LoweringHits, &S::SimRuns, &S::SimMemoHits,
+        &S::CompileRetries, &S::DiskHits, &S::DiskMisses, &S::DiskWrites})
+    D.*F = After.*F - Before.*F;
+  return D;
+}
+
+/// The `cache:` summary line (and `compile retries:` when any).
+void printCacheStats(const profile::CompileCache::Stats &CS) {
+  std::printf("cache: %llu kernel compiles (%llu hits), %llu fusions "
+              "(%llu hits), %llu lowerings (%llu hits)\n",
+              static_cast<unsigned long long>(CS.KernelCompiles),
+              static_cast<unsigned long long>(CS.KernelHits),
+              static_cast<unsigned long long>(CS.FusionRuns),
+              static_cast<unsigned long long>(CS.FusionHits),
+              static_cast<unsigned long long>(CS.Lowerings),
+              static_cast<unsigned long long>(CS.LoweringHits));
+  if (CS.CompileRetries)
+    std::printf("compile retries: %llu\n",
+                static_cast<unsigned long long>(CS.CompileRetries));
+}
+
+/// The `store:` summary line. Quarantined records are the store's
+/// total: most are moved aside when it opens, before any request.
+void printStoreStats(const profile::CompileCache::Stats &CS,
+                     const ResultStore &Store) {
+  std::printf("store: %llu disk hits, %llu disk misses, %llu writes, "
+              "%llu quarantined%s\n",
+              static_cast<unsigned long long>(CS.DiskHits),
+              static_cast<unsigned long long>(CS.DiskMisses),
+              static_cast<unsigned long long>(CS.DiskWrites),
+              static_cast<unsigned long long>(Store.stats().Quarantined),
+              Store.degraded() ? ", degraded" : "");
+}
+
 /// --explain: the search funnel. Ledger counts come from the search's
 /// canonical accounting (deterministic across jobs); phase wall times
 /// come from the trace spans of this pair's search.
@@ -669,8 +712,10 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;
 
-  // Per-pair span baseline for --explain phase times (the tracer is
-  // process-wide; a --search all run accumulates across pairs).
+  // Per-pair baselines for the summary counters and the --explain
+  // phase times (the cache and the tracer are process-wide; a --search
+  // all run accumulates across pairs).
+  const profile::CompileCache::Stats CacheBefore = Cache->stats();
   std::vector<telemetry::SpanAgg> AggBefore;
   if (Opts.Explain)
     AggBefore = telemetry::Tracer::instance().aggregate();
@@ -759,7 +804,8 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
                 U.BoundPending ? "?" : std::to_string(U.RegBound).c_str(),
                 U.Id);
 
-  profile::CompileCache::Stats CS = Cache->stats();
+  const profile::CompileCache::Stats CS =
+      statsSince(CacheBefore, Cache->stats());
   std::printf("\n%u candidates, %u simulated, %u memoized, %u pruned, "
               "%u abandoned, %u failed, %u unvisited in %.1f ms (%s jobs)\n",
               SR.Stats.Candidates, SR.Stats.Simulations, SR.Stats.MemoHits,
@@ -775,29 +821,12 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
                 static_cast<unsigned long long>(SR.Stats.IncumbentCycles),
                 static_cast<unsigned long long>(SR.Stats.AbandonedInsts),
                 static_cast<unsigned long long>(SR.Stats.SimulatedInsts));
-  std::printf("cache: %llu kernel compiles (%llu hits), %llu fusions "
-              "(%llu hits), %llu lowerings (%llu hits)\n",
-              static_cast<unsigned long long>(CS.KernelCompiles),
-              static_cast<unsigned long long>(CS.KernelHits),
-              static_cast<unsigned long long>(CS.FusionRuns),
-              static_cast<unsigned long long>(CS.FusionHits),
-              static_cast<unsigned long long>(CS.Lowerings),
-              static_cast<unsigned long long>(CS.LoweringHits));
-  if (CS.CompileRetries)
-    std::printf("compile retries: %llu\n",
-                static_cast<unsigned long long>(CS.CompileRetries));
+  printCacheStats(CS);
   if (Opts.Explain)
     printExplain(SR, aggregateDelta(
                          AggBefore, telemetry::Tracer::instance().aggregate()));
   if (Store) {
-    ResultStore::Stats SS = Store->stats();
-    std::printf("store: %llu disk hits, %llu disk misses, %llu writes, "
-                "%llu quarantined%s\n",
-                static_cast<unsigned long long>(CS.DiskHits),
-                static_cast<unsigned long long>(CS.DiskMisses),
-                static_cast<unsigned long long>(CS.DiskWrites),
-                static_cast<unsigned long long>(SS.Quarantined),
-                Store->degraded() ? ", degraded" : "");
+    printStoreStats(CS, *Store);
     // The answer is correct either way — every store fault degrades to
     // an in-memory run, never a wrong result — but scripts that rely
     // on warm reruns being cheap deserve a machine-readable signal.
@@ -909,6 +938,7 @@ int searchNWay(const CliOptions &Opts,
     Names += kernels::kernelDisplayName(Ids[I]);
   }
 
+  const profile::CompileCache::Stats CacheBefore = Cache->stats();
   std::vector<telemetry::SpanAgg> AggBefore;
   if (Opts.Explain)
     AggBefore = telemetry::Tracer::instance().aggregate();
@@ -1017,7 +1047,8 @@ int searchNWay(const CliOptions &Opts,
                 static_cast<unsigned long long>(SR.Best.Cycles),
                 static_cast<unsigned long long>(BaselineCycles));
 
-  profile::CompileCache::Stats CS = Cache->stats();
+  const profile::CompileCache::Stats CS =
+      statsSince(CacheBefore, Cache->stats());
   std::printf("\n%u candidates, %u simulated, %u memoized, %u pruned, "
               "%u abandoned, %u failed, %u unvisited in %.1f ms (%s jobs)\n",
               SR.Stats.Candidates, SR.Stats.Simulations, SR.Stats.MemoHits,
@@ -1033,30 +1064,13 @@ int searchNWay(const CliOptions &Opts,
                 static_cast<unsigned long long>(SR.Stats.IncumbentCycles),
                 static_cast<unsigned long long>(SR.Stats.AbandonedInsts),
                 static_cast<unsigned long long>(SR.Stats.SimulatedInsts));
-  std::printf("cache: %llu kernel compiles (%llu hits), %llu fusions "
-              "(%llu hits), %llu lowerings (%llu hits)\n",
-              static_cast<unsigned long long>(CS.KernelCompiles),
-              static_cast<unsigned long long>(CS.KernelHits),
-              static_cast<unsigned long long>(CS.FusionRuns),
-              static_cast<unsigned long long>(CS.FusionHits),
-              static_cast<unsigned long long>(CS.Lowerings),
-              static_cast<unsigned long long>(CS.LoweringHits));
-  if (CS.CompileRetries)
-    std::printf("compile retries: %llu\n",
-                static_cast<unsigned long long>(CS.CompileRetries));
+  printCacheStats(CS);
   if (Opts.Explain)
     printExplainNWay(SR,
                      aggregateDelta(AggBefore,
                                     telemetry::Tracer::instance().aggregate()));
   if (Store) {
-    ResultStore::Stats SS = Store->stats();
-    std::printf("store: %llu disk hits, %llu disk misses, %llu writes, "
-                "%llu quarantined%s\n",
-                static_cast<unsigned long long>(CS.DiskHits),
-                static_cast<unsigned long long>(CS.DiskMisses),
-                static_cast<unsigned long long>(CS.DiskWrites),
-                static_cast<unsigned long long>(SS.Quarantined),
-                Store->degraded() ? ", degraded" : "");
+    printStoreStats(CS, *Store);
     if (Store->degraded() && !SR.Partial)
       return ExitStoreDegraded;
   }

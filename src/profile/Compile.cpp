@@ -411,36 +411,38 @@ RetryPolicy CompileCache::retryPolicy() const {
   return Retry_;
 }
 
+bool hfuse::profile::isStorableSimResult(const gpusim::SimResult &R) {
+  if (R.Ok)
+    return true;
+  return R.BudgetExceeded && !R.FaultInjected && !R.Cancelled &&
+         !R.TimedOut && !R.Deadlock;
+}
+
 std::optional<gpusim::SimResult>
 CompileCache::loadSimResult(const std::string &Key) {
   std::shared_ptr<ResultStore> St = store();
   if (!St)
     return std::nullopt;
   std::optional<std::string> Bytes = St->get(Key);
-  if (!Bytes) {
-    count(&Stats::DiskMisses);
+  if (!Bytes)
     return std::nullopt;
-  }
   std::optional<gpusim::SimResult> R = decodeSimResult(*Bytes);
   // The store's checksum already vouched for the bytes; a payload the
-  // codec cannot parse means a schema drift the version stamp missed.
-  // Served answers must never be wrong, so treat it as a miss and let
-  // the fresh simulation overwrite the record.
-  if (!R || !R->Ok) {
-    count(&Stats::DiskMisses);
+  // codec cannot parse (or that no writer would have stored) means a
+  // schema drift the version stamp missed. Served answers must never
+  // be wrong, so treat it as a miss and let the fresh simulation
+  // overwrite the record.
+  if (!R || !isStorableSimResult(*R))
     return std::nullopt;
-  }
-  count(&Stats::DiskHits);
   return R;
 }
 
 void CompileCache::storeSimResult(const std::string &Key,
                                   const gpusim::SimResult &R) {
-  // Only completed, healthy simulations are worth persisting — a
-  // budget abort depends on the caller's budget and a failure must
-  // never be servable from cache (the PR 4 invariant, extended across
-  // process lifetimes).
-  if (!R.Ok)
+  // A failure must never be servable from cache, in this process or a
+  // later one. A clean abort is a verdict about the launch under its
+  // budget, as in the memo.
+  if (!isStorableSimResult(R))
     return;
   std::shared_ptr<ResultStore> St = store();
   if (!St)

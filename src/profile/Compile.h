@@ -51,6 +51,13 @@ std::string encodeSimResult(const gpusim::SimResult &R);
 /// length, truncated, trailing garbage).
 std::optional<gpusim::SimResult> decodeSimResult(std::string_view Bytes);
 
+/// Whether \p R may be persisted to and served from a ResultStore: a
+/// completed run, or a clean budget abort — BudgetExceeded with no
+/// fault, cancel, timeout or deadlock mixed in (a wedged run can hit the
+/// budget too). An abort's record carries its budget (TotalCycles) and
+/// TotalIssued, so a replay prints the same abandoned row.
+bool isStorableSimResult(const gpusim::SimResult &R);
+
 /// A fully compiled kernel: the preprocessed AST (kept alive so it can
 /// be used as fusion input) plus the executable IR.
 struct CompiledKernel {
@@ -124,7 +131,7 @@ public:
     uint64_t SimMemoHits = 0;    ///< simulations served by memoization
     uint64_t CompileRetries = 0; ///< transient compile failures retried
     uint64_t DiskHits = 0;       ///< results served from the ResultStore
-    uint64_t DiskMisses = 0;     ///< ResultStore consulted, nothing usable
+    uint64_t DiskMisses = 0;     ///< ResultStore consulted, no answer
     uint64_t DiskWrites = 0;     ///< results persisted to the ResultStore
   };
 
@@ -181,13 +188,16 @@ public:
   void setRetryPolicy(RetryPolicy Policy);
   RetryPolicy retryPolicy() const;
 
-  /// Looks a simulation result up in the attached store (nullopt on a
-  /// miss, on any contained disk failure, or without a store). Only Ok
-  /// results are ever persisted, so a hit is always a completed,
-  /// healthy simulation — a failure can never be served from disk.
+  /// Looks a simulation result up in the attached store: a completed
+  /// run or a clean budget abort (isStorableSimResult), never a failure.
+  /// Nullopt when nothing usable is stored, on any contained disk
+  /// failure, or without a store. Counts nothing: whether a record
+  /// answers depends on the caller's budget, so SimMemo counts the disk
+  /// hit or miss once it knows.
   std::optional<gpusim::SimResult> loadSimResult(const std::string &Key);
-  /// Persists \p R under \p Key. No-op unless a store is attached and
-  /// R.Ok; failures are contained (counted, never propagated).
+  /// Persists \p R under \p Key, replacing any record there. No-op
+  /// unless a store is attached and isStorableSimResult(R); failures are
+  /// contained (counted, never propagated).
   void storeSimResult(const std::string &Key, const gpusim::SimResult &R);
 
 private:

@@ -346,12 +346,12 @@ private:
   /// disk hit answers first. A fixed budget of 0 runs to completion;
   /// otherwise the simulation is abandoned (SimResult::BudgetExceeded)
   /// once its cycles provably exceed the budget. An abort is served
-  /// from the memo only to callers whose budget is at least as tight as
-  /// the stored abort's; a later run under a looser (or no) budget
-  /// retires the entry and re-simulates instead of replaying the
-  /// cutoff. A gated budget's result is published (memo, store) and
-  /// returned only once its fence resolved; a run whose fence failed
-  /// comes back void (voidRun). Fence waits add to \p FenceWaitMs.
+  /// from the memo or the store only to callers whose budget is at least
+  /// as tight as the stored abort's; a later run under a looser (or no)
+  /// budget re-simulates instead of replaying the cutoff (SimMemo). A
+  /// gated budget's result is published (memo, store) and returned only
+  /// once its fence resolved; a run whose fence failed comes back void
+  /// (voidRun). Fence waits add to \p FenceWaitMs.
   gpusim::SimResult runHFusedIn(SimContext *C, int D1, int D2,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,

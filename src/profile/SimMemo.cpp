@@ -20,6 +20,27 @@ void SimMemo::retire(const Key &K, const Entry &E) {
     Map.erase(It);
 }
 
+namespace {
+
+/// What a known result \p Known of a launch, memoized or stored, answers
+/// to a caller whose cycle budget is \p Budget (0 = none): a completed
+/// run answers every caller, abandoned at the budget when it ran longer;
+/// a clean budget abort at budget B (isStorableSimResult) answers a
+/// caller whose budget is nonzero and at most B; nothing else answers.
+std::optional<SimResult> answer(const SimResult &Known, uint64_t Budget) {
+  if (Known.Ok) {
+    if (Budget != 0 && Known.TotalCycles > Budget)
+      return budgetAbort(Budget);
+    return Known;
+  }
+  if (isStorableSimResult(Known) && Budget != 0 &&
+      Budget <= Known.TotalCycles)
+    return Known;
+  return std::nullopt;
+}
+
+} // namespace
+
 SimResult SimMemo::run(
     const Key &K, const std::string &DiskKey, const SearchOptions &Opts,
     CompileCache &Cache, SearchStats *Stats, const RunBudget &Budget,
@@ -43,8 +64,8 @@ SimResult SimMemo::run(
     return true;
   };
   const bool UseDisk = !DiskKey.empty();
-  // The retry loop exists for one case: a memoized entry that turns
-  // out to be a budget abort looser than what this caller needs. The
+  // The retry loop exists for one case: a memoized budget abort that
+  // does not answer this caller (looser than it needs, or wedged). The
   // caller retires that entry (if nobody else has yet) and re-enters
   // the memo as a fresh runner.
   for (;;) {
@@ -66,53 +87,47 @@ SimResult SimMemo::run(
       }
       if (!IsRunner) {
         // Served by a completed — or currently running — identical
-        // launch; failures replay too (the simulator is deterministic).
+        // launch. Aliases sharing the launch get the same verdict
+        // whether they waited on the running future or replayed the
+        // stored one.
         SimResult R = E->get();
         if (!Settle())
           return voidRun(Opts.Cancel);
-        if (R.BudgetExceeded) {
-          // The stored run was abandoned at its own budget
-          // (R.TotalCycles). That verdict is deterministic for any
-          // caller at least as tight — aliases sharing the launch get
-          // the same abandonment whether they waited on the running
-          // future or replayed the stored one. A caller needing more
-          // simulation retires the entry and retries.
-          if (CycleBudget == 0 || CycleBudget > R.TotalCycles) {
-            retire(K, E);
-            continue;
-          }
-        } else if (R.Ok && CycleBudget != 0 &&
-                   R.TotalCycles > CycleBudget) {
-          // Full result known to exceed this caller's budget: abandon
-          // without simulating — the exact decision a budgeted run
-          // would have reached, for free.
-          R = budgetAbort(CycleBudget);
+        std::optional<SimResult> A = answer(R, CycleBudget);
+        if (!A && R.BudgetExceeded) {
+          retire(K, E);
+          continue;
         }
         Cache.count(&CompileCache::Stats::SimMemoHits);
         if (Stats)
           ++Stats->MemoHits;
-        return R;
+        // Any other failure replays as it is: deterministic ones stay
+        // memoized, and waiters see a transient one its runner retired.
+        return A ? std::move(*A) : R;
       }
 
       // This thread owns the entry: consult the disk before simulating.
-      // A hit is always a completed Ok run (failures are never
-      // persisted), published in full so concurrent waiters apply their
-      // own budget logic exactly as they would to a fresh result.
+      // A record that answers is published in full, so concurrent
+      // waiters apply their own budget exactly as they would to a fresh
+      // result. One that does not (a tighter abort) is a miss, and the
+      // simulation below replaces it.
       if (UseDisk) {
-        if (std::optional<SimResult> Disk = Cache.loadSimResult(DiskKey)) {
-          SimResult R = std::move(*Disk);
-          if (!Settle()) {
-            retire(K, E);
-            Promise.set_value(voidRun(Opts.Cancel));
-            return voidRun(Opts.Cancel);
-          }
-          Promise.set_value(R);
-          if (CycleBudget != 0 && R.TotalCycles > CycleBudget)
-            R = budgetAbort(CycleBudget);
+        std::optional<SimResult> Disk = Cache.loadSimResult(DiskKey);
+        if (Disk && !Settle()) {
+          retire(K, E);
+          Promise.set_value(voidRun(Opts.Cancel));
+          return voidRun(Opts.Cancel);
+        }
+        std::optional<SimResult> A =
+            Disk ? answer(*Disk, CycleBudget) : std::nullopt;
+        if (A) {
+          Cache.count(&CompileCache::Stats::DiskHits);
+          Promise.set_value(std::move(*Disk));
           if (Stats)
             ++Stats->MemoHits;
-          return R;
+          return std::move(*A);
         }
+        Cache.count(&CompileCache::Stats::DiskMisses);
       }
     }
 
@@ -130,9 +145,9 @@ SimResult SimMemo::run(
       // context simulated nothing. None may be replayed.
       if (!Sim || R.FaultInjected || R.Cancelled)
         retire(K, E);
-      // Persist only completed, healthy runs (storeSimResult enforces
-      // R.Ok): budget aborts depend on the caller's budget, and no
-      // failure may ever be servable from cache.
+      // storeSimResult keeps only completed runs and clean aborts. This
+      // runner simulated because the disk missed or held a tighter
+      // abort, so its write never replaces a record that answers more.
       if (UseDisk)
         Cache.storeSimResult(DiskKey, R);
       Promise.set_value(R);

@@ -11,23 +11,27 @@
 ///
 /// Entries are shared futures, so concurrent workers requesting the
 /// same launch block on the first runner instead of simulating twice.
-/// A BudgetExceeded result stays memoized — its verdict is
-/// deterministic for any caller at least as tight — and is retired
-/// lazily by the first caller that needs more simulation (no budget,
-/// or a looser one). A fault-injected, cancelled or void (failed-seed)
-/// result is retired eagerly by its own runner before it is published:
-/// waiters see it, later requests re-simulate. Deterministic failures
-/// (OOB, genuine deadlock) stay memoized: replaying them is correct and
-/// cheap. The shared_ptr wrapper gives entries identity, so retirement
-/// no-ops when a concurrent retirement already installed a fresh
-/// runner's entry.
+/// One rule decides whether a known result — memoized, or
+/// stored on disk by this or an earlier process — answers a caller's
+/// budget: a completed run answers everyone, and a clean budget abort
+/// answers callers at least as tight as its own budget. A memoized
+/// abort that does not answer is retired lazily by the caller that
+/// needs more simulation (no budget, or a looser one); a stored one is
+/// a disk miss, and the fresh result replaces it. A fault-injected,
+/// cancelled or void (failed-seed) result is retired eagerly by its own
+/// runner before it is published and never persisted: waiters see it,
+/// later requests re-simulate. Deterministic failures (OOB, genuine
+/// deadlock) stay memoized, never persisted: replaying them is correct
+/// and cheap. The shared_ptr wrapper gives entries identity, so
+/// retirement no-ops when a concurrent retirement already installed a
+/// fresh runner's entry.
 ///
 /// A caller gated by an incumbent fence (gpusim::RunBudget::gated)
 /// makes nothing visible before the fence resolves: a memo or disk hit
-/// waits for it and then applies the abandon-or-keep rule to the
-/// resolved budget, and a fresh simulation is published and persisted
-/// only once its seed resolved. If the seed failed, the caller gets a
-/// void result (voidRun) and the entry is retired.
+/// waits for it and then applies the answer rule to the resolved
+/// budget, and a fresh simulation is published and persisted only once
+/// its seed resolved. If the seed failed, the caller gets a void result
+/// (voidRun) and the entry is retired.
 ///
 //===----------------------------------------------------------------------===//
 

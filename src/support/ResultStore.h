@@ -70,7 +70,8 @@ class ResultStore {
 public:
   struct Options {
     /// Retry schedule for transient read/write failures.
-    RetryPolicy Retry{/*MaxAttempts=*/3, /*BackoffBaseMs=*/5};
+    RetryPolicy Retry{/*MaxAttempts=*/3, /*BackoffBaseMs=*/5,
+                      /*Sleep=*/nullptr};
     /// How long to spin on the advisory lock before degrading.
     uint64_t LockTimeoutMs = 2000;
     /// Degradation cooldown: a degraded store re-probes the advisory

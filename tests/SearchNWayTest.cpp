@@ -76,6 +76,27 @@ candidateMap(const NWaySearchResult &SR) {
   return M;
 }
 
+std::vector<BenchKernelId> dlTriple() {
+  return {BenchKernelId::Hist, BenchKernelId::Im2Col, BenchKernelId::Maxpool};
+}
+
+/// Every measured, abandoned (budget and issued instructions) and failed
+/// verdict, by canonical id, plus the incumbent.
+std::vector<std::string> ledger(const NWaySearchResult &SR) {
+  std::vector<std::string> L;
+  for (const NWayCandidate &C : SR.All)
+    L.push_back("all c" + std::to_string(C.Id) + " " +
+                std::to_string(C.Cycles));
+  for (const NWayAbandonedCandidate &A : SR.Abandoned)
+    L.push_back("abandoned c" + std::to_string(A.Id) + " " +
+                std::to_string(A.BudgetCycles) + " " +
+                std::to_string(A.IssuedInsts));
+  for (const NWayFailedCandidate &F : SR.Failed)
+    L.push_back("failed c" + std::to_string(F.Id));
+  L.push_back("incumbent " + std::to_string(SR.Stats.IncumbentCycles));
+  return L;
+}
+
 /// The search's own accounting identity must close on every run,
 /// partial or not.
 void expectLedgerCloses(const NWaySearchResult &SR) {
@@ -162,23 +183,9 @@ TEST(SearchNWay, AbandonmentSetIdenticalAcrossJobs) {
     NWayRunner::Options Opts = quickOptions();
     Opts.Budget = SearchBudgetMode::Incumbent;
     Opts.SearchJobs = Jobs;
-    NWaySearchResult SR =
-        runSweep({BenchKernelId::Hist, BenchKernelId::Im2Col,
-                  BenchKernelId::Maxpool},
-                 Opts);
+    NWaySearchResult SR = runSweep(dlTriple(), Opts);
     EXPECT_TRUE(SR.Ok) << SR.Error;
-    std::vector<std::string> L;
-    for (const NWayCandidate &C : SR.All)
-      L.push_back("all c" + std::to_string(C.Id) + " " +
-                  std::to_string(C.Cycles));
-    for (const NWayAbandonedCandidate &A : SR.Abandoned)
-      L.push_back("abandoned c" + std::to_string(A.Id) + " " +
-                  std::to_string(A.BudgetCycles) + " " +
-                  std::to_string(A.IssuedInsts));
-    for (const NWayFailedCandidate &F : SR.Failed)
-      L.push_back("failed c" + std::to_string(F.Id));
-    L.push_back("incumbent " + std::to_string(SR.Stats.IncumbentCycles));
-    return L;
+    return ledger(SR);
   };
   std::vector<std::string> Serial = Ledger(1);
   EXPECT_GT(Serial.size(), 2u);
@@ -270,39 +277,45 @@ TEST(SearchNWay, BudgetModesAndMeasuredBoundPreserveBest) {
 //===----------------------------------------------------------------------===//
 
 TEST(SearchNWay, WarmStoreRerunIsBitIdenticalToCold) {
-  TempDir D("warmcold");
+  // The crypto triple exhaustively, and a DL triple at hfusec's default
+  // budget: its abandoned candidates replay from their abort records.
+  const std::pair<std::vector<BenchKernelId>, SearchBudgetMode> Cases[] = {
+      {cryptoTriple(), SearchBudgetMode::Off},
+      {dlTriple(), SearchBudgetMode::Incumbent}};
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(searchBudgetModeName(Case.second));
+    TempDir D("warmcold");
+    auto Sweep = [&](CompileCache::Stats &S) {
+      auto Cache = std::make_shared<CompileCache>();
+      auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+      EXPECT_TRUE(Store);
+      EXPECT_EQ(Store->stats().Quarantined, 0u);
+      Cache->attachStore(Store);
+      NWayRunner::Options Opts = quickOptions();
+      Opts.Cache = Cache;
+      Opts.Budget = Case.second;
+      NWaySearchResult SR = runSweep(Case.first, Opts);
+      EXPECT_TRUE(SR.Ok) << SR.Error;
+      S = Cache->stats();
+      return SR;
+    };
 
-  NWaySearchResult Cold;
-  {
-    auto Cache = std::make_shared<CompileCache>();
-    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
-    ASSERT_TRUE(Store);
-    Cache->attachStore(Store);
-    NWayRunner::Options Opts = quickOptions();
-    Opts.Cache = Cache;
-    Cold = runSweep(cryptoTriple(), Opts);
-    ASSERT_TRUE(Cold.Ok) << Cold.Error;
-    EXPECT_EQ(Cache->stats().DiskHits, 0u);
-    EXPECT_GT(Cache->stats().DiskWrites, 0u);
-  }
+    CompileCache::Stats ColdStats, WarmStats;
+    NWaySearchResult Cold = Sweep(ColdStats);
+    EXPECT_EQ(ColdStats.DiskHits, 0u);
+    EXPECT_GT(ColdStats.DiskWrites, 0u);
+    if (Case.second != SearchBudgetMode::Off)
+      EXPECT_FALSE(Cold.Abandoned.empty());
 
-  // Warm: fresh cache (no in-memory memo survives), reopened store.
-  {
-    auto Cache = std::make_shared<CompileCache>();
-    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
-    ASSERT_TRUE(Store);
-    EXPECT_EQ(Store->stats().Quarantined, 0u);
-    Cache->attachStore(Store);
-    NWayRunner::Options Opts = quickOptions();
-    Opts.Cache = Cache;
-    NWaySearchResult Warm = runSweep(cryptoTriple(), Opts);
-    ASSERT_TRUE(Warm.Ok) << Warm.Error;
-
+    // Warm: fresh cache (no in-memory memo survives), reopened store.
+    NWaySearchResult Warm = Sweep(WarmStats);
     EXPECT_EQ(Warm.Best.Dims, Cold.Best.Dims);
     EXPECT_EQ(Warm.Best.RegBound, Cold.Best.RegBound);
     EXPECT_EQ(Warm.Best.Cycles, Cold.Best.Cycles);
     EXPECT_EQ(candidateMap(Warm), candidateMap(Cold));
-    EXPECT_GT(Cache->stats().DiskHits, 0u);
+    EXPECT_EQ(ledger(Warm), ledger(Cold));
+    EXPECT_GT(WarmStats.DiskHits, 0u);
+    EXPECT_EQ(WarmStats.SimRuns, 0u);
   }
 }
 
