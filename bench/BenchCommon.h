@@ -65,9 +65,7 @@ inline profile::PairRunner::Options benchOptions(bool Volta) {
   profile::PairRunner::Options Opts;
   Opts.Arch = Volta ? gpusim::makeV100() : gpusim::makeGTX1080Ti();
   Opts.SimSMs = quickMode() ? 2 : 3;
-  double S = quickMode() ? 0.25 : 1.0;
-  Opts.Scale1 = S;
-  Opts.Scale2 = S;
+  Opts.Scales = {quickMode() ? 0.25 : 1.0};
   Opts.Verify = false; // benches measure; the test suite verifies
   Opts.Cache = sharedBenchCache();
   return Opts;

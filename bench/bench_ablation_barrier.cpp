@@ -50,8 +50,8 @@ int main() {
     }
 
     gpusim::SimResult Native = Partial.runNative();
-    gpusim::SimResult WithPartial = Partial.runHFused(512, 512, 0);
-    gpusim::SimResult WithFull = Full.runHFused(512, 512, 0);
+    gpusim::SimResult WithPartial = Partial.runHFused({512, 512}, 0);
+    gpusim::SimResult WithFull = Full.runHFused({512, 512}, 0);
 
     auto Verdict = [](const gpusim::SimResult &R) {
       if (!R.Ok)

@@ -91,7 +91,7 @@ void printPairTable(bool Volta) {
       bool Tunable =
           kernelHasTunableBlockDim(P.A) && kernelHasTunableBlockDim(P.B);
       int D1 = Tunable ? 512 : 256;
-      SimResult Fused = Runner.runHFused(D1, D1, 0);
+      SimResult Fused = Runner.runHFused({D1, D1}, 0);
       if (!Native.Ok || !Fused.Ok) {
         std::fprintf(stderr, "%s: %s%s\n", pairName(P).c_str(),
                      Native.Error.c_str(), Fused.Error.c_str());

@@ -51,12 +51,11 @@ int main() {
             "speedup");
     uint64_t NaiveCycles = 0;
     for (const FusionCandidate &C : SR.All) {
-      bool IsEven = C.D1 == C.D2 && C.RegBound == 0;
-      bool IsBest = C.D1 == SR.Best.D1 && C.D2 == SR.Best.D2 &&
-                    C.RegBound == SR.Best.RegBound;
+      bool IsEven = C.Dims[0] == C.Dims[1] && C.RegBound == 0;
+      bool IsBest = C.Id == SR.Best.Id;
       if (IsEven)
         NaiveCycles = C.Cycles;
-      appendf(Out, "%6d %6d %6u %12llu %+8.1f%%%s%s\n", C.D1, C.D2,
+      appendf(Out, "%6d %6d %6u %12llu %+8.1f%%%s%s\n", C.Dims[0], C.Dims[1],
               C.RegBound, static_cast<unsigned long long>(C.Cycles),
               speedupPct(Native.TotalCycles, C.Cycles),
               IsEven ? "  <- naive even split" : "",

@@ -48,7 +48,7 @@ int main() {
     int D2 = D1;
 
     gpusim::SimResult Native = Runner.runNative();
-    auto R0 = Runner.figure6RegBound(D1, D2);
+    auto R0 = Runner.regBound({D1, D2});
     appendf(Out, "\n%s (partition %d/%d, Figure 6 bound r0=%s)\n",
             pairName(P).c_str(), D1, D2,
             R0 ? std::to_string(*R0).c_str() : "none");
@@ -59,7 +59,7 @@ int main() {
     if (R0 && std::find(Bounds.begin(), Bounds.end(), *R0) == Bounds.end())
       Bounds.push_back(*R0);
     for (unsigned Bound : Bounds) {
-      gpusim::SimResult R = Runner.runHFused(D1, D2, Bound);
+      gpusim::SimResult R = Runner.runHFused({D1, D2}, Bound);
       if (!R.Ok) {
         appendf(Out, "%10u %12s   (%s)\n", Bound, "-", R.Error.c_str());
         continue;

@@ -55,9 +55,9 @@ int main() {
       bool Tunable = kernelHasTunableBlockDim(P.A) &&
                      kernelHasTunableBlockDim(P.B);
       int D1 = Tunable ? 256 : 256;
-      auto R0 = Runner.figure6RegBound(D1, Tunable ? 1024 - D1 : 256);
+      auto R0 = Runner.regBound({D1, Tunable ? 1024 - D1 : 256});
       SimResult F =
-          Runner.runHFused(D1, Tunable ? 1024 - D1 : 256, R0 ? *R0 : 0);
+          Runner.runHFused({D1, Tunable ? 1024 - D1 : 256}, R0 ? *R0 : 0);
       if (!N.Ok || !F.Ok) {
         std::fprintf(stderr, "%s: %s%s\n", pairName(P).c_str(),
                      N.Error.c_str(), F.Error.c_str());

@@ -52,12 +52,9 @@ static void BM_HorizontalFusion(benchmark::State &State) {
   auto K2 = profile::compileBenchKernel(BenchKernelId::Hist, 0, Diags);
   for (auto _ : State) {
     cuda::ASTContext Target;
-    transform::HorizontalFusionOptions Opts;
-    Opts.D1 = 896;
-    Opts.D2 = 128;
     DiagnosticEngine D2s;
-    auto FR = transform::fuseHorizontal(Target, K1->fn(), K2->fn(), Opts,
-                                        D2s);
+    auto FR = transform::fuseHorizontalMany(Target, {K1->fn(), K2->fn()},
+                                            {896, 128}, "", D2s);
     benchmark::DoNotOptimize(FR.Fused);
   }
 }
@@ -70,11 +67,8 @@ static void BM_FuseAndLower(benchmark::State &State) {
   for (auto _ : State) {
     cuda::ASTContext Target;
     DiagnosticEngine D2s;
-    transform::HorizontalFusionOptions Opts;
-    Opts.D1 = 896;
-    Opts.D2 = 128;
-    auto FR = transform::fuseHorizontal(Target, K1->fn(), K2->fn(), Opts,
-                                        D2s);
+    auto FR = transform::fuseHorizontalMany(Target, {K1->fn(), K2->fn()},
+                                            {896, 128}, "", D2s);
     auto IR = profile::lowerFunction(Target, FR.Fused, 0, D2s);
     benchmark::DoNotOptimize(IR);
   }

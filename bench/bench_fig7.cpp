@@ -72,9 +72,8 @@ int main() {
         // The ratio sweep multiplies run counts by ~10 relative to the
         // other figures; use lighter workloads to keep the sweep fast.
         Opts.SimSMs = 2;
-        Opts.Scale1 *= 0.5;
-        Opts.Scale2 *= 0.5;
-        Opts.Scale1 *= Scale; // sweep the first (starred) kernel
+        const double Half = Opts.Scales[0] * 0.5;
+        Opts.Scales = {Half * Scale, Half}; // sweep the first (starred) kernel
         PairRunner Runner(P.A, P.B, Opts);
         if (!Runner.ok()) {
           std::fprintf(stderr, "%s: %s\n", pairName(P).c_str(),

@@ -32,7 +32,7 @@ namespace {
 
 struct ModeRow {
   bool Found = false;
-  int D1 = 0, D2 = 0;
+  int D1 = 0;
   unsigned Bound = 0;
   double Speedup = 0, Util = 0, MemStall = 0, Occ = 0;
 };
@@ -89,8 +89,7 @@ int main() {
         ModeRow &Row = C.RegBound == 0 ? NR[V] : RC[V];
         ModeRow Candidate;
         Candidate.Found = true;
-        Candidate.D1 = C.D1;
-        Candidate.D2 = C.D2;
+        Candidate.D1 = C.Dims[0];
         Candidate.Bound = C.RegBound;
         Candidate.Speedup = speedupPct(Native.TotalCycles, C.Cycles);
         Candidate.Util = C.Result.DeviceIssueSlotUtilPct;

@@ -49,10 +49,10 @@ int main() {
     }
 
     SimResult Native = Runner.runNative();
-    SimResult Plain = Runner.runHFused(256, 256, 0);
-    auto R0 = Runner.figure6RegBound(256, 256);
+    SimResult Plain = Runner.runHFused({256, 256}, 0);
+    auto R0 = Runner.regBound({256, 256});
     SimResult Capped =
-        R0 ? Runner.runHFused(256, 256, *R0) : SimResult{};
+        R0 ? Runner.runHFused({256, 256}, *R0) : SimResult{};
     if (!Native.Ok || !Plain.Ok) {
       std::fprintf(stderr, "run failed: %s%s\n", Native.Error.c_str(),
                    Plain.Error.c_str());

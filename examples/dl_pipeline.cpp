@@ -61,7 +61,7 @@ int main() {
                 static_cast<unsigned long long>(Search.Best.Cycles),
                 Pct(Search.Best.Cycles));
     std::printf("  partition %d/%d, register bound %s\n",
-                Search.Best.D1, Search.Best.D2,
+                Search.Best.Dims[0], Search.Best.Dims[1],
                 Search.Best.RegBound
                     ? std::to_string(Search.Best.RegBound).c_str()
                     : "none");
@@ -74,7 +74,7 @@ int main() {
     std::printf("  all candidates:\n");
     for (const FusionCandidate &C : Search.All)
       std::printf("    d1=%4d d2=%4d bound=%3u : %9llu cycles (%+.1f%%)\n",
-                  C.D1, C.D2, C.RegBound,
+                  C.Dims[0], C.Dims[1], C.RegBound,
                   static_cast<unsigned long long>(C.Cycles), Pct(C.Cycles));
     std::printf("\n");
   }

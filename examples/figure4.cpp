@@ -40,9 +40,9 @@ void runOn(const char *Name, GpuArch Arch, int D1, int D2) {
     return;
   }
   SimResult Native = Runner.runNative();
-  SimResult Fused = Runner.runHFused(D1, D2, 0);
-  auto R0 = Runner.figure6RegBound(D1, D2);
-  SimResult Capped = R0 ? Runner.runHFused(D1, D2, *R0) : SimResult{};
+  SimResult Fused = Runner.runHFused({D1, D2}, 0);
+  auto R0 = Runner.regBound({D1, D2});
+  SimResult Capped = R0 ? Runner.runHFused({D1, D2}, *R0) : SimResult{};
   if (!Native.Ok || !Fused.Ok) {
     std::fprintf(stderr, "%s run failed: %s%s\n", Name,
                  Native.Error.c_str(), Fused.Error.c_str());
@@ -74,7 +74,7 @@ int main() {
     PairRunner::Options Opts;
     Opts.Arch = makeGTX1080Ti();
     Opts.SimSMs = 2;
-    Opts.Scale1 = Opts.Scale2 = 0.25;
+    Opts.Scales = {0.25};
     PairRunner Runner(BenchKernelId::Batchnorm2D, BenchKernelId::Hist,
                       Opts);
     if (!Runner.ok()) {
@@ -100,7 +100,7 @@ int main() {
     PairRunner::Options Opts;
     Opts.Arch = Volta ? makeV100() : makeGTX1080Ti();
     Opts.SimSMs = 2;
-    Opts.Scale1 = Opts.Scale2 = 0.5;
+    Opts.Scales = {0.5};
     PairRunner Runner(BenchKernelId::Batchnorm2D, BenchKernelId::Hist,
                       Opts);
     if (!Runner.ok()) {
@@ -118,7 +118,7 @@ int main() {
                           1.0);
     std::printf("%-8s best partition %4d/%-4d bound %-4s -> %+5.1f%% vs "
                 "native (%zu candidates profiled)\n",
-                Volta ? "V100" : "1080Ti", SR.Best.D1, SR.Best.D2,
+                Volta ? "V100" : "1080Ti", SR.Best.Dims[0], SR.Best.Dims[1],
                 SR.Best.RegBound
                     ? std::to_string(SR.Best.RegBound).c_str()
                     : "none",

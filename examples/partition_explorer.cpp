@@ -91,9 +91,8 @@ int main(int Argc, char **Argv) {
   };
 
   for (const FusionCandidate &C : SR.All) {
-    bool IsBest = C.D1 == SR.Best.D1 && C.D2 == SR.Best.D2 &&
-                  C.RegBound == SR.Best.RegBound;
-    std::printf("%4d/%-4d %-5s %9llu %+6.1f%% %s", C.D1, C.D2,
+    bool IsBest = C.Id == SR.Best.Id;
+    std::printf("%4d/%-4d %-5s %9llu %+6.1f%% %s", C.Dims[0], C.Dims[1],
                 C.RegBound ? ("r" + std::to_string(C.RegBound)).c_str()
                            : "-",
                 static_cast<unsigned long long>(C.Cycles),
@@ -108,7 +107,7 @@ int main(int Argc, char **Argv) {
   Bar(Native.TotalCycles, '=');
 
   std::printf("\nBest: d1=%d d2=%d bound=%u -> %+0.1f%% vs native\n",
-              SR.Best.D1, SR.Best.D2, SR.Best.RegBound,
+              SR.Best.Dims[0], SR.Best.Dims[1], SR.Best.RegBound,
               100.0 * (static_cast<double>(Native.TotalCycles) /
                            SR.Best.Cycles -
                        1.0));

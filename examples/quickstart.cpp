@@ -58,11 +58,8 @@ int main() {
   // 2. Horizontally fuse: threads [0,256) run `scale`, [256,512) run
   //    `iterate` in the same thread blocks.
   cuda::ASTContext Target;
-  transform::HorizontalFusionOptions Opts;
-  Opts.D1 = 256;
-  Opts.D2 = 256;
-  transform::FusionResult FR =
-      transform::fuseHorizontal(Target, K1->Kernel, K2->Kernel, Opts, Diags);
+  transform::MultiFusionResult FR = transform::fuseHorizontalMany(
+      Target, {K1->Kernel, K2->Kernel}, {256, 256}, "", Diags);
   if (!FR.Ok) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     return 1;

@@ -16,19 +16,19 @@
 /// lowering, and --report prints resource/occupancy facts for both
 /// simulated GPUs.
 ///
-/// With --search PAIR (e.g. `hfusec --search batchnorm+hist`) it runs
-/// the paper's Figure 6 configuration search over a named benchmark
-/// pair on the simulator instead: --search-jobs N evaluates candidates
-/// on N worker threads, --no-prune disables occupancy-dominance
-/// pruning, and --no-cache disables the compilation/simulation caches
-/// (the seed cost profile, for A/B measurements).
+/// With --search A+B (e.g. `hfusec --search batchnorm+hist`) it runs
+/// the paper's Figure 6 configuration search over named benchmark
+/// kernels on the simulator instead — a pair, or three or more kernels
+/// for the portfolio extension — through one search pipeline:
+/// --search-jobs N evaluates candidates on N worker threads, and
+/// --no-prune disables occupancy pruning.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "cudalang/ASTPrinter.h"
 #include "gpusim/Occupancy.h"
 #include "profile/Compile.h"
-#include "profile/PairRunner.h"
+#include "profile/NWayRunner.h"
 #include "profile/PaperPairs.h"
 #include "service/SearchService.h"
 #include "support/FaultInjector.h"
@@ -89,18 +89,12 @@ struct CliOptions {
   /// Kernels per portfolio group (size of the enumerated subsets).
   int PortfolioSize = 3;
   int SearchJobs = 1;
-  int PruneLevel = 1;
+  bool Prune = true;
   /// Incumbent-driven branch-and-bound is the default: it returns
   /// bit-identical Best configs while skipping most of the work of
   /// slow candidates. --search-budget=off restores the exhaustive
   /// sweep.
   profile::SearchBudgetMode Budget = profile::SearchBudgetMode::Incumbent;
-  double BudgetMarginPct = 10.0;
-  /// --search-bound=measured: rank phase-3 candidates by each kernel's
-  /// measured solo issued count instead of the static instruction-count
-  /// proxy. Ordering-only: Best never changes.
-  bool MeasuredBound = false;
-  bool UseCache = true;
   bool Volta = false;
   bool Quick = false;
   /// Simulator watchdog window in cycles (0 = off): abandon a candidate
@@ -160,8 +154,8 @@ void printUsage() {
       "                   paper; case-insensitive); --search all sweeps\n"
       "                   the paper's 16 pairs in Figure 9 order,\n"
       "                   sharing one compile cache across pairs;\n"
-      "                   3+ names run the N-way portfolio search,\n"
-      "                   e.g. --search blake256+sha256+ethash\n"
+      "                   3+ names run the same search over more\n"
+      "                   kernels, e.g. --search blake256+sha256+ethash\n"
       "  --portfolio POOL sweep every --portfolio-size subset of a\n"
       "                   kernel pool with the N-way search: 'crypto',\n"
       "                   'dl', 'all', or comma-separated kernel names;\n"
@@ -171,37 +165,15 @@ void printUsage() {
       "                   kernels per portfolio group (default 3)\n"
       "  --search-jobs N  evaluate candidates on N worker threads\n"
       "                   (0 = all hardware threads; default 1)\n"
-      "  --no-prune       disable occupancy pruning\n"
-      "  --prune-aggressive  also treat candidates dominated across\n"
-      "                   partitions as slow: with the budget on they\n"
-      "                   re-run under the tighter margin budget (Best\n"
-      "                   within --search-margin of optimal); with\n"
-      "                   --search-budget=off they are skipped outright\n"
-      "                   (heuristic, Best may differ)\n"
-      "  --search-budget=off|incumbent|incumbent-tight\n"
+      "  --no-prune       disable occupancy pruning (measure every\n"
+      "                   candidate; Best never changes)\n"
+      "  --search-budget=off|incumbent\n"
       "                   incumbent (default): seed an incumbent from\n"
       "                   the most promising candidate, then abandon\n"
       "                   any candidate the moment its cycles provably\n"
       "                   exceed it — bit-identical Best, far fewer\n"
-      "                   simulated instructions; incumbent-tight:\n"
-      "                   additionally shrink the budget as better\n"
-      "                   candidates land (shared atomic minimum) and\n"
-      "                   re-issue the ledger under the final incumbent\n"
-      "                   — Best and the ledger stay bit-identical\n"
-      "                   across --search-jobs; off: simulate every\n"
+      "                   simulated instructions; off: simulate every\n"
       "                   candidate to completion\n"
-      "  --search-bound=static|measured\n"
-      "                   how the budgeted sweep ranks candidates for\n"
-      "                   its best-first order: static instruction\n"
-      "                   counts (default) or one measured solo run\n"
-      "                   per kernel (the sim.issued counts); ordering\n"
-      "                   only — Best never changes\n"
-      "  --search-margin PCT\n"
-      "                   measured-margin for re-admitted dominated\n"
-      "                   candidates under --prune-aggressive\n"
-      "                   (default 10: Best within 10%% of optimal)\n"
-      "  --no-cache       disable compile/simulation caching (seed cost\n"
-      "                   profile, for A/B measurement)\n"
       "  --cache-dir DIR  persist simulation results in a crash-safe\n"
       "                   on-disk store (see README): warm reruns serve\n"
       "                   bit-identical results from disk; torn/corrupt\n"
@@ -349,9 +321,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       Opts.SearchJobs = static_cast<int>(N);
     } else if (Arg == "--no-prune") {
-      Opts.PruneLevel = 0;
-    } else if (Arg == "--prune-aggressive") {
-      Opts.PruneLevel = 2;
+      Opts.Prune = false;
     } else if (Arg == "--search-budget" ||
                Arg.rfind("--search-budget=", 0) == 0) {
       std::string V;
@@ -367,34 +337,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.Budget = profile::SearchBudgetMode::Off;
       } else if (V == "incumbent") {
         Opts.Budget = profile::SearchBudgetMode::Incumbent;
-      } else if (V == "incumbent-tight") {
-        Opts.Budget = profile::SearchBudgetMode::IncumbentTight;
       } else {
         std::fprintf(stderr,
-                     "error: --search-budget expects 'off', 'incumbent' "
-                     "or 'incumbent-tight', got '%s'\n",
-                     V.c_str());
-        return false;
-      }
-    } else if (Arg == "--search-bound" ||
-               Arg.rfind("--search-bound=", 0) == 0) {
-      std::string V;
-      if (Arg == "--search-bound") {
-        const char *N = Next();
-        if (!N)
-          return false;
-        V = N;
-      } else {
-        V = Arg.substr(std::strlen("--search-bound="));
-      }
-      if (V == "static") {
-        Opts.MeasuredBound = false;
-      } else if (V == "measured") {
-        Opts.MeasuredBound = true;
-      } else {
-        std::fprintf(stderr,
-                     "error: --search-bound expects 'static' or "
-                     "'measured', got '%s'\n",
+                     "error: --search-budget expects 'off' or "
+                     "'incumbent', got '%s'\n",
                      V.c_str());
         return false;
       }
@@ -417,28 +363,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
       Opts.PortfolioSize = static_cast<int>(N);
-    } else if (Arg == "--search-margin" ||
-               Arg.rfind("--search-margin=", 0) == 0) {
-      std::string Val;
-      if (Arg == "--search-margin") {
-        const char *N = Next();
-        if (!N)
-          return false;
-        Val = N;
-      } else {
-        Val = Arg.substr(std::strlen("--search-margin="));
-      }
-      const char *V = Val.c_str();
-      char *End = nullptr;
-      double Pct = std::strtod(V, &End);
-      if (End == V || *End != '\0' || Pct < 0.0) {
-        std::fprintf(stderr,
-                     "error: --search-margin expects a non-negative "
-                     "percentage, got '%s'\n",
-                     V);
-        return false;
-      }
-      Opts.BudgetMarginPct = Pct;
     } else if (Arg == "--sim-watchdog" || Arg == "--timeout" ||
                Arg == "--deadline-ms" || Arg == "--drain-grace-ms" ||
                Arg == "--max-queue") {
@@ -499,8 +423,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.TraceFile = V;
     } else if (Arg == "--explain") {
       Opts.Explain = true;
-    } else if (Arg == "--no-cache") {
-      Opts.UseCache = false;
     } else if (Arg == "--volta") {
       Opts.Volta = true;
     } else if (Arg == "--quick") {
@@ -631,9 +553,36 @@ void printStoreStats(const profile::CompileCache::Stats &CS,
               Store.degraded() ? ", degraded" : "");
 }
 
+/// The leading columns of a search table row for a partition: Figure
+/// 6's d1 and d2 for a pair, the "/"-joined dims for more kernels.
+std::string configCols(const std::vector<int> &Dims) {
+  return Dims.size() == 2
+             ? formatString("%8d %8d", Dims[0], Dims[1])
+             : formatString("%-20s", profile::dimsLabel(Dims).c_str());
+}
+
+/// The same columns holding text: \p D1 and \p D2 for a pair, \p Dims
+/// for more kernels.
+std::string textCols(bool Pair, const char *D1, const char *D2,
+                     const char *Dims) {
+  return Pair ? formatString("%8s %8s", D1, D2)
+              : formatString("%-20s", Dims);
+}
+
+/// A partition as --explain names it; \p Aligned pads it for the ranked
+/// table.
+std::string explainConfig(const std::vector<int> &Dims, bool Aligned) {
+  if (Dims.size() == 2)
+    return Aligned ? formatString("d1=%4d d2=%4d", Dims[0], Dims[1])
+                   : formatString("d1=%d d2=%d", Dims[0], Dims[1]);
+  std::string L = profile::dimsLabel(Dims);
+  return Aligned ? formatString("dims=%-18s", L.c_str())
+                 : formatString("dims=%s", L.c_str());
+}
+
 /// --explain: the search funnel. Ledger counts come from the search's
 /// canonical accounting (deterministic across jobs); phase wall times
-/// come from the trace spans of this pair's search.
+/// come from the trace spans of this search.
 void printExplain(const profile::SearchResult &SR,
                   const std::vector<telemetry::SpanAgg> &Spans) {
   std::printf("\nsearch funnel [%s]:\n", SR.RunId.c_str());
@@ -647,8 +596,9 @@ void printExplain(const profile::SearchResult &SR,
                 errorCodeName(SR.PartialReason.code()));
   std::printf("  %-10s %5u  (+%u memoized)\n", "simulated",
               SR.Stats.Simulations, SR.Stats.MemoHits);
-  std::printf("  %-10s c%d: d1=%d d2=%d bound=%u, %llu cycles\n", "best",
-              SR.Best.Id, SR.Best.D1, SR.Best.D2, SR.Best.RegBound,
+  std::printf("  %-10s c%d: %s bound=%u, %llu cycles\n", "best", SR.Best.Id,
+              explainConfig(SR.Best.Dims, /*Aligned=*/false).c_str(),
+              SR.Best.RegBound,
               static_cast<unsigned long long>(SR.Best.Cycles));
 
   bool Header = false;
@@ -682,39 +632,56 @@ void printExplain(const profile::SearchResult &SR,
                                     static_cast<double>(SR.Best.Cycles) -
                                 1.0)
                      : 0.0;
-    std::printf("    c%-3d d1=%4d d2=%4d bound=%3u %12llu cycles  +%.2f%%\n",
-                C.Id, C.D1, C.D2, C.RegBound,
+    std::printf("    c%-3d %s bound=%3u %12llu cycles  +%.2f%%\n", C.Id,
+                explainConfig(C.Dims, /*Aligned=*/true).c_str(), C.RegBound,
                 static_cast<unsigned long long>(C.Cycles), Pct);
   }
 }
 
-int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
-                  kernels::BenchKernelId IdB,
-                  service::SearchService &Svc,
-                  const std::shared_ptr<profile::CompileCache> &Cache,
-                  const std::shared_ptr<ResultStore> &Store) {
+/// One search through the service. A pair prints the paper's Figure 6
+/// table; three or more kernels add the concurrent-streams and
+/// sequential baseline rows and the verdict line, so the fused winner's
+/// standing is visible in one table.
+int searchOne(const CliOptions &Opts,
+              const std::vector<kernels::BenchKernelId> &Ids,
+              service::SearchService &Svc,
+              const std::shared_ptr<profile::CompileCache> &Cache,
+              const std::shared_ptr<ResultStore> &Store,
+              uint64_t *WinnerCycles = nullptr,
+              std::string *WinnerDesc = nullptr) {
   service::SearchRequest Req;
-  Req.A = IdA;
-  Req.B = IdB;
+  Req.Kernels = Ids;
   Req.DeadlineMs = Opts.DeadlineMs;
-  profile::PairRunner::Options &RO = Req.Runner;
+  profile::NWayRunner::Options &RO = Req.Runner;
   RO.Arch = Opts.Volta ? gpusim::makeV100() : gpusim::makeGTX1080Ti();
   RO.SimSMs = Opts.Quick ? 2 : 3;
-  RO.Scale1 = RO.Scale2 = Opts.Quick ? 0.25 : 1.0;
+  RO.Scales = {Opts.Quick ? 0.25 : 1.0};
   RO.Verify = false;
   RO.SearchJobs = Opts.SearchJobs;
-  RO.PruneLevel = Opts.PruneLevel;
+  RO.Prune = Opts.Prune;
   RO.Budget = Opts.Budget;
-  RO.BudgetMarginPct = Opts.BudgetMarginPct;
-  RO.MeasuredBound = Opts.MeasuredBound;
-  RO.UseCompileCache = Opts.UseCache;
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;
 
-  // Per-pair baselines for the summary counters and the --explain
+  const bool Pair = Ids.size() == 2;
+  std::string Names;
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    if (I)
+      Names += "+";
+    Names += kernels::kernelDisplayName(Ids[I]);
+  }
+  const std::string Title =
+      Pair ? formatString("Figure 6 search: %s + %s on %s\n",
+                          kernels::kernelDisplayName(Ids[0]),
+                          kernels::kernelDisplayName(Ids[1]),
+                          RO.Arch.Name.c_str())
+           : formatString("N-way search: %s on %s\n", Names.c_str(),
+                          RO.Arch.Name.c_str());
+
+  // Per-search baselines for the summary counters and the --explain
   // phase times (the cache and the tracer are process-wide; a --search
-  // all run accumulates across pairs).
+  // all run accumulates across searches).
   const profile::CompileCache::Stats CacheBefore = Cache->stats();
   std::vector<telemetry::SpanAgg> AggBefore;
   if (Opts.Explain)
@@ -736,9 +703,7 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
     // candidate, so print it and exit with the partial code.
     std::fprintf(stderr, "search cancelled before any measurement: %s\n",
                  SR.Err.str().c_str());
-    std::printf("Figure 6 search: %s + %s on %s\n",
-                kernels::kernelDisplayName(IdA),
-                kernels::kernelDisplayName(IdB), RO.Arch.Name.c_str());
+    std::fputs(Title.c_str(), stdout);
     std::printf("partial: %s; %u of %u candidates unvisited\n",
                 errorCodeName(SR.PartialReason.code()), SR.Stats.Unvisited,
                 SR.Stats.Candidates);
@@ -746,9 +711,9 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
   }
   if (!SR.Ok) {
     // Graceful degradation: the fused-kernel search failed, but the
-    // native (unfused) baseline still answers "how fast is this pair
-    // without fusion". Emit it marked degraded:<error code> and exit
-    // with the documented distinct code.
+    // native (unfused) baseline still answers "how fast are these
+    // kernels without fusion". Emit it marked degraded:<error code> and
+    // exit with the documented distinct code.
     std::fprintf(stderr, "search failed: %s\n", SR.Err.str().c_str());
     if (!Out.NativeBaseline || !Out.NativeBaseline->Ok) {
       std::fprintf(stderr, "native baseline failed too: %s\n",
@@ -756,232 +721,22 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
                                       : "(not run)");
       return ExitInternal;
     }
-    std::printf("Figure 6 search: %s + %s on %s\n",
-                kernels::kernelDisplayName(IdA),
-                kernels::kernelDisplayName(IdB), RO.Arch.Name.c_str());
-    std::printf("%8s %8s %8s %14s %10s\n", "d1", "d2", "bound", "cycles",
-                "time(ms)");
-    std::printf("%8s %8s %8s %14llu %10.3f  degraded:%s\n", "-", "-", "-",
+    std::fputs(Title.c_str(), stdout);
+    std::printf("%s %8s %14s %10s\n",
+                textCols(Pair, "d1", "d2", "dims").c_str(), "bound",
+                "cycles", "time(ms)");
+    std::printf("%s %8s %14llu %10.3f  degraded:%s\n",
+                textCols(Pair, "-", "-", "streams").c_str(), "-",
                 static_cast<unsigned long long>(Out.NativeBaseline->TotalCycles),
                 Out.NativeBaseline->TotalMs, errorCodeName(SR.Err.code()));
     return ExitSearchDegraded;
   }
 
-  std::printf("Figure 6 search: %s + %s on %s\n",
-              kernels::kernelDisplayName(IdA),
-              kernels::kernelDisplayName(IdB), RO.Arch.Name.c_str());
-  std::printf("%8s %8s %8s %14s %10s %9s\n", "d1", "d2", "bound", "cycles",
+  std::fputs(Title.c_str(), stdout);
+  std::printf("%s %8s %14s %10s %9s\n",
+              textCols(Pair, "d1", "d2", "dims").c_str(), "bound", "cycles",
               "time(ms)", "blk/SM");
-  for (const profile::FusionCandidate &C : SR.All)
-    std::printf("%8d %8d %8u %14llu %10.3f %9d%s\n", C.D1, C.D2, C.RegBound,
-                static_cast<unsigned long long>(C.Cycles), C.TimeMs,
-                C.Result.Kernels.empty()
-                    ? 0
-                    : C.Result.Kernels[0].TheoreticalBlocksPerSM,
-                C.D1 == SR.Best.D1 && C.RegBound == SR.Best.RegBound
-                    ? "  <-- best"
-                    : "");
-  // The c<id> is the candidate's canonical enumeration index — the
-  // same id the trace spans and --explain carry, so rows join across
-  // the three views.
-  for (const profile::FailedCandidate &F : SR.Failed)
-    std::printf("%8d %8d %8u         failed [c%d]: %s\n", F.D1, F.D2,
-                F.RegBound, F.Id, F.Err.str().c_str());
-  for (const profile::PrunedCandidate &P : SR.Pruned)
-    std::printf("%8d %8d %8u         pruned [c%d]: %s\n", P.D1, P.D2,
-                P.RegBound, P.Id, P.Reason.c_str());
-  for (const profile::AbandonedCandidate &A : SR.Abandoned)
-    std::printf("%8d %8d %8u         abandoned [c%d] at cycle %llu (%llu "
-                "instructions issued)\n",
-                A.D1, A.D2, A.RegBound, A.Id,
-                static_cast<unsigned long long>(A.BudgetCycles),
-                static_cast<unsigned long long>(A.IssuedInsts));
-  // Unvisited rows: the sweep never reached these before the request
-  // was cancelled/deadlined; "?" marks a bounded trial cut off before
-  // its register bound was even computed.
-  for (const profile::UnvisitedCandidate &U : SR.Unvisited)
-    std::printf("%8d %8d %8s         unvisited [c%d]\n", U.D1, U.D2,
-                U.BoundPending ? "?" : std::to_string(U.RegBound).c_str(),
-                U.Id);
-
-  const profile::CompileCache::Stats CS =
-      statsSince(CacheBefore, Cache->stats());
-  std::printf("\n%u candidates, %u simulated, %u memoized, %u pruned, "
-              "%u abandoned, %u failed, %u unvisited in %.1f ms (%s jobs)\n",
-              SR.Stats.Candidates, SR.Stats.Simulations, SR.Stats.MemoHits,
-              SR.Stats.Pruned, SR.Stats.Abandoned, SR.Stats.Failed,
-              SR.Stats.Unvisited, SR.Stats.WallMs,
-              Opts.SearchJobs <= 0
-                  ? "auto"
-                  : std::to_string(Opts.SearchJobs).c_str());
-  if (Opts.Budget != profile::SearchBudgetMode::Off)
-    std::printf("budget: %s %llu cycles; %llu of %llu simulated "
-                "instructions spent on abandoned candidates\n",
-                profile::searchBudgetModeName(Opts.Budget),
-                static_cast<unsigned long long>(SR.Stats.IncumbentCycles),
-                static_cast<unsigned long long>(SR.Stats.AbandonedInsts),
-                static_cast<unsigned long long>(SR.Stats.SimulatedInsts));
-  printCacheStats(CS);
-  if (Opts.Explain)
-    printExplain(SR, aggregateDelta(
-                         AggBefore, telemetry::Tracer::instance().aggregate()));
-  if (Store) {
-    printStoreStats(CS, *Store);
-    // The answer is correct either way — every store fault degrades to
-    // an in-memory run, never a wrong result — but scripts that rely
-    // on warm reruns being cheap deserve a machine-readable signal.
-    if (Store->degraded() && !SR.Partial)
-      return ExitStoreDegraded;
-  }
-  if (SR.Partial) {
-    // Anytime result: Best is the best of what WAS measured; the
-    // unvisited rows above say exactly what was not. Partial takes
-    // precedence over store degradation in the exit code — an
-    // incomplete answer is the more important signal.
-    std::printf("partial: %s; best-so-far shown, %u of %u candidates "
-                "unvisited\n",
-                errorCodeName(SR.PartialReason.code()), SR.Stats.Unvisited,
-                SR.Stats.Candidates);
-    return ExitPartial;
-  }
-  return ExitOk;
-}
-
-/// --explain for the N-way search: same funnel, dims-keyed configs.
-void printExplainNWay(const profile::NWaySearchResult &SR,
-                      const std::vector<telemetry::SpanAgg> &Spans) {
-  std::printf("\nsearch funnel [%s]:\n", SR.RunId.c_str());
-  std::printf("  %-10s %5u\n", "candidates", SR.Stats.Candidates);
-  std::printf("  %-10s %5u\n", "pruned", SR.Stats.Pruned);
-  std::printf("  %-10s %5u\n", "abandoned", SR.Stats.Abandoned);
-  std::printf("  %-10s %5u\n", "failed", SR.Stats.Failed);
-  if (SR.Stats.Unvisited)
-    std::printf("  %-10s %5u  (request %s)\n", "unvisited",
-                SR.Stats.Unvisited,
-                errorCodeName(SR.PartialReason.code()));
-  std::printf("  %-10s %5u  (+%u memoized)\n", "simulated",
-              SR.Stats.Simulations, SR.Stats.MemoHits);
-  std::printf("  %-10s c%d: dims=%s bound=%u, %llu cycles\n", "best",
-              SR.Best.Id, profile::dimsLabel(SR.Best.Dims).c_str(),
-              SR.Best.RegBound,
-              static_cast<unsigned long long>(SR.Best.Cycles));
-
-  bool Header = false;
-  for (const telemetry::SpanAgg &S : Spans) {
-    if (S.Cat != "phase")
-      continue;
-    if (!Header) {
-      std::printf("  phase wall time:\n");
-      Header = true;
-    }
-    std::printf("    %-9s %9.2f ms\n", S.Name.c_str(), S.TotalUs / 1e3);
-  }
-
-  std::vector<const profile::NWayCandidate *> Ranked;
-  Ranked.reserve(SR.All.size());
-  for (const profile::NWayCandidate &C : SR.All)
-    Ranked.push_back(&C);
-  std::sort(Ranked.begin(), Ranked.end(),
-            [](const profile::NWayCandidate *X,
-               const profile::NWayCandidate *Y) {
-              return X->Cycles != Y->Cycles ? X->Cycles < Y->Cycles
-                                            : X->Id < Y->Id;
-            });
-  size_t K = std::min<size_t>(5, Ranked.size());
-  std::printf("  top %zu measured configs:\n", K);
-  for (size_t I = 0; I < K; ++I) {
-    const profile::NWayCandidate &C = *Ranked[I];
-    double Pct = SR.Best.Cycles
-                     ? 100.0 * (static_cast<double>(C.Cycles) /
-                                    static_cast<double>(SR.Best.Cycles) -
-                                1.0)
-                     : 0.0;
-    std::printf("    c%-3d dims=%-18s bound=%3u %12llu cycles  +%.2f%%\n",
-                C.Id, profile::dimsLabel(C.Dims).c_str(), C.RegBound,
-                static_cast<unsigned long long>(C.Cycles), Pct);
-  }
-}
-
-/// One N-way portfolio search through the service: the 3+-kernel
-/// analogue of searchOnePair, with the concurrent-streams AND
-/// sequential baselines printed so the fused winner's verdict is
-/// visible in one table.
-int searchNWay(const CliOptions &Opts,
-               const std::vector<kernels::BenchKernelId> &Ids,
-               service::SearchService &Svc,
-               const std::shared_ptr<profile::CompileCache> &Cache,
-               const std::shared_ptr<ResultStore> &Store,
-               uint64_t *WinnerCycles = nullptr,
-               std::string *WinnerDesc = nullptr) {
-  service::SearchRequest Req;
-  Req.Kernels = Ids;
-  Req.DeadlineMs = Opts.DeadlineMs;
-  profile::PairRunner::Options &RO = Req.Runner;
-  RO.Arch = Opts.Volta ? gpusim::makeV100() : gpusim::makeGTX1080Ti();
-  RO.SimSMs = Opts.Quick ? 2 : 3;
-  RO.Scale1 = RO.Scale2 = Opts.Quick ? 0.25 : 1.0;
-  RO.Verify = false;
-  RO.SearchJobs = Opts.SearchJobs;
-  RO.PruneLevel = Opts.PruneLevel;
-  RO.Budget = Opts.Budget;
-  RO.BudgetMarginPct = Opts.BudgetMarginPct;
-  RO.MeasuredBound = Opts.MeasuredBound;
-  RO.UseCompileCache = Opts.UseCache;
-  RO.WatchdogCycles = Opts.WatchdogCycles;
-  RO.WallTimeoutMs = Opts.TimeoutMs;
-  RO.Cache = Cache;
-
-  std::string Names;
-  for (size_t I = 0; I < Ids.size(); ++I) {
-    if (I)
-      Names += "+";
-    Names += kernels::kernelDisplayName(Ids[I]);
-  }
-
-  const profile::CompileCache::Stats CacheBefore = Cache->stats();
-  std::vector<telemetry::SpanAgg> AggBefore;
-  if (Opts.Explain)
-    AggBefore = telemetry::Tracer::instance().aggregate();
-
-  Expected<service::SearchOutcome> Res = Svc.search(Req);
-  if (!Res) {
-    std::fprintf(stderr, "search rejected: %s\n", Res.status().str().c_str());
-    return Res.status().code() == ErrorCode::Cancelled ? ExitPartial
-                                                       : ExitInternal;
-  }
-  service::SearchOutcome Out = Res.take();
-  if (!Out.NWay) {
-    std::fprintf(stderr, "search failed: %s\n", Out.Search.Err.str().c_str());
-    return ExitInternal;
-  }
-  profile::NWaySearchResult &SR = *Out.NWay;
-  std::printf("N-way search: %s on %s\n", Names.c_str(),
-              RO.Arch.Name.c_str());
-  if (!SR.Ok && SR.Partial) {
-    std::fprintf(stderr, "search cancelled before any measurement: %s\n",
-                 SR.Err.str().c_str());
-    std::printf("partial: %s; %u of %u candidates unvisited\n",
-                errorCodeName(SR.PartialReason.code()), SR.Stats.Unvisited,
-                SR.Stats.Candidates);
-    return ExitPartial;
-  }
-  std::printf("%-20s %8s %14s %10s %9s\n", "dims", "bound", "cycles",
-              "time(ms)", "blk/SM");
-  if (!SR.Ok) {
-    std::fprintf(stderr, "search failed: %s\n", SR.Err.str().c_str());
-    if (!Out.NativeBaseline || !Out.NativeBaseline->Ok) {
-      std::fprintf(stderr, "native baseline failed too: %s\n",
-                   Out.NativeBaseline ? Out.NativeBaseline->Error.c_str()
-                                      : "(not run)");
-      return ExitInternal;
-    }
-    std::printf("%-20s %8s %14llu %10.3f  degraded:%s\n", "streams", "-",
-                static_cast<unsigned long long>(
-                    Out.NativeBaseline->TotalCycles),
-                Out.NativeBaseline->TotalMs, errorCodeName(SR.Err.code()));
-    return ExitSearchDegraded;
-  }
-
+  // Baseline rows: a request of 3+ kernels carries both.
   if (Out.NativeBaseline && Out.NativeBaseline->Ok)
     std::printf("%-20s %8s %14llu %10.3f %9s  (concurrent baseline)\n",
                 "streams", "-",
@@ -994,31 +749,37 @@ int searchNWay(const CliOptions &Opts,
                 static_cast<unsigned long long>(
                     Out.SerialBaseline->TotalCycles),
                 Out.SerialBaseline->TotalMs, "-");
-  for (const profile::NWayCandidate &C : SR.All)
-    std::printf("%-20s %8u %14llu %10.3f %9d%s\n",
-                profile::dimsLabel(C.Dims).c_str(), C.RegBound,
-                static_cast<unsigned long long>(C.Cycles), C.TimeMs,
+  for (const profile::FusionCandidate &C : SR.All)
+    std::printf("%s %8u %14llu %10.3f %9d%s\n", configCols(C.Dims).c_str(),
+                C.RegBound, static_cast<unsigned long long>(C.Cycles),
+                C.TimeMs,
                 C.Result.Kernels.empty()
                     ? 0
                     : C.Result.Kernels[0].TheoreticalBlocksPerSM,
                 C.Id == SR.Best.Id ? "  <-- best" : "");
-  for (const profile::NWayFailedCandidate &F : SR.Failed)
-    std::printf("%-20s %8u         failed [c%d]: %s\n",
-                profile::dimsLabel(F.Dims).c_str(), F.RegBound, F.Id,
+  // The c<id> is the candidate's canonical enumeration index — the
+  // same id the trace spans and --explain carry, so rows join across
+  // the three views.
+  for (const profile::FailedCandidate &F : SR.Failed)
+    std::printf("%s %8u         failed [c%d]: %s\n",
+                configCols(F.Dims).c_str(), F.RegBound, F.Id,
                 F.Err.str().c_str());
-  for (const profile::NWayPrunedCandidate &P : SR.Pruned)
-    std::printf("%-20s %8u         pruned [c%d]: %s\n",
-                profile::dimsLabel(P.Dims).c_str(), P.RegBound, P.Id,
+  for (const profile::PrunedCandidate &P : SR.Pruned)
+    std::printf("%s %8u         pruned [c%d]: %s\n",
+                configCols(P.Dims).c_str(), P.RegBound, P.Id,
                 P.Reason.c_str());
-  for (const profile::NWayAbandonedCandidate &A : SR.Abandoned)
-    std::printf("%-20s %8u         abandoned [c%d] at cycle %llu (%llu "
+  for (const profile::AbandonedCandidate &A : SR.Abandoned)
+    std::printf("%s %8u         abandoned [c%d] at cycle %llu (%llu "
                 "instructions issued)\n",
-                profile::dimsLabel(A.Dims).c_str(), A.RegBound, A.Id,
+                configCols(A.Dims).c_str(), A.RegBound, A.Id,
                 static_cast<unsigned long long>(A.BudgetCycles),
                 static_cast<unsigned long long>(A.IssuedInsts));
-  for (const profile::NWayUnvisitedCandidate &U : SR.Unvisited)
-    std::printf("%-20s %8s         unvisited [c%d]\n",
-                profile::dimsLabel(U.Dims).c_str(),
+  // Unvisited rows: the sweep never reached these before the request
+  // was cancelled/deadlined; "?" marks a bounded trial cut off before
+  // its register bound was even computed.
+  for (const profile::UnvisitedCandidate &U : SR.Unvisited)
+    std::printf("%s %8s         unvisited [c%d]\n",
+                configCols(U.Dims).c_str(),
                 U.BoundPending ? "?" : std::to_string(U.RegBound).c_str(),
                 U.Id);
 
@@ -1066,15 +827,21 @@ int searchNWay(const CliOptions &Opts,
                 static_cast<unsigned long long>(SR.Stats.SimulatedInsts));
   printCacheStats(CS);
   if (Opts.Explain)
-    printExplainNWay(SR,
-                     aggregateDelta(AggBefore,
-                                    telemetry::Tracer::instance().aggregate()));
+    printExplain(SR, aggregateDelta(
+                         AggBefore, telemetry::Tracer::instance().aggregate()));
   if (Store) {
     printStoreStats(CS, *Store);
+    // The answer is correct either way — every store fault degrades to
+    // an in-memory run, never a wrong result — but scripts that rely
+    // on warm reruns being cheap deserve a machine-readable signal.
     if (Store->degraded() && !SR.Partial)
       return ExitStoreDegraded;
   }
   if (SR.Partial) {
+    // Anytime result: Best is the best of what WAS measured; the
+    // unvisited rows above say exactly what was not. Partial takes
+    // precedence over store degradation in the exit code — an
+    // incomplete answer is the more important signal.
     std::printf("partial: %s; best-so-far shown, %u of %u candidates "
                 "unvisited\n",
                 errorCodeName(SR.PartialReason.code()), SR.Stats.Unvisited,
@@ -1128,7 +895,8 @@ bool resolvePortfolioPool(const std::string &Pool,
 }
 
 int runSearch(const CliOptions &Opts) {
-  std::vector<profile::PaperPair> PairList;
+  // The kernel sets to search, in order: a pair runs the paper's
+  // Figure 6 sweep, three or more kernels the portfolio extension.
   std::vector<std::vector<kernels::BenchKernelId>> Groups;
   if (!Opts.Portfolio.empty()) {
     // --portfolio: every size-N subset of the pool, in canonical pool
@@ -1159,10 +927,10 @@ int runSearch(const CliOptions &Opts) {
     };
     Rec(0);
   } else if (Opts.SearchPair == "all") {
-    PairList = profile::paperPairs();
+    for (const profile::PaperPair &P : profile::paperPairs())
+      Groups.push_back({P.A, P.B});
   } else {
-    // Split on every '+': two names run the pair search, three or more
-    // the N-way search.
+    // Split on every '+'.
     std::vector<kernels::BenchKernelId> Ids;
     size_t Start = 0;
     bool Bad = false;
@@ -1193,10 +961,7 @@ int runSearch(const CliOptions &Opts) {
       std::fprintf(stderr, "\n");
       return ExitUsage;
     }
-    if (Ids.size() == 2)
-      PairList.push_back({Ids[0], Ids[1]});
-    else
-      Groups.push_back(std::move(Ids));
+    Groups.push_back(std::move(Ids));
   }
 
   // One compile cache (and, with --cache-dir, one store) for the whole
@@ -1234,58 +999,36 @@ int runSearch(const CliOptions &Opts) {
   service::SearchService::installSignalHandlers();
   service::SearchService Svc(SC);
 
-  // Multi-pair/-group sweeps report the first non-OK exit code and
-  // still run every entry (a degraded one never hides later results).
+  // Multi-search sweeps report the first non-OK exit code and still run
+  // every entry (a degraded one never hides later results).
   int RC = ExitOk;
-  if (!Groups.empty()) {
-    uint64_t OverallCycles = 0;
-    std::string OverallDesc;
-    for (size_t I = 0; I < Groups.size(); ++I) {
-      if (I)
-        std::printf("\n");
-      uint64_t Cycles = 0;
-      std::string Desc;
-      int GroupRC =
-          searchNWay(Opts, Groups[I], Svc, Cache, Store, &Cycles, &Desc);
-      if (RC == ExitOk)
-        RC = GroupRC;
-      if (Cycles && (OverallCycles == 0 || Cycles < OverallCycles)) {
-        OverallCycles = Cycles;
-        OverallDesc = Desc;
-      }
-      if (Svc.shuttingDown()) {
-        if (I + 1 < Groups.size())
-          std::fprintf(stderr,
-                       "drain: %zu remaining group(s) not searched\n",
-                       Groups.size() - I - 1);
-        RC = ExitPartial;
-        break;
-      }
-    }
-    if (Groups.size() > 1 && OverallCycles)
-      std::printf("\nportfolio winner: %s, %llu cycles\n",
-                  OverallDesc.c_str(),
-                  static_cast<unsigned long long>(OverallCycles));
-    return RC;
-  }
-  for (size_t I = 0; I < PairList.size(); ++I) {
+  uint64_t OverallCycles = 0;
+  std::string OverallDesc;
+  for (size_t I = 0; I < Groups.size(); ++I) {
     if (I)
       std::printf("\n");
-    int PairRC = searchOnePair(Opts, PairList[I].A, PairList[I].B, Svc,
-                               Cache, Store);
+    uint64_t Cycles = 0;
+    std::string Desc;
+    int GroupRC = searchOne(Opts, Groups[I], Svc, Cache, Store, &Cycles, &Desc);
     if (RC == ExitOk)
-      RC = PairRC;
-    // A drain (SIGTERM) rejects everything after the in-flight pair;
-    // stop sweeping instead of printing a rejection per pair.
+      RC = GroupRC;
+    if (Cycles && (OverallCycles == 0 || Cycles < OverallCycles)) {
+      OverallCycles = Cycles;
+      OverallDesc = Desc;
+    }
+    // A drain (SIGTERM) rejects everything after the in-flight search;
+    // stop sweeping instead of printing a rejection per search.
     if (Svc.shuttingDown()) {
-      if (I + 1 < PairList.size())
-        std::fprintf(stderr,
-                     "drain: %zu remaining pair(s) not searched\n",
-                     PairList.size() - I - 1);
+      if (I + 1 < Groups.size())
+        std::fprintf(stderr, "drain: %zu remaining search(es) not run\n",
+                     Groups.size() - I - 1);
       RC = ExitPartial;
       break;
     }
   }
+  if (!Opts.Portfolio.empty() && Groups.size() > 1 && OverallCycles)
+    std::printf("\nportfolio winner: %s, %llu cycles\n", OverallDesc.c_str(),
+                static_cast<unsigned long long>(OverallCycles));
   return RC;
 }
 
@@ -1328,33 +1071,30 @@ int runTool(const CliOptions &Opts) {
   auto P2 = Pre2.take();
 
   cuda::ASTContext Target;
-  transform::FusionResult FR;
+  cuda::FunctionDecl *Fused = nullptr;
   if (Opts.Vertical) {
-    FR = transform::fuseVertical(Target, P1->Kernel, P2->Kernel, "", Diags);
+    transform::FusionResult FR =
+        transform::fuseVertical(Target, P1->Kernel, P2->Kernel, "", Diags);
+    Fused = FR.Ok ? FR.Fused : nullptr;
   } else {
-    transform::HorizontalFusionOptions HO;
-    HO.D1 = Opts.D1;
-    HO.D2 = Opts.D2;
-    HO.Y1 = Opts.Y1;
-    HO.Z1 = Opts.Z1;
-    HO.Y2 = Opts.Y2;
-    HO.Z2 = Opts.Z2;
-    HO.UsePartialBarriers = !Opts.FullBarriers;
-    FR = transform::fuseHorizontal(Target, P1->Kernel, P2->Kernel, HO, Diags);
+    transform::MultiFusionResult FR = transform::fuseHorizontalMany(
+        Target, {P1->Kernel, P2->Kernel}, {Opts.D1, Opts.D2}, "", Diags,
+        {{Opts.Y1, Opts.Z1}, {Opts.Y2, Opts.Z2}}, !Opts.FullBarriers);
+    Fused = FR.Ok ? FR.Fused : nullptr;
   }
-  if (!FR.Ok) {
+  if (!Fused) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     return ExitFusionFailed;
   }
 
-  auto IR = profile::lowerFunction(Target, FR.Fused, Opts.RegBound, Diags);
+  auto IR = profile::lowerFunction(Target, Fused, Opts.RegBound, Diags);
   if (!IR) {
     std::fprintf(stderr, "fused kernel failed to lower:\n%s",
                  Diags.str().c_str());
     return ExitFusionFailed;
   }
 
-  std::string Source = cuda::printFunction(FR.Fused);
+  std::string Source = cuda::printFunction(Fused);
   if (!Opts.OutFile.empty()) {
     std::ofstream Out(Opts.OutFile);
     if (!Out) {

@@ -40,7 +40,7 @@ namespace hfuse::profile {
 /// ResultStore: the SimResult codec, the compile-digest layout, and the
 /// disk-key construction. Bump it whenever any of those changes — old
 /// records are then quarantined on open instead of being misread.
-inline constexpr uint32_t kStoreSchemaVersion = 2;
+inline constexpr uint32_t kStoreSchemaVersion = 3;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
 /// integer field round-trips verbatim and doubles round-trip by IEEE
@@ -108,22 +108,22 @@ std::unique_ptr<ir::IRKernel> lowerFunctionNoRegAlloc(
 /// Full front-end compilations (CuLite source -> executable IR) are
 /// keyed on (source hash, source length, kernel name, register bound),
 /// so the constant per-candidate recompilation of the two input kernels
-/// — and the recompilation across PairRunner instances in the bench
+/// — and the recompilation across runner instances in the bench
 /// loops — happens once per distinct key. Entries are immutable after
 /// insertion and shared as shared_ptr<const CompiledKernel>; concurrent
 /// requests for the same key block on a shared_future instead of
 /// compiling twice.
 ///
 /// The cache also owns the search-wide statistics counters. Fused-kernel
-/// fusion/lowering and simulator memoization live in PairRunner (they
-/// need per-pair context), but report their hit/miss counts here so one
-/// object tells the whole caching story of a run.
+/// fusion/lowering and simulator memoization live in NWayRunner (they
+/// need per-search context), but report their hit/miss counts here so
+/// one object tells the whole caching story of a run.
 class CompileCache {
 public:
   struct Stats {
     uint64_t KernelCompiles = 0; ///< front-end compilations executed
     uint64_t KernelHits = 0;     ///< compilations served from cache
-    uint64_t FusionRuns = 0;     ///< fuseHorizontal invocations
+    uint64_t FusionRuns = 0;     ///< fuseHorizontalMany invocations
     uint64_t FusionHits = 0;     ///< fusions reused across reg variants
     uint64_t Lowerings = 0;      ///< fused codegen+regalloc executed
     uint64_t LoweringHits = 0;   ///< fused lowerings served from cache
@@ -169,7 +169,7 @@ public:
   Stats stats() const;
   void resetStats();
 
-  /// Bumps one statistics counter (used by PairRunner for the fusion,
+  /// Bumps one statistics counter (used by NWayRunner for the fusion,
   /// lowering, and simulation layers).
   void count(uint64_t Stats::*Counter, uint64_t N = 1);
 
@@ -231,7 +231,7 @@ private:
   RetryPolicy Retry_;
 };
 
-/// The default process-wide cache instance: PairRunner falls back to
+/// The default process-wide cache instance: NWayRunner falls back to
 /// it when Options::Cache is null, so independent runners in one
 /// process share kernel compilations. Tests and benches that count
 /// compilations pass their own instance instead.

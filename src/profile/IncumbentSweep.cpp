@@ -10,20 +10,11 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 using namespace hfuse;
 using namespace hfuse::gpusim;
 using namespace hfuse::profile;
-
-uint64_t hfuse::profile::marginBudget(uint64_t Incumbent, double MarginPct) {
-  if (Incumbent == 0)
-    return 0;
-  return std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(Incumbent) /
-                               (1.0 + std::max(0.0, MarginPct) / 100.0)));
-}
 
 SimResult hfuse::profile::budgetAbort(uint64_t Budget) {
   SimResult A;
@@ -97,7 +88,6 @@ uint64_t hfuse::profile::runSimulatePhase(ThreadPool *Pool,
     });
     return 0;
   }
-  const bool Tight = Opts.Budget == SearchBudgetMode::IncumbentTight;
 
   // One round per seed: the seed and its followers go to the pool
   // together, seed first, so the seed always starts before any
@@ -110,17 +100,12 @@ uint64_t hfuse::profile::runSimulatePhase(ThreadPool *Pool,
     std::vector<size_t> Round{SeedK}, Deferred;
     for (size_t I = Seeded + 1; I < Order.size(); ++I) {
       const size_t K = Order[I];
-      (Hooks.MarginReadmit(K) || Hooks.SameLaunch(K, SeedK) ? Deferred
-                                                            : Round)
-          .push_back(K);
+      (Hooks.SameLaunch(K, SeedK) ? Deferred : Round).push_back(K);
     }
     const size_t FirstDeferred = Round.size();
     Round.insert(Round.end(), Deferred.begin(), Deferred.end());
 
     IncumbentFence Fence;
-    // IncumbentTight: the running minimum of visible completed cycles,
-    // set to the seed's cycles before the fence resolves.
-    std::atomic<uint64_t> Shared{0};
     parallelFor(Pool, Round.size(), [&](size_t I) {
       const size_t K = Round[I];
       if (I == 0) {
@@ -130,41 +115,27 @@ uint64_t hfuse::profile::runSimulatePhase(ThreadPool *Pool,
           Fence.fail();
           return;
         }
-        Shared.store(*Cycles, std::memory_order_relaxed);
         Fence.resolve(*Cycles);
         return;
       }
       // A deferred follower simulates the seed's own launch (it would
-      // race the seed for the memo entry) or is a margin re-admission.
+      // race the seed for the memo entry).
       const double WaitedMs =
           I >= FirstDeferred ? Fence.waitSettled(Opts.Cancel) : 0.0;
       RunBudget B = RunBudget::gated(Fence);
       switch (Fence.state()) {
       case IncumbentFence::State::Failed:
         return; // never started
-      case IncumbentFence::State::Resolved: {
-        const uint64_t Inc =
-            Tight ? Shared.load(std::memory_order_relaxed) : Fence.budget();
-        B = RunBudget::fixed(Hooks.MarginReadmit(K)
-                                 ? marginBudget(Inc, Opts.BudgetMarginPct)
-                                 : Inc);
+      case IncumbentFence::State::Resolved:
+        B = RunBudget::fixed(Fence.budget());
         break;
-      }
       case IncumbentFence::State::Open:
         break; // gated (or cancelled while waiting: Measure skips it)
       }
-      std::optional<uint64_t> Cycles = Hooks.Measure(K, B, WaitedMs);
-      if (Tight && Cycles &&
-          Fence.state() == IncumbentFence::State::Resolved) {
-        uint64_t Cur = Shared.load(std::memory_order_relaxed);
-        while (*Cycles < Cur &&
-               !Shared.compare_exchange_weak(Cur, *Cycles,
-                                             std::memory_order_relaxed))
-          ;
-      }
+      Hooks.Measure(K, B, WaitedMs);
     });
     if (Fence.state() == IncumbentFence::State::Resolved)
-      return Tight ? Shared.load(std::memory_order_relaxed) : Fence.budget();
+      return Fence.budget();
     for (size_t I = Seeded + 1; I < Order.size(); ++I)
       Hooks.Discard(Order[I]);
     if (Opts.Cancel.cancelled()) {

@@ -5,35 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Phase 3 of the configuration search, shared by PairRunner and
-/// NWayRunner: simulate the kept candidates on a worker pool.
+/// Phase 3 of the configuration search (profile::NWayRunner): simulate
+/// the kept candidates on a worker pool.
 ///
 /// Unbudgeted, every candidate runs to completion. Budgeted, candidates
 /// arrive ordered best-first by their lower bound; the first one — the
 /// *seed* — runs to completion to set the incumbent and every later one
-/// — a *follower* — runs under a cycle budget derived from it. The seed
-/// and the followers are submitted to the pool together, seed first,
-/// behind a gpusim::IncumbentFence: a follower that starts while the
-/// seed is still running is gated by the fence and ends exactly as it
-/// would have under the seed's fixed cycle count. So results are
+/// — a *follower* — runs under a cycle budget of the incumbent. The
+/// seed and the followers are submitted to the pool together, seed
+/// first, behind a gpusim::IncumbentFence: a follower that starts while
+/// the seed is still running is gated by the fence and ends exactly as
+/// it would have under the seed's fixed cycle count. So results are
 /// bit-identical to running the seed alone first, and to
 /// SearchJobs = 1, where the sweep runs inline and every follower
 /// starts after the fence has resolved.
 ///
 /// Fence rules:
-///  - a margin re-admitted follower (budget incumbent/(1+margin)) and a
-///    follower that simulates the seed's own launch wait for the
-///    resolved fence before they start (the latter would otherwise race
-///    the seed for the simulation memo entry); both are submitted after
-///    the other followers, which keep their bound order;
+///  - a follower that simulates the seed's own launch waits for the
+///    resolved fence before it starts (it would otherwise race the seed
+///    for the simulation memo entry); such followers are submitted after
+///    the others, which keep their bound order;
 ///  - a gated follower's result becomes visible (memo, ResultStore,
-///    ledger) only after the fence resolves — the runners' Measure
-///    callbacks enforce this;
+///    ledger) only after the fence resolves — the runner's Measure
+///    callback enforces this;
 ///  - a seed that produces no incumbent fails the fence: every gated
 ///    run is discarded as if it never started, and the sweep continues
-///    in serial order with the next-best seed;
-///  - IncumbentTight followers that start after the fence resolved run
-///    under the running minimum of completed cycles.
+///    in serial order with the next-best seed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,10 +53,6 @@ class ThreadPool;
 }
 
 namespace hfuse::profile {
-
-/// The budget of a margin re-admitted candidate: the incumbent divided
-/// by (1 + MarginPct/100), at least 1 (0 when there is no incumbent).
-uint64_t marginBudget(uint64_t Incumbent, double MarginPct);
 
 /// The verdict for a candidate whose full result (memoized or stored)
 /// is known to exceed \p Budget: abandoned at the budget, as a budgeted
@@ -90,8 +83,8 @@ void recordFenceWait(telemetry::TraceSpan &Span, const gpusim::RunBudget &B,
 /// their transient flag.
 Status statusFromSim(const gpusim::SimResult &R);
 
-/// What the simulate phase needs from a runner. Candidates are named by
-/// their index K in the runner's kept list.
+/// What the simulate phase needs from the runner. Candidates are named
+/// by their index K in the runner's kept list.
 struct SweepHooks {
   /// Simulates candidate K under \p Budget and records the outcome;
   /// returns its cycle count when it completed. With a gated budget it
@@ -104,15 +97,13 @@ struct SweepHooks {
   /// Forgets everything Measure recorded for K: it ran gated by a seed
   /// that failed.
   std::function<void(size_t K)> Discard;
-  /// Whether K is a margin re-admission.
-  std::function<bool(size_t K)> MarginReadmit;
   /// Whether K simulates the same launch as \p SeedK.
   std::function<bool(size_t K, size_t SeedK)> SameLaunch;
 };
 
 /// Simulates every candidate in \p Order (best-first when budgeted) and
-/// returns the incumbent: the seed's cycles, or under IncumbentTight the
-/// final running minimum (0 when unbudgeted or no seed completed).
+/// returns the incumbent: the seed's cycles (0 when unbudgeted or no
+/// seed completed).
 uint64_t runSimulatePhase(ThreadPool *Pool, const SearchOptions &Opts,
                           const std::vector<size_t> &Order,
                           const SweepHooks &Hooks);

@@ -1,4 +1,4 @@
-//===-- profile/NWayRunner.cpp - N-way fusion portfolio search ------------===//
+//===-- profile/NWayRunner.cpp - The configuration search -----------------===//
 //
 // Part of the HFuse reproduction. Distributed under the MIT license.
 //
@@ -18,6 +18,7 @@
 #include "transform/Fusion.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <functional>
@@ -26,6 +27,11 @@ using namespace hfuse;
 using namespace hfuse::gpusim;
 using namespace hfuse::kernels;
 using namespace hfuse::profile;
+
+unsigned hfuse::profile::nextSearchRunSeq() {
+  static std::atomic<unsigned> NextRunSeq{0};
+  return NextRunSeq.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 std::string hfuse::profile::dimsLabel(const std::vector<int> &Dims) {
   std::string S;
@@ -48,35 +54,38 @@ std::string NWayRunner::namesLabel() const {
 }
 
 NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
-    : Ids(std::move(InIds)), Opts(std::move(InOpts)),
-      SoloIssued(Ids.size()) {
+    : Ids(std::move(InIds)), Opts(std::move(InOpts)) {
   // Null means the process-wide default cache: kernels shared across
-  // portfolios (and with pair searches) compile exactly once per
-  // register-bound variant, no matter how many runners touch them.
+  // searches compile exactly once, no matter how many runners touch
+  // them (e.g. the bench loops over all 16 pairs).
   Cache = this->Opts.Cache
               ? this->Opts.Cache
               : std::shared_ptr<CompileCache>(&globalCompileCache(),
                                               [](CompileCache *) {});
 
+  // An empty token is upgraded to a private live one so the cancel-*
+  // fault sites (and callers holding a copy of Options) always have a
+  // real token to fire; it has no deadline and no external cancel()
+  // caller, so it cannot fire on its own.
   if (!this->Opts.Cancel.valid())
     this->Opts.Cancel = CancellationToken::make();
 
   if (Ids.size() < 2) {
-    Err = "n-way fusion needs at least 2 kernels";
+    Err = "horizontal fusion needs at least 2 kernels";
+    return;
+  }
+  const size_t NScales = this->Opts.Scales.size();
+  if (NScales > 1 && NScales != Ids.size()) {
+    Err = formatString("%zu workload scales for %zu kernels", NScales,
+                       Ids.size());
     return;
   }
 
   DiagnosticEngine Diags;
   Ks.reserve(Ids.size());
   for (BenchKernelId Id : Ids) {
-    std::shared_ptr<const CompiledKernel> K;
-    if (this->Opts.UseCompileCache) {
-      K = Cache->getBenchKernel(Id, /*RegBound=*/0, Diags, nullptr,
-                                this->Opts.Cancel);
-    } else {
-      Cache->count(&CompileCache::Stats::KernelCompiles);
-      K = compileBenchKernel(Id, /*RegBound=*/0, Diags);
-    }
+    std::shared_ptr<const CompiledKernel> K = Cache->getBenchKernel(
+        Id, /*RegBound=*/0, Diags, nullptr, this->Opts.Cancel);
     if (!K) {
       Err = "kernel compilation failed:\n" + Diags.str();
       return;
@@ -95,16 +104,22 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
   Ready = true;
 }
 
+double NWayRunner::scale(size_t K) const {
+  if (Opts.Scales.empty())
+    return 1.0;
+  return Opts.Scales[Opts.Scales.size() == 1 ? 0 : K];
+}
+
 std::unique_ptr<NWayRunner::SimContext>
 NWayRunner::makeContext(std::string &Error) const {
   auto C = std::make_unique<SimContext>();
   C->W.reserve(Ids.size());
   for (size_t I = 0; I < Ids.size(); ++I) {
     WorkloadConfig WC;
-    WC.SizeScale = Opts.Scale;
+    WC.SizeScale = scale(I);
     WC.SimSMs = Opts.SimSMs;
-    // Distinct seeds per kernel, mirroring the pair runner's Seed /
-    // Seed + 1 so a pair-of-the-portfolio reproduces the same data.
+    // Distinct seeds per kernel (Seed, Seed + 1, ...), so a kernel's
+    // data depends only on its position.
     WC.Seed = Opts.Seed + static_cast<uint32_t>(I);
     C->W.push_back(makeWorkload(Ids[I], WC));
     if (!C->W.back()) {
@@ -135,6 +150,7 @@ NWayRunner::SimContext *NWayRunner::acquireContext(std::string &Error) {
       return C;
     }
   }
+  // Build a fresh context outside the lock; setup is the expensive part.
   std::unique_ptr<SimContext> C = makeContext(Error);
   if (!C)
     return nullptr;
@@ -146,6 +162,10 @@ NWayRunner::SimContext *NWayRunner::acquireContext(std::string &Error) {
 void NWayRunner::releaseContext(SimContext *C) {
   std::lock_guard<std::mutex> Lock(ContextMu);
   FreeContexts.push_back(C);
+}
+
+unsigned NWayRunner::soloRegs(size_t K) const {
+  return Ks[K]->IR->ArchRegsPerThread;
 }
 
 int NWayRunner::commonGrid() const {
@@ -185,44 +205,45 @@ SimResult NWayRunner::runLaunches(SimContext &C,
   return R;
 }
 
+KernelLaunch NWayRunner::soloLaunch(size_t K) const {
+  const Workload &W = *Primary.W[K];
+  KernelLaunch L;
+  L.Kernel = Ks[K]->IR.get();
+  L.GridDim = W.preferredGrid();
+  L.BlockDim = W.preferredBlock();
+  L.BlockDimY = W.preferredBlockY();
+  L.DynSharedBytes = W.dynSharedBytes();
+  L.Params = W.params();
+  L.Label = kernelDisplayName(Ids[K]);
+  return L;
+}
+
 SimResult NWayRunner::runNative() {
   if (!Ready)
     return fail(Err);
   std::vector<KernelLaunch> Launches;
   std::vector<int> VerifyThreads;
   for (size_t I = 0; I < Ids.size(); ++I) {
-    Workload *W = Primary.W[I].get();
-    KernelLaunch L;
-    L.Kernel = Ks[I]->IR.get();
-    L.GridDim = W->preferredGrid();
-    L.BlockDim = W->preferredBlock();
-    L.BlockDimY = W->preferredBlockY();
-    L.DynSharedBytes = W->dynSharedBytes();
-    L.Params = W->params();
-    L.Label = kernelDisplayName(Ids[I]);
-    VerifyThreads.push_back(L.GridDim * W->preferredBlockThreads());
-    Launches.push_back(std::move(L));
+    Launches.push_back(soloLaunch(I));
+    VerifyThreads.push_back(Launches.back().GridDim *
+                            Primary.W[I]->preferredBlockThreads());
   }
   return runLaunches(Primary, Launches, VerifyThreads);
 }
 
-SimResult NWayRunner::runSerial() {
+SimResult NWayRunner::runSolo(size_t K) {
   if (!Ready)
     return fail(Err);
+  KernelLaunch L = soloLaunch(K);
+  std::vector<int> VerifyThreads(Ids.size(), 0);
+  VerifyThreads[K] = L.GridDim * Primary.W[K]->preferredBlockThreads();
+  return runLaunches(Primary, {L}, VerifyThreads);
+}
+
+SimResult NWayRunner::runSerial() {
   SimResult Agg;
   for (size_t I = 0; I < Ids.size(); ++I) {
-    Workload *W = Primary.W[I].get();
-    KernelLaunch L;
-    L.Kernel = Ks[I]->IR.get();
-    L.GridDim = W->preferredGrid();
-    L.BlockDim = W->preferredBlock();
-    L.BlockDimY = W->preferredBlockY();
-    L.DynSharedBytes = W->dynSharedBytes();
-    L.Params = W->params();
-    L.Label = kernelDisplayName(Ids[I]);
-    std::vector<int> VerifyThreads(Ids.size(), 0);
-    VerifyThreads[I] = L.GridDim * W->preferredBlockThreads();
-    SimResult R = runLaunches(Primary, {L}, VerifyThreads);
+    SimResult R = runSolo(I);
     if (!R.Ok)
       return R;
     Agg.TotalCycles += R.TotalCycles;
@@ -236,12 +257,11 @@ SimResult NWayRunner::runSerial() {
 std::shared_ptr<ir::IRKernel>
 NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
                        uint32_t &DynShared, Status &Err) {
-  auto Key =
-      std::make_pair(Dims, Opts.UseCompileCache ? 0u : RegBound);
+  // One entry per partition serves every register bound.
   FusionEntry *Entry;
   {
     std::lock_guard<std::mutex> Lock(FusionCacheMu);
-    std::unique_ptr<FusionEntry> &Slot = FusionCache[Key];
+    std::unique_ptr<FusionEntry> &Slot = FusionCache[Dims];
     if (!Slot)
       Slot = std::make_unique<FusionEntry>();
     Entry = Slot.get();
@@ -249,6 +269,10 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 
   std::lock_guard<std::mutex> Lock(Entry->Mu);
   if (!Entry->Attempted) {
+    // Fault-injection point for the fusion stage. Fired faults are
+    // transient: return the failure without marking the entry
+    // attempted, so a retry redoes the fusion instead of replaying an
+    // injected error as if it were a property of the partition.
     if (Status S = FaultInjector::instance().check(FaultSite::Fuse,
                                                    dimsLabel(Dims));
         !S.ok()) {
@@ -266,15 +290,10 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
       Shapes.emplace_back(Primary.W[I]->preferredBlockY(), 1);
     }
     transform::MultiFusionResult MR = transform::fuseHorizontalMany(
-        *Entry->Ctx, Fns, Dims, /*FusedName=*/"", Diags, Shapes);
+        *Entry->Ctx, Fns, Dims, /*FusedName=*/"", Diags, Shapes,
+        Opts.UsePartialBarriers);
     if (!MR.Ok) {
-      // Validation rejections arrive structured in MR.Err (the API-
-      // consistency fix); anything that predates the Status channel
-      // falls back to the diagnostics text.
-      Entry->Err = MR.Err.ok()
-                       ? Status(ErrorCode::FusionUnsupported,
-                                "n-way fusion failed:\n" + Diags.str())
-                       : MR.Err;
+      Entry->Err = MR.Err;
     } else {
       Entry->Fused = MR.Fused;
       Entry->BaseIR = lowerFunctionNoRegAlloc(*Entry->Ctx, MR.Fused, Diags);
@@ -287,6 +306,8 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
       Entry->DynShared = Dyn;
     }
   } else if (Entry->ByBound.find(RegBound) == Entry->ByBound.end()) {
+    // The AST-level work of this partition is being reused for a new
+    // register variant (or a fresh query of a known failure).
     if (!Entry->Err.ok() || Entry->BaseIR)
       Cache->count(&CompileCache::Stats::FusionHits);
   }
@@ -304,7 +325,7 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 
   // A bound at or above the natural allocation aliases the unbounded
   // IR, so the simulation memo recognizes the identical launch.
-  if (Opts.UseCompileCache && RegBound != 0 && Entry->UnboundedRegs != 0 &&
+  if (RegBound != 0 && Entry->UnboundedRegs != 0 &&
       RegBound >= Entry->UnboundedRegs) {
     auto U = Entry->ByBound.find(0u);
     if (U != Entry->ByBound.end()) {
@@ -314,6 +335,8 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
     }
   }
 
+  // Fault-injection point for the per-bound lowering stage; nothing is
+  // memoized for this bound yet, so the failure is naturally retryable.
   if (Status S = FaultInjector::instance().check(
           FaultSite::Lower,
           formatString("%s:r%u", dimsLabel(Dims).c_str(), RegBound));
@@ -353,15 +376,16 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
     BlockDim += D;
   SimMemo::Key MemoKey{IR.get(), Grid, BlockDim, DynShared};
 
-  // Disk key: the memo key with pointer identity widened to content
-  // identity (the fused IR dump hash) plus everything else the
-  // simulation is a pure function of — launch geometry, simulator
-  // model, and workload identity (kernel set, seed, scale) — so warm
-  // --cache-dir reruns are bit-identical to cold ones. Same
-  // contract as the pair runner's key; the kernel-count field keeps
-  // the layouts disjoint.
+  // Disk key for the second-level ResultStore. It mirrors the memo key
+  // with pointer identity widened to content identity — the fused IR
+  // dump hash — plus everything else the simulation is a pure function
+  // of: launch geometry, the architecture/simulator model, and the
+  // workload identity (seed, then each kernel's scale and name) that
+  // determines the kernel parameters. Verified runs bypass the disk: a
+  // served result skips simulation, so the workload outputs verify()
+  // needs would not exist.
   std::string DiskKey;
-  if (Opts.UseCompileCache && !Opts.Verify && Cache->hasStore()) {
+  if (!Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
     KW.u64(fnv1a64(IR->str()));
@@ -376,11 +400,13 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
     KW.u64(static_cast<uint64_t>(Opts.Seed));
     KW.u32(static_cast<uint32_t>(Ids.size()));
     for (size_t I = 0; I < Ids.size(); ++I) {
-      KW.f64(Opts.Scale);
+      KW.f64(scale(I));
       KW.str(kernelDisplayName(Ids[I]));
     }
     DiskKey = KW.take();
   }
+  // Only a simulation needs a context: memo and disk hits never take
+  // one from the pool (or build a fresh one).
   auto Simulate = [&](const RunBudget &B) -> std::optional<SimResult> {
     std::string CtxErr;
     SimContext *Ctx = C ? C : acquireContext(CtxErr);
@@ -415,8 +441,8 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
     }
     return R;
   };
-  return Memo.run(MemoKey, DiskKey, Opts, *Cache, Stats, Budget, FenceWaitMs,
-                  Simulate);
+  return Memo.run(MemoKey, DiskKey, Opts.Cancel, *Cache, Stats, Budget,
+                  FenceWaitMs, Simulate);
 }
 
 SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
@@ -478,48 +504,78 @@ std::optional<unsigned> NWayRunner::regBound(const std::vector<int> &Dims) {
   return R0;
 }
 
-uint64_t NWayRunner::soloIssuedCount(size_t Which, Status &E,
-                                     SearchStats *Stats) {
-  std::optional<uint64_t> &Cached = SoloIssued[Which];
-  if (Cached)
-    return *Cached;
-  std::string CtxErr;
-  SimContext *Ctx = acquireContext(CtxErr);
-  if (!Ctx) {
-    E = Status(ErrorCode::WorkloadError, CtxErr);
-    return 0;
+std::vector<std::vector<int>> NWayRunner::partitions() const {
+  const size_t NK = Ids.size();
+  // A partition must be divisible by each kernel's fixed .y extent so its
+  // threads form whole rows of the original block shape.
+  auto Feasible = [&](size_t K, int D) {
+    return D % Primary.W[K]->preferredBlockY() == 0;
+  };
+  std::vector<std::vector<int>> Partitions;
+  if (NK == 2) {
+    // Figure 6: two tunable kernels split a 1024-thread block at a
+    // granularity of 128; otherwise the pair runs the even split of its
+    // native block sizes.
+    const bool Tunable =
+        kernelHasTunableBlockDim(Ids[0]) && kernelHasTunableBlockDim(Ids[1]);
+    const int D0 = Tunable ? 1024
+                           : Primary.W[0]->preferredBlockThreads() +
+                                 Primary.W[1]->preferredBlockThreads();
+    const int Step = Tunable ? 128 : D0 / 2;
+    for (int D1 = Step; D1 < D0; D1 += Step)
+      if (Feasible(0, D1) && Feasible(1, D0 - D1))
+        Partitions.push_back({D1, D0 - D1});
+    return Partitions;
   }
-  Workload *W = Ctx->W[Which].get();
-  KernelLaunch L;
-  L.Kernel = Ks[Which]->IR.get();
-  L.GridDim = W->preferredGrid();
-  L.BlockDim = W->preferredBlock();
-  L.BlockDimY = W->preferredBlockY();
-  L.DynSharedBytes = W->dynSharedBytes();
-  L.Params = W->params();
-  L.Label = kernelDisplayName(Ids[Which]);
-  W->clearOutputs(*Ctx->Sim);
-  SimResult R = Ctx->Sim->run({L}, StatsLevel::Minimal, /*CycleBudget=*/0);
-  releaseContext(Ctx);
-  if (!R.Ok) {
-    E = statusFromSim(R);
-    return 0;
+
+  // Per-kernel choices in ascending order — fixed-shape kernels (crypto)
+  // pin their native thread count, tunable (DL) kernels sweep multiples
+  // of 128 — then the lexicographic product filtered to splits summing
+  // to at most 1024 (the hardware block limit).
+  std::vector<std::vector<int>> Choices(NK);
+  for (size_t K = 0; K < NK; ++K) {
+    if (!kernelHasTunableBlockDim(Ids[K])) {
+      Choices[K].push_back(Primary.W[K]->preferredBlockThreads());
+    } else {
+      for (int D = 128; D <= 1024 - 128 * static_cast<int>(NK - 1);
+           D += 128)
+        if (Feasible(K, D))
+          Choices[K].push_back(D);
+    }
   }
-  Cache->count(&CompileCache::Stats::SimRuns);
-  if (Stats) {
-    ++Stats->Simulations;
-    Stats->SimulatedInsts += R.TotalIssued;
-  }
-  Cached = R.TotalIssued;
-  return *Cached;
+  std::vector<int> Cur(NK, 0);
+  std::function<void(size_t, int)> Rec = [&](size_t K, int Sum) {
+    if (K == NK) {
+      Partitions.push_back(Cur);
+      return;
+    }
+    for (int D : Choices[K]) {
+      if (Sum + D > 1024)
+        break; // choices ascend: everything after is too big too
+      Cur[K] = D;
+      Rec(K + 1, Sum + D);
+    }
+  };
+  Rec(0, 0);
+  return Partitions;
 }
 
-NWaySearchResult NWayRunner::searchBestConfig() {
+SearchResult NWayRunner::searchBestConfig() {
+  return sweep(partitions(), /*TryBound=*/true);
+}
+
+SearchResult
+NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
+                  bool TryBound) {
   auto Start = std::chrono::steady_clock::now();
-  NWaySearchResult SR;
+  SearchResult SR;
+  // Process-unique run id, joined against every span this search emits
+  // and against the driver's failed:/abandoned: table rows.
   SR.RunId =
       formatString("s%u:%s", nextSearchRunSeq(), namesLabel().c_str());
   if (!Ready) {
+    // A cancel that landed inside the constructor (input-kernel
+    // compilation) is a request verdict, not an internal error.
     SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status()
                                      : Status(ErrorCode::Internal, Err);
     SR.Error = SR.Err.message().empty() ? Err : SR.Err.message();
@@ -529,51 +585,27 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   if (telemetry::traceOn())
     SearchSpan.beginSpan(
         "search", SR.RunId,
-        formatString("{\"jobs\":%d,\"budget\":\"%s\",\"bound\":\"%s\","
-                     "\"kernels\":%zu}",
+        formatString("{\"jobs\":%d,\"budget\":\"%s\",\"kernels\":%zu}",
                      Opts.SearchJobs, searchBudgetModeName(Opts.Budget),
-                     Opts.MeasuredBound ? "measured" : "static",
                      Ids.size()));
 
   const size_t NK = Ids.size();
 
-  // Enumeration: per-kernel partition choices in ascending order —
-  // fixed-shape kernels (crypto) pin their native thread count, tunable
-  // (DL) kernels sweep multiples of 128 compatible with their .y
-  // extent — then the lexicographic cartesian product filtered to
-  // warp-multiple splits summing <= 1024 (the hardware block limit).
-  std::vector<std::vector<int>> Choices(NK);
-  for (size_t K = 0; K < NK; ++K) {
-    Workload *W = Primary.W[K].get();
-    if (!kernelHasTunableBlockDim(Ids[K])) {
-      Choices[K].push_back(W->preferredBlockThreads());
-    } else {
-      for (int D = 128; D <= 1024 - 128 * static_cast<int>(NK - 1);
-           D += 128)
-        if (D % W->preferredBlockY() == 0)
-          Choices[K].push_back(D);
-    }
-  }
-  std::vector<std::vector<int>> Partitions;
-  {
-    std::vector<int> Cur(NK, 0);
-    std::function<void(size_t, int)> Rec = [&](size_t K, int Sum) {
-      if (K == NK) {
-        Partitions.push_back(Cur);
-        return;
-      }
-      for (int D : Choices[K]) {
-        if (Sum + D > 1024)
-          break; // choices ascend: everything after is too big too
-        Cur[K] = D;
-        Rec(K + 1, Sum + D);
-      }
-    };
-    Rec(0, 0);
-  }
+  // The search proper runs in three phases so that pruning decisions
+  // are a deterministic function of the candidate list, never of
+  // worker timing:
+  //   1. compile: fuse + lower every candidate (parallel, CPU-bound,
+  //      no simulator state needed);
+  //   2. prune: walk candidates in canonical order (partitions in
+  //      order, unbounded before bounded) and drop the dominated ones
+  //      (serial, occupancy arithmetic only);
+  //   3. profile: simulate the kept candidates (parallel, one private
+  //      simulator context per worker).
 
-  /// One enumerated candidate (same life cycle as the pair sweep's).
+  /// One enumerated candidate of the sweep.
   struct Candidate {
+    /// Canonical id: the index in this enumeration, stable across
+    /// SearchJobs (exported as FusionCandidate::Id and friends).
     int Id = -1;
     std::vector<int> Dims;
     int D0 = 0;
@@ -581,20 +613,27 @@ NWaySearchResult NWayRunner::searchBestConfig() {
     std::shared_ptr<ir::IRKernel> IR;
     uint32_t DynShared = 0;
     int BlocksPerSM = 0;
+    /// Index of this partition's unbounded sibling (bounded only).
     int Sibling = -1;
     bool Pruned = false;
     std::string PruneReason;
     int DominatorBlocksPerSM = 0;
-    bool MarginReadmit = false;
+    /// Cut off by the cycle budget (with the budget it ran under and
+    /// the instructions it issued before the abort).
     bool Abandoned = false;
     uint64_t AbandonBudget = 0;
     uint64_t AbandonIssued = 0;
+    /// Contained failure that retired this candidate (compile, fuse,
+    /// lower, or simulate); Ok while the candidate is healthy.
     Status Error;
+    /// Never reached: the request was cancelled or deadlined before
+    /// this candidate's turn (lands in SearchResult::Unvisited).
     bool Skipped = false;
-    std::optional<NWayCandidate> Measured;
+    std::optional<FusionCandidate> Measured;
   };
+  const size_t PerPart = TryBound ? 2 : 1;
   std::vector<Candidate> Cands;
-  Cands.reserve(2 * Partitions.size());
+  Cands.reserve(PerPart * Partitions.size());
   for (const std::vector<int> &Dims : Partitions) {
     Candidate C;
     C.Dims = Dims;
@@ -602,11 +641,13 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       C.D0 += D;
     C.RegBound = 0;
     Cands.push_back(C);
-    C.Sibling = static_cast<int>(Cands.size()) - 1;
-    // RegBound computed in phase 1 (needs the fused shared-memory
-    // size); the placeholder marks the slot.
-    C.RegBound = UINT_MAX;
-    Cands.push_back(C);
+    if (TryBound) {
+      C.Sibling = static_cast<int>(Cands.size()) - 1;
+      // RegBound filled during phase 1 (it needs the fused kernel's
+      // shared-memory size); a placeholder marks the slot.
+      C.RegBound = UINT_MAX;
+      Cands.push_back(C);
+    }
   }
   for (size_t I = 0; I < Cands.size(); ++I)
     Cands[I].Id = static_cast<int>(I);
@@ -620,19 +661,29 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   if (Jobs > 1)
     Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(Jobs));
 
-  // Phase 1: fuse + lower, one task per partition; the bounded variant
-  // shares the partition's fusion/codegen via the fusion cache.
+  auto Occupancy = [&](const Candidate &C) {
+    return computeOccupancy(Opts.Arch, C.D0,
+                            static_cast<int>(C.IR->ArchRegsPerThread),
+                            C.IR->StaticSharedBytes + C.DynShared)
+        .BlocksPerSM;
+  };
+
+  // Phase 1: one task per partition lowers the unbounded variant,
+  // derives r0, and lowers the bounded variant (sharing the fusion).
   {
     telemetry::TraceSpan PhaseSpan("phase", "compile");
     parallelFor(Pool.get(), Partitions.size(), [&](size_t I) {
-      Candidate &U = Cands[I * 2];
+      Candidate &U = Cands[I * PerPart];
+      // Deterministic cancel point for the compile phase: the fault
+      // site fires the *request's* token (it never fails a candidate),
+      // so injected cancellation reproduces exactly.
       if (!FaultInjector::instance()
                .check(FaultSite::CancelCompile, dimsLabel(U.Dims))
                .ok())
         Opts.Cancel.cancel();
       if (Opts.Cancel.cancelled()) {
-        U.Skipped = true;
-        Cands[I * 2 + 1].Skipped = true;
+        for (size_t V = 0; V < PerPart; ++V)
+          Cands[I * PerPart + V].Skipped = true;
         return;
       }
       {
@@ -646,12 +697,10 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         U.IR = getFusedIR(U.Dims, 0, U.DynShared, U.Error);
       }
       if (U.IR)
-        U.BlocksPerSM =
-            computeOccupancy(Opts.Arch, U.D0,
-                             static_cast<int>(U.IR->ArchRegsPerThread),
-                             U.IR->StaticSharedBytes + U.DynShared)
-                .BlocksPerSM;
-      Candidate &B = Cands[I * 2 + 1];
+        U.BlocksPerSM = Occupancy(U);
+      if (!TryBound)
+        return;
+      Candidate &B = Cands[I * PerPart + 1];
       Status BoundErr;
       std::optional<unsigned> R0 = regBoundImpl(B.Dims, BoundErr);
       if (!R0)
@@ -669,20 +718,22 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         B.IR = getFusedIR(B.Dims, *R0, B.DynShared, B.Error);
       }
       if (B.IR)
-        B.BlocksPerSM =
-            computeOccupancy(Opts.Arch, B.D0,
-                             static_cast<int>(B.IR->ArchRegsPerThread),
-                             B.IR->StaticSharedBytes + B.DynShared)
-                .BlocksPerSM;
+        B.BlocksPerSM = Occupancy(B);
     });
   }
 
-  // Phase 2: occupancy pruning over the canonical order — identical
-  // rules to the pair sweep (see PairRunner.cpp for the full
-  // commentary on why level 1 is result-preserving).
+  // Phase 2: occupancy pruning over the canonical order. The rules
+  // preserve results: a candidate that cannot launch, or a bounded
+  // variant whose bound fails to raise blocks/SM over its partition's
+  // unbounded sibling (same code plus spill traffic at no occupancy
+  // gain), cannot be the winner. Identical-IR variants (bound at/above
+  // the natural allocation) are exempt — they replay the sibling's
+  // memoized result for free.
   telemetry::TraceSpan PruneSpan("phase", "prune");
-  int MaxSeen = 0;
   for (Candidate &C : Cands) {
+    // Deterministic cancel point for the prune phase; a cancelled
+    // request leaves every not-yet-resolved candidate unvisited (ones
+    // already retired by a contained failure keep their verdict).
     if (!FaultInjector::instance()
              .check(FaultSite::CancelPrune, dimsLabel(C.Dims))
              .ok())
@@ -692,21 +743,14 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         C.Skipped = true;
       continue;
     }
-    if (C.Skipped || !C.IR || C.RegBound == UINT_MAX)
+    if (!Opts.Prune || C.Skipped || !C.IR || C.RegBound == UINT_MAX)
       continue;
-    if (Opts.PruneLevel <= 0) {
-      MaxSeen = std::max(MaxSeen, C.BlocksPerSM);
-      continue;
-    }
-    const bool IsBounded = C.RegBound != 0;
     Candidate *Sib =
-        IsBounded && C.Sibling >= 0 ? &Cands[C.Sibling] : nullptr;
+        C.RegBound != 0 && C.Sibling >= 0 ? &Cands[C.Sibling] : nullptr;
     bool AliasOfSibling = Sib && Sib->IR == C.IR;
     if (C.BlocksPerSM <= 0) {
       C.Pruned = true;
       C.PruneReason = "cannot launch: 0 blocks/SM";
-    } else if (AliasOfSibling && !Sib->Pruned) {
-      // Free via memoization; never prune.
     } else if (Sib && Sib->IR && !Sib->Pruned && !AliasOfSibling &&
                C.BlocksPerSM <= Sib->BlocksPerSM) {
       C.Pruned = true;
@@ -715,21 +759,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
           "r%u gives %d blocks/SM, no gain over the unbounded variant's "
           "%d: same code plus spills cannot win",
           C.RegBound, C.BlocksPerSM, Sib->BlocksPerSM);
-    } else if (Opts.PruneLevel >= 2 && C.BlocksPerSM < MaxSeen) {
-      if (Opts.Budget != SearchBudgetMode::Off) {
-        C.MarginReadmit = true;
-        C.DominatorBlocksPerSM = MaxSeen;
-      } else {
-        C.Pruned = true;
-        C.DominatorBlocksPerSM = MaxSeen;
-        C.PruneReason = formatString(
-            "%d blocks/SM strictly dominated by a measured candidate "
-            "with %d",
-            C.BlocksPerSM, MaxSeen);
-      }
     }
-    if (!C.Pruned)
-      MaxSeen = std::max(MaxSeen, C.BlocksPerSM);
   }
   PruneSpan.finish();
 
@@ -741,9 +771,14 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
 
+  // Measures Kept[K] under \p Budget; returns its cycles when it
+  // completed. \p WaitedMs is fence wait before it started.
   auto Measure = [&](size_t K, const RunBudget &Budget,
                      double WaitedMs) -> std::optional<uint64_t> {
     Candidate &C = Cands[Kept[K]];
+    // Deterministic cancel point for the simulate phase (see the
+    // compile-phase comment); Kept candidates are still unresolved, so
+    // skipping is always the right verdict here.
     if (!FaultInjector::instance()
              .check(FaultSite::CancelSimulate, dimsLabel(C.Dims))
              .ok())
@@ -761,7 +796,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
                      : formatString("c%d %s", C.Id,
                                     dimsLabel(C.Dims).c_str()),
           simulateSpanArgs(SR.RunId, C.Id, Budget));
-    NWayCandidate FC;
+    FusionCandidate FC;
     FC.Id = C.Id;
     FC.Dims = C.Dims;
     FC.RegBound = C.RegBound;
@@ -780,51 +815,52 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         (Opts.Cancel.cancelled() && !E.ok() &&
          (E.code() == ErrorCode::Cancelled ||
           E.code() == ErrorCode::DeadlineExceeded))) {
+      // The cancel landed mid-simulation (or mid-compile-wait): the
+      // candidate was interrupted, not measured and not at fault —
+      // account it as unvisited like the ones never started.
       C.Skipped = true;
     } else if (FC.Result.BudgetExceeded) {
       C.Abandoned = true;
       C.AbandonBudget = effectiveBudget(Budget);
       C.AbandonIssued = FC.Result.TotalIssued;
     } else if (C.Error.ok())
+      // Pipeline failures arrive in E; simulation failures (deadlock,
+      // timeout, OOB, verification) are classified off the SimResult.
       C.Error = !E.ok() ? E : statusFromSim(FC.Result);
     return std::nullopt;
   };
 
-  // Budgeted ordering + the fenced incumbent sweep (see PairRunner.cpp;
-  // this is the same algorithm with the generalized N-way lower bound).
-  const bool Budgeted = Opts.Budget != SearchBudgetMode::Off;
-  const bool Tight = Opts.Budget == SearchBudgetMode::IncumbentTight;
+  // Unbudgeted search keeps the canonical measurement order. Budgeted
+  // search reorders phase 3 best-first: candidates are ranked by a lower
+  // bound on their cycle count, the front-runner seeds the incumbent,
+  // and everything else runs under CycleBudget = incumbent, overlapping
+  // the seed behind an incumbent fence (profile/IncumbentSweep.h).
+  // Whether a candidate completes or aborts depends only on its own true
+  // cycle count against that budget, so results stay deterministic
+  // across SearchJobs — and Best is bit-identical to the unbudgeted
+  // sweep, because any candidate at or below the incumbent still
+  // completes with exact cycles while aborted ones were strictly worse.
   telemetry::TraceSpan SimPhaseSpan("phase", "simulate");
   std::vector<size_t> Order(Kept.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
-  if (Budgeted && !Kept.empty()) {
-    // Generalized lower bound: the grid drains in
-    // ceil(Grid / (BlocksPerSM * SimSMs)) waves, a wave lasts at least
-    // as long as its slowest sub-kernel — per-thread dynamic work
-    // scales inversely with the kernel's share of the block, giving
-    // max_k(S_k / D_k) — and bounded variants inflate every thread by
-    // their spill code.
+  if (Opts.Budget != SearchBudgetMode::Off && !Kept.empty()) {
+    // Occupancy/issue-width lower bound. The grid drains in
+    // ceil(Grid / (BlocksPerSM * SimSMs)) occupancy waves, and a wave
+    // lasts at least as long as its slowest sub-kernel: a warp issues at
+    // most one instruction per cycle, and a sub-kernel's per-thread
+    // dynamic work scales inversely with its share of the block (the
+    // work a block covers is partition-invariant), so the per-block
+    // critical path goes as max_k(S_k / D_k) with the input kernels'
+    // static instruction counts S_k standing in for their dynamic
+    // ratios. Bounded variants additionally inflate every thread by
+    // their spill code (fused static count vs the unbounded sibling's)
+    // — which ranks the spill-heavy crypto bounds last, exactly the
+    // runs worth abandoning. Ties keep canonical order (stable sort).
     const int Grid = commonGrid();
     std::vector<double> S(NK);
     for (size_t K = 0; K < NK; ++K)
       S[K] = static_cast<double>(Ks[K]->IR->numInstructions());
-    if (Opts.MeasuredBound) {
-      // Measured ranking (one solo probe per kernel, the same issued
-      // counts the sim.issued.<label> gauges export); only the order
-      // — so only the incumbent seed — changes, never Best. Falls
-      // back to the static proxy if any probe fails.
-      std::vector<double> M(NK);
-      bool AllOk = true;
-      for (size_t K = 0; K < NK && AllOk; ++K) {
-        Status SoloErr;
-        uint64_t I = soloIssuedCount(K, SoloErr, &SR.Stats);
-        AllOk = SoloErr.ok() && I != 0;
-        M[K] = static_cast<double>(I);
-      }
-      if (AllOk)
-        S = std::move(M);
-    }
     std::vector<double> Bound(Kept.size());
     for (size_t I = 0; I < Kept.size(); ++I) {
       const Candidate &C = Cands[Kept[I]];
@@ -843,9 +879,6 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       Bound[I] = static_cast<double>(Waves) * PerThread;
     }
     std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-      const Candidate &CA = Cands[Kept[A]], &CB = Cands[Kept[B]];
-      if (CA.MarginReadmit != CB.MarginReadmit)
-        return CB.MarginReadmit;
       return Bound[A] < Bound[B];
     });
   }
@@ -860,42 +893,26 @@ NWaySearchResult NWayRunner::searchBestConfig() {
     C.Skipped = false;
     KeptStats[K] = SearchStats();
   };
-  Hooks.MarginReadmit = [&](size_t K) { return Cands[Kept[K]].MarginReadmit; };
   Hooks.SameLaunch = [&](size_t K, size_t SeedK) {
     return Cands[Kept[K]].IR == Cands[Kept[SeedK]].IR;
   };
   uint64_t Incumbent = runSimulatePhase(Pool.get(), Opts, Order, Hooks);
   SimPhaseSpan.finish();
 
-  if (Tight && Incumbent != 0) {
-    // Canonical post-sweep reporting under the final incumbent (see
-    // the pair runner and SearchOptions.h for the determinism story).
-    const uint64_t FinalMargin = marginBudget(Incumbent, Opts.BudgetMarginPct);
-    for (size_t K : Kept) {
-      Candidate &C = Cands[K];
-      if (C.Skipped || !C.Error.ok())
-        continue;
-      const uint64_t FinalBudget = C.MarginReadmit ? FinalMargin : Incumbent;
-      if (C.Measured && C.Measured->Cycles > FinalBudget) {
-        C.Measured.reset();
-        C.Abandoned = true;
-      }
-      if (C.Abandoned) {
-        C.AbandonBudget = FinalBudget;
-        C.AbandonIssued = 0;
-      }
-    }
-  }
-
   Status FirstError;
   for (Candidate &C : Cands) {
+    // A bounded slot whose partition yielded no r0 is not a candidate —
+    // but a slot cancelled before r0 was computed is one that *would*
+    // have existed: count it as unvisited with the bound still pending,
+    // so the ledger identity Candidates == All + Pruned + Abandoned +
+    // Failed + Unvisited holds on partial runs.
     if (C.RegBound == UINT_MAX && !C.Skipped)
       continue; // partition without a bounded trial
     if (FirstError.ok() && !C.Error.ok())
       FirstError = C.Error;
     ++SR.Stats.Candidates;
     if (C.Skipped) {
-      NWayUnvisitedCandidate U;
+      UnvisitedCandidate U;
       U.Id = C.Id;
       U.Dims = C.Dims;
       U.RegBound = C.RegBound == UINT_MAX ? 0 : C.RegBound;
@@ -905,7 +922,10 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       continue;
     }
     if (!C.Error.ok()) {
-      NWayFailedCandidate F;
+      // Contained failure: the candidate is retired with its error
+      // recorded and the sweep goes on. Recorded in canonical order
+      // (this loop), so the report is deterministic across SearchJobs.
+      FailedCandidate F;
       F.Id = C.Id;
       F.Dims = C.Dims;
       F.RegBound = C.RegBound;
@@ -915,7 +935,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       continue;
     }
     if (C.Pruned) {
-      NWayPrunedCandidate P;
+      PrunedCandidate P;
       P.Id = C.Id;
       P.Dims = C.Dims;
       P.RegBound = C.RegBound;
@@ -925,7 +945,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       SR.Pruned.push_back(std::move(P));
       ++SR.Stats.Pruned;
     } else if (C.Abandoned) {
-      NWayAbandonedCandidate A;
+      AbandonedCandidate A;
       A.Id = C.Id;
       A.Dims = C.Dims;
       A.RegBound = C.RegBound;
@@ -945,7 +965,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   SR.Partial = SR.Stats.Unvisited > 0;
   if (SR.Partial) {
     SR.PartialReason = Opts.Cancel.status();
-    if (SR.PartialReason.ok())
+    if (SR.PartialReason.ok()) // defensive: Skipped implies a fired token
       SR.PartialReason =
           Status::transient(ErrorCode::Cancelled, "request cancelled");
   }
@@ -955,9 +975,9 @@ NWaySearchResult NWayRunner::searchBestConfig() {
           std::chrono::steady_clock::now() - Start)
           .count();
 
-  // Same funnel counters as the pair search — one registry serves
-  // both, so dashboards and the driver's --metrics snapshot aggregate
-  // pair and N-way sweeps uniformly.
+  // Funnel counters, bumped once per search from the canonical
+  // accounting above (deterministic across SearchJobs). Write-only:
+  // nothing below ever reads them back.
   if (telemetry::metricsOn()) {
     HFUSE_METRIC_ADD("search.runs", 1);
     HFUSE_METRIC_ADD("search.candidates", SR.Stats.Candidates);
@@ -975,6 +995,9 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   }
 
   if (SR.All.empty()) {
+    // A cancel that landed before any measurement has no best-so-far
+    // to return: the request verdict (Cancelled/DeadlineExceeded) is
+    // the error, not a fusion infeasibility.
     if (SR.Partial)
       SR.Err = SR.PartialReason;
     else
@@ -988,7 +1011,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   }
   SR.Best = *std::min_element(
       SR.All.begin(), SR.All.end(),
-      [](const NWayCandidate &X, const NWayCandidate &Y) {
+      [](const FusionCandidate &X, const FusionCandidate &Y) {
         return X.Cycles < Y.Cycles;
       });
   SR.Ok = true;

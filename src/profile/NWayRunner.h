@@ -1,48 +1,78 @@
-//===-- profile/NWayRunner.h - N-way fusion portfolio search ----*- C++ -*-===//
+//===-- profile/NWayRunner.h - The configuration search ---------*- C++ -*-===//
 //
 // Part of the HFuse reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The N-way generalization of the Figure 6 configuration search
-/// (PairRunner.h): given 3+ benchmark kernels, enumerate the
-/// thread-space partitions of a fused block — warp-multiple splits, a
-/// 128-thread granularity per tunable kernel, summing to at most the
-/// 1024 threads-per-block hardware limit; fixed-shape (crypto) kernels
-/// pin their partition to the native 256 — lower each through
-/// transform::fuseHorizontalMany, and profile every candidate with and
-/// without the generalized register bound r0.
+/// The experiment driver for N >= 2 benchmark kernels: owns a simulator
+/// with every workload resident, runs the unfused baselines, and
+/// implements the paper's Figure 6 configuration search. A pair is the
+/// paper's case (profile::PairRunner adds the pair-only baselines);
+/// three or more kernels are the portfolio extension.
 ///
-/// The sweep is the same three-phase pipeline as the pair search and
-/// reuses all of its machinery with identical semantics:
+/// The search enumerates the thread-space partitions of a fused block,
+/// lowers each through transform::fuseHorizontalMany, and profiles every
+/// candidate with and without the register bound r0 (regBound). A pair
+/// sweeps Figure 6's list: D1 + D2 = 1024 at a granularity of 128 when
+/// both kernels have a tunable block size, else the even split of their
+/// native block sizes. Three or more kernels sweep the lexicographic
+/// product of per-kernel choices — the native block size of a
+/// fixed-shape (crypto) kernel, multiples of 128 for a tunable (DL) one
+/// — summing to at most the 1024 threads-per-block hardware limit. All
+/// runs verify kernel outputs against the CPU references unless
+/// disabled.
 ///
-///  - phase 1 (parallel): fuse + lower per partition, register-bound
-///    variants sharing the fusion/codegen via the per-runner fusion
-///    cache; input kernels compile once through the process-wide
-///    CompileCache no matter how many portfolios contain them;
-///  - phase 2 (serial, canonical order): occupancy pruning — the same
-///    level 1 result-preserving rules and level 2 dominance heuristic
-///    (margin-readmitted under a budget);
-///  - phase 3 (parallel): simulate the kept candidates. Under
-///    SearchBudgetMode::Incumbent candidates are ordered best-first by
-///    the generalized lower bound
-///      waves x max_k(S_k / D_k) x spill-inflation
-///    (S_k the kernel's static instruction count, or its measured solo
-///    issued count with Options::MeasuredBound) and everything after
-///    the seed runs under CycleBudget = incumbent, overlapping the
-///    seed behind an incumbent fence (profile/IncumbentSweep.h);
-///    SearchBudgetMode::IncumbentTight additionally tightens the
-///    budget through a shared atomic minimum with the deterministic
-///    post-sweep reporting described in SearchOptions.h.
+/// The sweep is a parallel, cached, pruned three-phase pipeline:
+///
+///  - phase 1 (parallel): fuse + lower per partition. Fusion and AST->IR
+///    codegen run once per partition and are shared by the bounded and
+///    unbounded variants, which only differ in register allocation;
+///    input kernels compile once through the process-wide CompileCache
+///    no matter how many searches contain them;
+///  - phase 2 (serial, canonical order): occupancy pruning
+///    (Options::Prune). It applies only result-preserving rules:
+///    candidates that cannot launch (0 blocks/SM), and bounded variants
+///    whose register bound fails to raise theoretical blocks/SM over
+///    their partition's unbounded variant — same code plus spill
+///    traffic at no occupancy gain cannot win. Pruned candidates are
+///    logged in SearchResult::Pruned with the dominating occupancy;
+///  - phase 3 (parallel): simulate the kept candidates on
+///    Options::SearchJobs workers, each owning a private Simulator and
+///    workload context (identical contexts make every simulation
+///    bit-deterministic); see profile/IncumbentSweep.h. Identical
+///    launches (a register bound at or above the natural allocation
+///    lowers to the very same IR) replay the memoized result.
+///
+/// With Options::Budget == SearchBudgetMode::Incumbent phase 3 is an
+/// incumbent-driven branch-and-bound: candidates are ordered best-first
+/// by the lower bound
+///   waves x max_k(S_k / D_k) x spill-inflation
+/// (S_k the kernel's static instruction count), the front-runner is
+/// simulated to completion to seed the incumbent, and every other
+/// candidate runs under SimConfig::CycleBudget = incumbent, overlapping
+/// the seed behind an incumbent fence. This is exactly
+/// result-preserving: a candidate abandoned at the budget has strictly
+/// more cycles than the incumbent, so it can never be Best, and every
+/// candidate at or below it (exact ties included, which Best breaks by
+/// canonical order over All) completes with bit-identical cycles.
+/// Abandoned candidates are logged in SearchResult::Abandoned with the
+/// instructions they issued before the cutoff.
 ///
 /// Candidate simulations are memoized per launch and persisted to the
 /// ResultStore keyed on the fused IR's content hash (plus launch
 /// geometry, simulator model, and workload identity), so a warm
-/// --cache-dir rerun is bit-identical to a cold one. The ledger
-/// identity Candidates == All + Pruned + Abandoned + Failed +
-/// Unvisited holds on every run, partial or not, and Best/All are
-/// bit-identical across SearchJobs.
+/// --cache-dir rerun is bit-identical to a cold one.
+///
+/// Options::Cancel threads a request lifecycle through the sweep: a
+/// cancelled or deadlined search stops at the next candidate boundary
+/// and returns an *anytime* result — best-so-far incumbent, Partial
+/// flag, and every skipped candidate accounted in the Unvisited ledger
+/// bucket. When the token never fires, every check is a relaxed atomic
+/// load and results are bit-identical to a token-free run. The ledger
+/// identity Candidates == All + Pruned + Abandoned + Failed + Unvisited
+/// holds on every run, partial or not, and Best/All are bit-identical
+/// across SearchJobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +82,6 @@
 #include "gpusim/Simulator.h"
 #include "kernels/Workload.h"
 #include "profile/Compile.h"
-#include "profile/PairRunner.h"
 #include "profile/SearchOptions.h"
 #include "profile/SimMemo.h"
 #include "support/Status.h"
@@ -65,11 +94,12 @@
 
 namespace hfuse::profile {
 
-/// One profiled N-way fusion configuration.
-struct NWayCandidate {
-  /// Canonical candidate id: the index in the enumeration (partitions
-  /// in lexicographic order, unbounded before bounded), identical
-  /// across SearchJobs.
+/// One profiled fusion configuration (a row of the Figure 6 search).
+struct FusionCandidate {
+  /// Stable candidate id: the index in the canonical enumeration
+  /// (partitions in order, unbounded before bounded), identical across
+  /// SearchJobs. Trace spans, `--explain` rows, and the driver's
+  /// failed:/abandoned: table rows all carry it, so they can be joined.
   int Id = -1;
   /// Partition sizes, in kernel order (Dims[k] threads for kernel k).
   std::vector<int> Dims;
@@ -79,71 +109,123 @@ struct NWayCandidate {
   gpusim::SimResult Result;
 };
 
-/// A candidate skipped by occupancy-dominance pruning.
-struct NWayPrunedCandidate {
-  int Id = -1;
+/// A candidate skipped by occupancy pruning.
+struct PrunedCandidate {
+  int Id = -1; ///< canonical candidate id (see FusionCandidate::Id)
   std::vector<int> Dims;
   unsigned RegBound = 0;
+  /// Theoretical blocks/SM of the pruned candidate.
   int BlocksPerSM = 0;
+  /// Blocks/SM of the unbounded variant that dominates it.
   int DominatorBlocksPerSM = 0;
   std::string Reason;
 };
 
 /// A candidate abandoned mid-simulation by the incumbent cycle budget.
-struct NWayAbandonedCandidate {
-  int Id = -1;
+struct AbandonedCandidate {
+  int Id = -1; ///< canonical candidate id (see FusionCandidate::Id)
   std::vector<int> Dims;
   unsigned RegBound = 0;
+  /// The budget it ran under: the incumbent.
   uint64_t BudgetCycles = 0;
+  /// Instructions issued before the cutoff (0 when the abandonment was
+  /// decided from a memoized full result without simulating).
   uint64_t IssuedInsts = 0;
 };
 
-/// A candidate retired by a contained failure (fusion validation,
-/// codegen, register allocation, or simulation — including injected
-/// faults). The sweep records it and moves on.
-struct NWayFailedCandidate {
-  int Id = -1;
+/// A candidate retired by a contained failure (compile, fusion,
+/// lowering, or simulation error — including injected faults). The
+/// sweep records it and moves on; the error never escapes as an
+/// assert/abort or poisons other candidates.
+struct FailedCandidate {
+  int Id = -1; ///< canonical candidate id (see FusionCandidate::Id)
   std::vector<int> Dims;
   unsigned RegBound = 0;
   Status Err;
 };
 
-/// A candidate never reached because the request was cancelled or
-/// deadlined first.
-struct NWayUnvisitedCandidate {
-  int Id = -1;
+/// A candidate the sweep never reached because the request was
+/// cancelled or deadlined first (SearchResult::Partial). Unvisited is
+/// a verdict about the *request*, not the candidate: nothing is known
+/// about it, and an un-cancelled rerun will measure it normally.
+struct UnvisitedCandidate {
+  int Id = -1; ///< canonical candidate id (see FusionCandidate::Id)
   std::vector<int> Dims;
   unsigned RegBound = 0;
+  /// True for a bounded trial cancelled before its r0 was even
+  /// computed (RegBound is then meaningless).
   bool BoundPending = false;
 };
 
-/// Result of the N-way search. Same shape and semantics as the pair
-/// search's SearchResult; cost accounting reuses SearchStats.
-struct NWaySearchResult {
+/// Cost accounting for one search.
+struct SearchStats {
+  unsigned Candidates = 0;  ///< enumerated, including pruned ones
+  unsigned Simulations = 0; ///< simulator executions (incl. abandoned)
+  unsigned MemoHits = 0;    ///< results served by simulation memoization
+  unsigned Pruned = 0;      ///< candidates skipped by pruning
+  unsigned Abandoned = 0;   ///< candidates cut off by the cycle budget
+  unsigned Failed = 0;      ///< candidates retired by contained failures
+  /// Candidates never reached because the request was cancelled or
+  /// deadlined (always 0 on a complete run). The ledger identity every
+  /// run satisfies: Candidates == All + Pruned + Abandoned + Failed +
+  /// Unvisited.
+  unsigned Unvisited = 0;
+  /// Warp instructions issued across all candidate simulations,
+  /// including the partial progress of abandoned runs — the search's
+  /// real simulation cost, which the budget exists to shrink.
+  uint64_t SimulatedInsts = 0;
+  /// The subset of SimulatedInsts spent on runs that were abandoned.
+  uint64_t AbandonedInsts = 0;
+  /// The incumbent cycle count the budget was derived from (0 when the
+  /// search ran unbudgeted).
+  uint64_t IncumbentCycles = 0;
+  double WallMs = 0.0; ///< wall-clock time of searchBestConfig
+};
+
+/// Result of the configuration search.
+struct SearchResult {
   bool Ok = false;
-  /// Process-unique run id ("s<N>:<a>+<b>+<c>"), same sequence as the
-  /// pair search's.
+  /// Process-unique id of this search run ("s<N>:<a>+<b>[+<c>...]"),
+  /// threaded through every trace span the search emits so table rows
+  /// and Perfetto tracks can be joined.
   std::string RunId;
   std::string Error;
+  /// Structured form of Error: the first failure observed, or the
+  /// reason no candidate was feasible. Ok() when the search succeeded —
+  /// possibly with individual candidates retired into Failed.
   Status Err;
-  NWayCandidate Best;
-  std::vector<NWayCandidate> All;
-  std::vector<NWayPrunedCandidate> Pruned;
-  std::vector<NWayAbandonedCandidate> Abandoned;
-  std::vector<NWayFailedCandidate> Failed;
+  FusionCandidate Best;
+  std::vector<FusionCandidate> All;
+  std::vector<PrunedCandidate> Pruned;
+  std::vector<AbandonedCandidate> Abandoned;
+  /// Candidates retired by contained failures, in canonical order. The
+  /// sweep's Best is bit-identical to a failure-free sweep as long as
+  /// the winner itself is healthy.
+  std::vector<FailedCandidate> Failed;
+  /// Anytime-result marker: the request was cancelled or deadlined
+  /// mid-sweep and at least one candidate went unvisited. Ok stays
+  /// true when an incumbent was measured — Best is then the best of
+  /// what *was* measured (never a silent half-answer: the Unvisited
+  /// ledger says exactly what was skipped) — and false when the cancel
+  /// landed before any measurement. Complete runs (Partial == false)
+  /// are bit-identical to an un-cancelled sweep.
   bool Partial = false;
+  /// Why the sweep is partial: Cancelled or DeadlineExceeded (ok()
+  /// when Partial is false).
   Status PartialReason;
-  std::vector<NWayUnvisitedCandidate> Unvisited;
+  /// Candidates never reached, in canonical order.
+  std::vector<UnvisitedCandidate> Unvisited;
   SearchStats Stats;
 };
 
 class NWayRunner {
 public:
-  /// The shared SearchOptions knobs plus one workload scale applied to
-  /// every kernel (the pair runner's per-kernel ratio knob does not
-  /// generalize usefully to portfolios).
+  /// The shared SearchOptions knobs plus the workload scales.
   struct Options : SearchOptions {
-    double Scale = 1.0;
+    /// SizeScale of each kernel's workload, in kernel order (the
+    /// Figure 7 ratio knob). One entry applies to every kernel; none
+    /// means 1.0.
+    std::vector<double> Scales;
   };
 
   NWayRunner(std::vector<kernels::BenchKernelId> Ids, Options Opts);
@@ -155,9 +237,16 @@ public:
     return Ids;
   }
 
-  /// All kernels launched concurrently (one stream each) — the native
-  /// baseline the fused candidates must beat.
+  /// Registers per thread of kernel \p K compiled standalone.
+  unsigned soloRegs(size_t K) const;
+
+  /// All kernels launched concurrently, one stream each (the paper's
+  /// native baseline).
   gpusim::SimResult runNative();
+
+  /// Kernel \p K alone, with its preferred launch shape (Figure 8
+  /// metrics).
+  gpusim::SimResult runSolo(size_t K);
 
   /// All kernels launched back to back, one simulation each; returns a
   /// synthetic result whose cycles/time are the serial sums — the
@@ -168,54 +257,36 @@ public:
   gpusim::SimResult runHFused(const std::vector<int> &Dims,
                               unsigned RegBound);
 
-  /// The generalized Figure 6 register bound r0 for a partition:
+  /// The register bound r0 of Figure 6 lines 13-16 for a partition:
   /// b_k = RegsPerSM / (D_k * NRegs_k) per kernel, b0 = min over every
   /// b_k plus the shared-memory and thread-count limits, and
   /// r0 = RegsPerSM / (b0 * D0).
   std::optional<unsigned> regBound(const std::vector<int> &Dims);
 
-  /// The N-way portfolio search (see the file comment).
-  NWaySearchResult searchBestConfig();
+  /// The configuration search over partitions() (see the file comment).
+  SearchResult searchBestConfig();
 
   /// The cache backing this runner (for statistics reporting).
   CompileCache &cache() { return *Cache; }
 
-private:
+protected:
   struct SimContext {
     std::unique_ptr<gpusim::Simulator> Sim;
     std::vector<std::unique_ptr<kernels::Workload>> W;
   };
 
-  /// Fusion + lowering state of one partition (same contract as
-  /// PairRunner::FusionEntry).
-  struct FusionEntry {
-    std::mutex Mu;
-    bool Attempted = false;
-    Status Err;
-    std::unique_ptr<cuda::ASTContext> Ctx;
-    cuda::FunctionDecl *Fused = nullptr;
-    uint32_t DynShared = 0;
-    std::unique_ptr<ir::IRKernel> BaseIR;
-    unsigned UnboundedRegs = 0;
-    std::map<unsigned, std::shared_ptr<ir::IRKernel>> ByBound;
-  };
+  /// The partitions the search sweeps, in canonical order: Figure 6's
+  /// list for a pair, the product of per-kernel choices for more
+  /// kernels (see the file comment).
+  std::vector<std::vector<int>> partitions() const;
+
+  /// The search over \p Partitions, each followed by its bounded
+  /// variant when \p TryBound.
+  SearchResult sweep(const std::vector<std::vector<int>> &Partitions,
+                     bool TryBound);
 
   gpusim::SimResult fail(const std::string &Message) const;
 
-  std::unique_ptr<SimContext> makeContext(std::string &Error) const;
-  SimContext *acquireContext(std::string &Error);
-  void releaseContext(SimContext *C);
-
-  std::shared_ptr<ir::IRKernel> getFusedIR(const std::vector<int> &Dims,
-                                           unsigned RegBound,
-                                           uint32_t &DynShared,
-                                           Status &Err);
-  /// Same contract as PairRunner::runHFusedIn.
-  gpusim::SimResult runHFusedIn(SimContext *C, const std::vector<int> &Dims,
-                                unsigned RegBound, Status &Err,
-                                SearchStats *Stats,
-                                const gpusim::RunBudget &Budget = {},
-                                double *FenceWaitMs = nullptr);
   /// Runs \p L at StatsLevel::Full; \p VerifyThreads[k] > 0 verifies
   /// workload k against that many threads' worth of output.
   gpusim::SimResult runLaunches(SimContext &C,
@@ -223,40 +294,93 @@ private:
                                 const std::vector<int> &VerifyThreads,
                                 const gpusim::RunBudget &Budget = {},
                                 double *FenceWaitMs = nullptr);
+
+  /// The grid every fused launch runs: the largest preferred grid.
+  int commonGrid() const;
+
+  std::vector<kernels::BenchKernelId> Ids;
+  bool Ready = false;
+  std::string Err;
+  std::vector<std::shared_ptr<const CompiledKernel>> Ks;
+
+  /// Serves the public run* methods; the search lends it to a worker
+  /// and builds additional contexts on demand, one per concurrent
+  /// worker. Contexts are interchangeable: identical seeds and
+  /// allocation order make every simulation bit-deterministic.
+  SimContext Primary;
+
+private:
+  /// The fusion + lowering pipeline state of one partition: ByBound
+  /// holds one allocation per register bound over the shared codegen
+  /// output.
+  struct FusionEntry {
+    std::mutex Mu;
+    bool Attempted = false;
+    /// Recorded permanent failure of the fusion/codegen stage.
+    /// Transient (injected) failures are returned to the caller but
+    /// never stored: the entry resets so a retry redoes the work.
+    Status Err;
+    std::unique_ptr<cuda::ASTContext> Ctx;
+    cuda::FunctionDecl *Fused = nullptr;
+    uint32_t DynShared = 0;
+    /// Codegen output before register allocation; copied per bound.
+    std::unique_ptr<ir::IRKernel> BaseIR;
+    /// Registers of the unbounded allocation (0 until computed); bounds
+    /// at or above it alias the unbounded IR.
+    unsigned UnboundedRegs = 0;
+    std::map<unsigned, std::shared_ptr<ir::IRKernel>> ByBound;
+  };
+
+  double scale(size_t K) const;
+  /// Kernel \p K alone at its preferred launch shape.
+  gpusim::KernelLaunch soloLaunch(size_t K) const;
+  std::unique_ptr<SimContext> makeContext(std::string &Error) const;
+  SimContext *acquireContext(std::string &Error);
+  void releaseContext(SimContext *C);
+
+  /// Fused IR for (Dims, RegBound) through the caches; null on error
+  /// (with \p Err set). \p DynShared receives the dynamic shared size.
+  std::shared_ptr<ir::IRKernel> getFusedIR(const std::vector<int> &Dims,
+                                           unsigned RegBound,
+                                           uint32_t &DynShared,
+                                           Status &Err);
+  /// Simulates (Dims, RegBound) under \p Budget in context \p C, or,
+  /// when \p C is null, in a pooled context taken only if no memo or
+  /// disk hit answers first. A fixed budget of 0 runs to completion;
+  /// otherwise the simulation is abandoned (SimResult::BudgetExceeded)
+  /// once its cycles provably exceed the budget. An abort is served
+  /// from the memo or the store only to callers whose budget is at least
+  /// as tight as the stored abort's (SimMemo). A gated budget's result
+  /// is published (memo, store) and returned only once its fence
+  /// resolved; a run whose fence failed comes back void (voidRun).
+  /// Fence waits add to \p FenceWaitMs.
+  gpusim::SimResult runHFusedIn(SimContext *C, const std::vector<int> &Dims,
+                                unsigned RegBound, Status &Err,
+                                SearchStats *Stats,
+                                const gpusim::RunBudget &Budget = {},
+                                double *FenceWaitMs = nullptr);
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
-  uint64_t soloIssuedCount(size_t Which, Status &E, SearchStats *Stats);
-  int commonGrid() const;
   /// "+"-joined display names ("blake256+sha256+ethash").
   std::string namesLabel() const;
 
-  std::vector<kernels::BenchKernelId> Ids;
   Options Opts;
-  bool Ready = false;
-  std::string Err;
-
   std::shared_ptr<CompileCache> Cache;
-  std::vector<std::shared_ptr<const CompiledKernel>> Ks;
 
-  std::vector<std::optional<uint64_t>> SoloIssued;
-
-  SimContext Primary;
+  /// Contexts not currently lent to a search worker (includes Primary).
   std::vector<SimContext *> FreeContexts;
   std::vector<std::unique_ptr<SimContext>> ExtraContexts;
   std::mutex ContextMu;
 
-  std::map<std::pair<std::vector<int>, unsigned>,
-           std::unique_ptr<FusionEntry>>
-      FusionCache;
+  std::map<std::vector<int>, std::unique_ptr<FusionEntry>> FusionCache;
   std::mutex FusionCacheMu;
 
   /// Memoized simulation results (profile/SimMemo.h).
   SimMemo Memo;
 };
 
-/// "/"-joined partition sizes ("256/256/256"), the N-way analogue of
-/// the pair search's "D1/D2" labels in fault sites, trace spans, and
-/// driver tables.
+/// "/"-joined partition sizes ("256/256/256"), the label of a partition
+/// in fault sites, trace spans, and driver tables.
 std::string dimsLabel(const std::vector<int> &Dims);
 
 } // namespace hfuse::profile

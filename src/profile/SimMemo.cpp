@@ -7,7 +7,7 @@
 #include "profile/SimMemo.h"
 
 #include "profile/IncumbentSweep.h"
-#include "profile/PairRunner.h"
+#include "profile/NWayRunner.h"
 
 using namespace hfuse;
 using namespace hfuse::gpusim;
@@ -42,7 +42,7 @@ std::optional<SimResult> answer(const SimResult &Known, uint64_t Budget) {
 } // namespace
 
 SimResult SimMemo::run(
-    const Key &K, const std::string &DiskKey, const SearchOptions &Opts,
+    const Key &K, const std::string &DiskKey, const CancellationToken &Cancel,
     CompileCache &Cache, SearchStats *Stats, const RunBudget &Budget,
     double *FenceWaitMs,
     const std::function<std::optional<SimResult>(const RunBudget &)>
@@ -55,7 +55,7 @@ SimResult SimMemo::run(
   auto Settle = [&]() {
     if (!Gate)
       return true;
-    double Ms = Gate->waitSettled(Opts.Cancel);
+    double Ms = Gate->waitSettled(Cancel);
     if (FenceWaitMs)
       *FenceWaitMs += Ms;
     if (Gate->state() != IncumbentFence::State::Resolved)
@@ -72,63 +72,61 @@ SimResult SimMemo::run(
     std::promise<SimResult> Promise;
     bool IsRunner = false;
     Entry E;
-    if (Opts.UseCompileCache) {
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        auto It = Map.find(K);
-        if (It != Map.end()) {
-          E = It->second;
-        } else {
-          IsRunner = true;
-          E = std::make_shared<std::shared_future<SimResult>>(
-              Promise.get_future().share());
-          Map.emplace(K, E);
-        }
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      auto It = Map.find(K);
+      if (It != Map.end()) {
+        E = It->second;
+      } else {
+        IsRunner = true;
+        E = std::make_shared<std::shared_future<SimResult>>(
+            Promise.get_future().share());
+        Map.emplace(K, E);
       }
-      if (!IsRunner) {
-        // Served by a completed — or currently running — identical
-        // launch. Aliases sharing the launch get the same verdict
-        // whether they waited on the running future or replayed the
-        // stored one.
-        SimResult R = E->get();
-        if (!Settle())
-          return voidRun(Opts.Cancel);
-        std::optional<SimResult> A = answer(R, CycleBudget);
-        if (!A && R.BudgetExceeded) {
-          retire(K, E);
-          continue;
-        }
-        Cache.count(&CompileCache::Stats::SimMemoHits);
+    }
+    if (!IsRunner) {
+      // Served by a completed — or currently running — identical
+      // launch. Aliases sharing the launch get the same verdict
+      // whether they waited on the running future or replayed the
+      // stored one.
+      SimResult R = E->get();
+      if (!Settle())
+        return voidRun(Cancel);
+      std::optional<SimResult> A = answer(R, CycleBudget);
+      if (!A && R.BudgetExceeded) {
+        retire(K, E);
+        continue;
+      }
+      Cache.count(&CompileCache::Stats::SimMemoHits);
+      if (Stats)
+        ++Stats->MemoHits;
+      // Any other failure replays as it is: deterministic ones stay
+      // memoized, and waiters see a transient one its runner retired.
+      return A ? std::move(*A) : R;
+    }
+
+    // This thread owns the entry: consult the disk before simulating.
+    // A record that answers is published in full, so concurrent
+    // waiters apply their own budget exactly as they would to a fresh
+    // result. One that does not (a tighter abort) is a miss, and the
+    // simulation below replaces it.
+    if (UseDisk) {
+      std::optional<SimResult> Disk = Cache.loadSimResult(DiskKey);
+      if (Disk && !Settle()) {
+        retire(K, E);
+        Promise.set_value(voidRun(Cancel));
+        return voidRun(Cancel);
+      }
+      std::optional<SimResult> A =
+          Disk ? answer(*Disk, CycleBudget) : std::nullopt;
+      if (A) {
+        Cache.count(&CompileCache::Stats::DiskHits);
+        Promise.set_value(std::move(*Disk));
         if (Stats)
           ++Stats->MemoHits;
-        // Any other failure replays as it is: deterministic ones stay
-        // memoized, and waiters see a transient one its runner retired.
-        return A ? std::move(*A) : R;
+        return std::move(*A);
       }
-
-      // This thread owns the entry: consult the disk before simulating.
-      // A record that answers is published in full, so concurrent
-      // waiters apply their own budget exactly as they would to a fresh
-      // result. One that does not (a tighter abort) is a miss, and the
-      // simulation below replaces it.
-      if (UseDisk) {
-        std::optional<SimResult> Disk = Cache.loadSimResult(DiskKey);
-        if (Disk && !Settle()) {
-          retire(K, E);
-          Promise.set_value(voidRun(Opts.Cancel));
-          return voidRun(Opts.Cancel);
-        }
-        std::optional<SimResult> A =
-            Disk ? answer(*Disk, CycleBudget) : std::nullopt;
-        if (A) {
-          Cache.count(&CompileCache::Stats::DiskHits);
-          Promise.set_value(std::move(*Disk));
-          if (Stats)
-            ++Stats->MemoHits;
-          return std::move(*A);
-        }
-        Cache.count(&CompileCache::Stats::DiskMisses);
-      }
+      Cache.count(&CompileCache::Stats::DiskMisses);
     }
 
     std::optional<SimResult> Sim = Simulate(Budget);
@@ -136,22 +134,20 @@ SimResult SimMemo::run(
     if (!Sim)
       R.Error = "no simulator context";
     else if (!Settle())
-      R = voidRun(Opts.Cancel);
+      R = voidRun(Cancel);
     else
       R = std::move(*Sim);
-    if (IsRunner) {
-      // Cancelled and void runs are properties of the request, never of
-      // the launch; fault-injected ones are transient; a missing
-      // context simulated nothing. None may be replayed.
-      if (!Sim || R.FaultInjected || R.Cancelled)
-        retire(K, E);
-      // storeSimResult keeps only completed runs and clean aborts. This
-      // runner simulated because the disk missed or held a tighter
-      // abort, so its write never replaces a record that answers more.
-      if (UseDisk)
-        Cache.storeSimResult(DiskKey, R);
-      Promise.set_value(R);
-    }
+    // Cancelled and void runs are properties of the request, never of
+    // the launch; fault-injected ones are transient; a missing context
+    // simulated nothing. None may be replayed.
+    if (!Sim || R.FaultInjected || R.Cancelled)
+      retire(K, E);
+    // storeSimResult keeps only completed runs and clean aborts. This
+    // runner simulated because the disk missed or held a tighter abort,
+    // so its write never replaces a record that answers more.
+    if (UseDisk)
+      Cache.storeSimResult(DiskKey, R);
+    Promise.set_value(R);
     return R;
   }
 }

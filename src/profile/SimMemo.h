@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The simulation memo shared by PairRunner and NWayRunner: one entry
-/// per exact launch (fused IR object, grid, block size, dynamic shared
-/// bytes), backed by the CompileCache's ResultStore.
+/// The simulation memo of a configuration search (profile::NWayRunner):
+/// one entry per exact launch (fused IR object, grid, block size,
+/// dynamic shared bytes), backed by the CompileCache's ResultStore.
 ///
 /// Entries are shared futures, so concurrent workers requesting the
 /// same launch block on the first runner instead of simulating twice.
@@ -41,7 +41,7 @@
 #include "gpusim/Simulator.h"
 #include "ir/IR.h"
 #include "profile/Compile.h"
-#include "profile/SearchOptions.h"
+#include "support/CancellationToken.h"
 
 #include <functional>
 #include <future>
@@ -65,14 +65,15 @@ public:
   /// Runs one candidate launch under \p Budget, or replays it. \p DiskKey
   /// (empty = no store) names it in the ResultStore. \p Simulate
   /// simulates it under the budget it is given and returns the result,
-  /// or nullopt when no simulator context could be had. With
-  /// Opts.UseCompileCache off, every call simulates. \p Stats (may be
+  /// or nullopt when no simulator context could be had. \p Cancel is
+  /// the request's token, which ends fence waits. \p Stats (may be
   /// null) counts memo and disk hits; fence waits add to
   /// \p FenceWaitMs.
   gpusim::SimResult
-  run(const Key &K, const std::string &DiskKey, const SearchOptions &Opts,
-      CompileCache &Cache, SearchStats *Stats,
-      const gpusim::RunBudget &Budget, double *FenceWaitMs,
+  run(const Key &K, const std::string &DiskKey,
+      const CancellationToken &Cancel, CompileCache &Cache,
+      SearchStats *Stats, const gpusim::RunBudget &Budget,
+      double *FenceWaitMs,
       const std::function<std::optional<gpusim::SimResult>(
           const gpusim::RunBudget &)> &Simulate);
 

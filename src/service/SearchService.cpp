@@ -87,27 +87,23 @@ SearchService::Stats SearchService::stats() const {
 }
 
 std::string SearchService::fingerprint(const SearchRequest &R) {
-  const profile::PairRunner::Options &O = R.Runner;
+  const profile::NWayRunner::Options &O = R.Runner;
   // Everything the search result is a pure function of. Two requests
   // with equal fingerprints would produce bit-identical SearchResults,
-  // so the later one may join the earlier one's execution. N-way
-  // requests prefix the full kernel list (and ignore A/B/Scale2, which
-  // the N-way runner never reads).
-  std::string Kernels;
+  // so the later one may join the earlier one's execution.
+  std::string Kernels, Scales;
   for (kernels::BenchKernelId Id : R.Kernels)
     Kernels += formatString("%d+", static_cast<int>(Id));
+  for (double S : O.Scales)
+    Scales += formatString("%.6f/", S);
   return formatString(
-      "[%s]%d+%d|n%d|%s|sms%d|s%.6f/%.6f|v%d|pb%d|l2%d|seed%u|j%d|p%d|"
-      "b%d|m%.4f|mb%d|w%llu|t%llu|c%d|$%p",
-      Kernels.c_str(), static_cast<int>(R.A), static_cast<int>(R.B),
-      R.NaiveEvenSplit ? 1 : 0, O.Arch.Name.c_str(), O.SimSMs, O.Scale1,
-      O.Scale2, O.Verify ? 1 : 0, O.UsePartialBarriers ? 1 : 0,
-      O.ModelL2 ? 1 : 0, O.Seed,
-      O.SearchJobs, O.PruneLevel, static_cast<int>(O.Budget),
-      O.BudgetMarginPct, O.MeasuredBound ? 1 : 0,
+      "[%s]|%s|sms%d|s%s|v%d|pb%d|l2%d|seed%u|j%d|p%d|b%d|w%llu|t%llu|$%p",
+      Kernels.c_str(), O.Arch.Name.c_str(), O.SimSMs, Scales.c_str(),
+      O.Verify ? 1 : 0, O.UsePartialBarriers ? 1 : 0, O.ModelL2 ? 1 : 0,
+      O.Seed, O.SearchJobs, O.Prune ? 1 : 0, static_cast<int>(O.Budget),
       static_cast<unsigned long long>(O.WatchdogCycles),
       static_cast<unsigned long long>(O.WallTimeoutMs),
-      O.UseCompileCache ? 1 : 0, static_cast<const void *>(O.Cache.get()));
+      static_cast<const void *>(O.Cache.get()));
 }
 
 namespace {
@@ -130,7 +126,7 @@ profile::SearchResult cancelledBeforeSearch(const CancellationToken &Token,
 SearchOutcome SearchService::execute(const SearchRequest &R,
                                      const CancellationToken &Token) {
   SearchOutcome Out;
-  profile::PairRunner::Options RO = R.Runner;
+  profile::NWayRunner::Options RO = R.Runner;
   RO.Cancel = Token;
   if (!RO.Cache && Cfg.Cache)
     RO.Cache = Cfg.Cache;
@@ -138,48 +134,7 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
       (RO.SearchJobs <= 0 || RO.SearchJobs > Cfg.MaxJobsPerRequest))
     RO.SearchJobs = Cfg.MaxJobsPerRequest;
 
-  if (R.Kernels.size() >= 3) {
-    // N-way portfolio request: same lifecycle, NWayRunner underneath.
-    profile::NWayRunner::Options NO;
-    static_cast<profile::SearchOptions &>(NO) =
-        static_cast<const profile::SearchOptions &>(RO);
-    NO.Scale = RO.Scale1;
-    profile::NWayRunner Runner(R.Kernels, std::move(NO));
-    if (!Runner.ok()) {
-      if (Token.cancelled()) {
-        // Cancelled during input-kernel compilation: an anytime result
-        // with an empty ledger, like a pair request's.
-        Out.Search = cancelledBeforeSearch(Token, Runner.error());
-        Out.NWay.emplace();
-        Out.NWay->Err = Out.Search.Err;
-        Out.NWay->Error = Out.Search.Error;
-        Out.NWay->Partial = true;
-        Out.NWay->PartialReason = Out.Search.PartialReason;
-        return Out;
-      }
-      Out.Search.Err = Status(ErrorCode::Internal, Runner.error());
-      Out.Search.Error = Runner.error();
-      return Out;
-    }
-    Out.NWay = Runner.searchBestConfig();
-    // Mirror the lifecycle fields so callers (and the service's own
-    // Partial accounting below) read one place regardless of arity.
-    Out.Search.Ok = Out.NWay->Ok;
-    Out.Search.RunId = Out.NWay->RunId;
-    Out.Search.Error = Out.NWay->Error;
-    Out.Search.Err = Out.NWay->Err;
-    Out.Search.Partial = Out.NWay->Partial;
-    Out.Search.PartialReason = Out.NWay->PartialReason;
-    Out.Search.Stats = Out.NWay->Stats;
-    if (!Token.cancelled()) {
-      Out.NativeBaseline = Runner.runNative();
-      if (Out.NWay->Ok)
-        Out.SerialBaseline = Runner.runSerial();
-    }
-    return Out;
-  }
-
-  profile::PairRunner Runner(R.A, R.B, std::move(RO));
+  profile::NWayRunner Runner(R.Kernels, std::move(RO));
   if (!Runner.ok()) {
     // A cancel that landed during input-kernel compilation is a
     // request verdict (a partial result that reached no candidate);
@@ -192,11 +147,20 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
     Out.Search.Error = Runner.error();
     return Out;
   }
-  Out.Search = Runner.searchBestConfig(R.NaiveEvenSplit);
-  // Graceful degradation: a failed (not cancelled) search still
-  // answers with the native unfused baseline.
-  if (!Out.Search.Ok && !Token.cancelled())
+  Out.Search = Runner.searchBestConfig();
+  if (Token.cancelled())
+    return Out;
+  if (R.Kernels.size() >= 3) {
+    // The portfolio verdict compares the fused winner against both ways
+    // of running the kernels unfused.
     Out.NativeBaseline = Runner.runNative();
+    if (Out.Search.Ok)
+      Out.SerialBaseline = Runner.runSerial();
+  } else if (!Out.Search.Ok) {
+    // Graceful degradation: a failed (not cancelled) pair search still
+    // answers with the native unfused baseline.
+    Out.NativeBaseline = Runner.runNative();
+  }
   return Out;
 }
 

@@ -8,8 +8,8 @@
 /// The reusable entry point for the Figure 6 configuration search:
 /// request struct in, Expected<SearchOutcome> out. hfusec is one thin
 /// client; tests and an eventual fusion-as-a-service daemon are others.
-/// The service owns the request *lifecycle* that the bare PairRunner
-/// does not:
+/// The service owns the request *lifecycle* that the bare runner does
+/// not:
 ///
 ///  - admission control: a bounded queue in front of a fixed worker
 ///    budget. Requests beyond Config::MaxQueue are rejected
@@ -20,7 +20,7 @@
 ///    request's SearchJobs so one greedy client cannot monopolize the
 ///    host;
 ///  - in-flight dedup: a request identical to one currently executing
-///    (same pair, same options, and no private lifecycle — no caller
+///    (same kernels, same options, and no private lifecycle — no caller
 ///    token, no deadline) joins the running search's future instead of
 ///    re-running it;
 ///  - deadlines and cancellation: DeadlineMs and/or a caller-supplied
@@ -38,7 +38,7 @@
 ///
 /// A request that runs with no deadline, no cancel, and no armed fault
 /// site produces results bit-identical to calling
-/// PairRunner::searchBestConfig directly — the service adds lifecycle,
+/// NWayRunner::searchBestConfig directly — the service adds lifecycle,
 /// never perturbs the search.
 ///
 //===----------------------------------------------------------------------===//
@@ -47,7 +47,6 @@
 #define HFUSE_SERVICE_SEARCHSERVICE_H
 
 #include "profile/NWayRunner.h"
-#include "profile/PairRunner.h"
 #include "support/CancellationToken.h"
 #include "support/Status.h"
 
@@ -64,21 +63,16 @@
 
 namespace hfuse::service {
 
-/// One search request: which pair, how to run it, and its lifecycle.
+/// One search request: which kernels, how to run them, and its
+/// lifecycle.
 struct SearchRequest {
-  kernels::BenchKernelId A{};
-  kernels::BenchKernelId B{};
-  /// N-way portfolio request: when this holds 3+ kernels the request
-  /// runs the NWayRunner search over them and \p A / \p B are ignored
-  /// (the lifecycle — admission, dedup, deadline, drain — is
-  /// identical). Empty means the pair request above.
+  /// The kernels to fuse, in order: two run the paper's Figure 6 search,
+  /// three or more the portfolio extension.
   std::vector<kernels::BenchKernelId> Kernels;
   /// Runner knobs (arch, scales, jobs, prune, budget, ...). A null
   /// Runner.Cache falls back to the service-wide Config::Cache so
   /// requests share compilations.
-  profile::PairRunner::Options Runner;
-  /// The Figure 7 "Naive" marker: even split, no register-bound trial.
-  bool NaiveEvenSplit = false;
+  profile::NWayRunner::Options Runner;
   /// Wall-clock deadline for the whole request, in milliseconds from
   /// admission (0 = none). Composed with \p Cancel into one token.
   uint64_t DeadlineMs = 0;
@@ -91,19 +85,15 @@ struct SearchRequest {
 /// What a completed request returns.
 struct SearchOutcome {
   /// The search result — possibly Partial (anytime), possibly !Ok.
-  /// For an N-way request this mirrors NWay's lifecycle fields
-  /// (Ok/Partial/Err/Error/RunId/Stats) so clients and the service's
-  /// own accounting read one place; the candidate ledger lives in NWay.
   profile::SearchResult Search;
-  /// The N-way result when the request carried 3+ kernels.
-  std::optional<profile::NWaySearchResult> NWay;
-  /// Graceful degradation: when the search failed outright
-  /// (Search.Ok == false) for a reason other than cancellation, the
-  /// native unfused baseline still answers "how fast without fusion".
-  /// For healthy N-way runs it is always populated — the portfolio
-  /// verdict needs the concurrent-streams baseline to compare against.
+  /// The native unfused baseline (all kernels on concurrent streams).
+  /// A request of 3+ kernels always runs it unless cancelled: the
+  /// portfolio verdict compares against it. A pair runs it only for
+  /// graceful degradation: when the search failed outright for a reason
+  /// other than cancellation, it still answers "how fast without
+  /// fusion".
   std::optional<gpusim::SimResult> NativeBaseline;
-  /// N-way only: the back-to-back sequential baseline (sum of solo
+  /// 3+ kernels only: the back-to-back sequential baseline (sum of solo
   /// runs), the second yardstick the fused winner must beat.
   std::optional<gpusim::SimResult> SerialBaseline;
 };

@@ -9,7 +9,7 @@
 /// request: an explicit cancel() (SIGTERM drain, a client hanging up,
 /// a cancel-* fault site) and an optional steady-clock deadline. Every
 /// phase of the pipeline polls cancelled() at its own granularity —
-/// per candidate in PairRunner, per wait slice in CompileCache, at the
+/// per candidate in the search, per wait slice in CompileCache, at the
 /// macro-progress cadence inside the simulator loop — and unwinds with
 /// a Cancelled/DeadlineExceeded Status instead of a half-answer.
 ///

@@ -46,7 +46,7 @@ void splitDeclsAndStmts(CompoundStmt *Body, std::vector<Stmt *> &Decls,
   }
 }
 
-/// Preconditions shared by both fusers. Returns false after reporting.
+/// Preconditions of the vertical fuser. Returns false after reporting.
 bool checkFusible(const FunctionDecl *K1, const FunctionDecl *K2,
                   FusionResult &Res, DiagnosticEngine &Diags) {
   for (const FunctionDecl *K : {K1, K2}) {
@@ -147,187 +147,6 @@ KernelThreadMap buildThreadMap(ASTContext &Target, MakeVarFn &&MakeIntVar,
 
 } // namespace
 
-FusionResult hfuse::transform::fuseHorizontal(
-    ASTContext &Target, const FunctionDecl *K1, const FunctionDecl *K2,
-    const HorizontalFusionOptions &Opts, DiagnosticEngine &Diags) {
-  FusionResult Res;
-  Res.D1 = Opts.D1;
-  Res.D2 = Opts.D2;
-  if (!checkFusible(K1, K2, Res, Diags))
-    return Res;
-
-  if (Opts.D1 <= 0 || Opts.D2 <= 0 || Opts.D1 % 32 != 0 ||
-      Opts.D2 % 32 != 0) {
-    Diags.error(SourceLocation(),
-                formatString("thread partition %d+%d is not made of "
-                             "positive multiples of the warp size",
-                             Opts.D1, Opts.D2));
-    return Res;
-  }
-  if (!checkPartitionShape(Opts.D1, Opts.Y1, Opts.Z1, "1", Diags) ||
-      !checkPartitionShape(Opts.D2, Opts.Y2, Opts.Z2, "2", Diags))
-    return Res;
-  if (Opts.D1 + Opts.D2 > 1024) {
-    Diags.error(SourceLocation(),
-                formatString("fused block dimension %d exceeds the 1024 "
-                             "threads-per-block hardware limit",
-                             Opts.D1 + Opts.D2));
-    return Res;
-  }
-  if (Opts.BarrierId1 == Opts.BarrierId2 || Opts.BarrierId1 < 0 ||
-      Opts.BarrierId1 > 15 || Opts.BarrierId2 < 0 || Opts.BarrierId2 > 15) {
-    Diags.error(SourceLocation(), "barrier ids must be distinct and in "
-                                  "[0, 15]");
-    return Res;
-  }
-
-  // Reserve the prologue's names so colliding kernel locals get renamed.
-  Renamer Names;
-  Names.reserve("tid");
-  reserveThreadMapNames(Names, "1");
-  reserveThreadMapNames(Names, "2");
-  std::string EndLabel1 = "hf_k1_end";
-  std::string EndLabel2 = "hf_k2_end";
-  Names.reserve(EndLabel1);
-  Names.reserve(EndLabel2);
-
-  // Clone both kernels into the target context and make names fresh.
-  ASTCloner Cloner1(Target);
-  FunctionDecl *C1 = Cloner1.cloneFunction(K1);
-  Names.renameFunction(C1, "_1");
-  ASTCloner Cloner2(Target);
-  FunctionDecl *C2 = Cloner2.cloneFunction(K2);
-  Names.renameFunction(C2, "_2");
-
-  // Prologue (paper Figure 5, line 3):
-  //   tid = threadIdx.x; tid_1 = threadIdx.x; tid_2 = threadIdx.x - d1;
-  //   size_1 = d1; size_2 = d2;
-  TypeContext &Types = Target.types();
-  auto MakeIntVar = [&](const std::string &Name, Expr *Init) {
-    auto *V =
-        Target.create<VarDecl>(SourceLocation(), Name, Types.intTy());
-    V->setInit(Init);
-    return V;
-  };
-  auto ThreadIdxX = [&]() -> Expr * {
-    Expr *B = Target.create<BuiltinIdxExpr>(SourceLocation(),
-                                            BuiltinIdxKind::ThreadIdx, 0);
-    // Cast to int so tid_2 can go negative for kernel-1 threads.
-    return Target.create<CastExpr>(SourceLocation(), Types.intTy(), B,
-                                   /*IsImplicit=*/false);
-  };
-  VarDecl *Tid = MakeIntVar("tid", ThreadIdxX());
-  VarDecl *Tid1 = MakeIntVar("tid_1", ThreadIdxX());
-  VarDecl *Tid2 = MakeIntVar(
-      "tid_2",
-      Target.binOp(BinaryOpKind::Sub, ThreadIdxX(), Target.intLit(Opts.D1)));
-
-  // Per-kernel threadIdx/blockDim stand-ins (Figure 5 line 3 for 1-D
-  // partitions, the Figure 4 prologue for multi-dimensional ones). The
-  // declarations are gathered here and emitted after tid/tid_1/tid_2.
-  std::vector<VarDecl *> MapDecls;
-  auto GatherDecl = [&](VarDecl *V) { MapDecls.push_back(V); };
-  KernelThreadMap Map1 = buildThreadMap(Target, MakeIntVar, GatherDecl, "1",
-                                        Tid1, Opts.D1, Opts.Y1, Opts.Z1);
-  KernelThreadMap Map2 = buildThreadMap(Target, MakeIntVar, GatherDecl, "2",
-                                        Tid2, Opts.D2, Opts.Y2, Opts.Z2);
-
-  // Partition the cloned bodies.
-  std::vector<Stmt *> Decls1, Stmts1, Decls2, Stmts2;
-  splitDeclsAndStmts(C1->body(), Decls1, Stmts1);
-  splitDeclsAndStmts(C2->body(), Decls2, Stmts2);
-
-  auto *Body1 = Target.create<CompoundStmt>(SourceLocation(),
-                                            std::move(Stmts1));
-  auto *Body2 = Target.create<CompoundStmt>(SourceLocation(),
-                                            std::move(Stmts2));
-
-  // Replace threadIdx.*/blockDim.* (Figure 5, line 4).
-  if (!replaceBuiltins(Target, Body1, Map1, Diags) ||
-      !replaceBuiltins(Target, Body2, Map2, Diags))
-    return Res;
-
-  // Replace __syncthreads with partial barriers (Figure 5, lines 5-6).
-  if (Opts.UsePartialBarriers) {
-    int N1 = replaceBarriers(Target, Body1, Opts.BarrierId1, Opts.D1, Diags);
-    int N2 = replaceBarriers(Target, Body2, Opts.BarrierId2, Opts.D2, Diags);
-    if (N1 < 0 || N2 < 0)
-      return Res;
-    Res.NumBarriers1 = static_cast<unsigned>(N1);
-    Res.NumBarriers2 = static_cast<unsigned>(N2);
-  } else {
-    Res.NumBarriers1 = countSyncthreads(Body1);
-    Res.NumBarriers2 = countSyncthreads(Body2);
-  }
-
-  // An early `return` of one kernel must not skip the other kernel.
-  lowerReturnsToGoto(Target, Body1, EndLabel1);
-  lowerReturnsToGoto(Target, Body2, EndLabel2);
-
-  // Assemble the fused body (Figure 5, lines 7-12).
-  std::vector<Stmt *> Fused;
-  auto AppendDecl = [&](VarDecl *V) {
-    Fused.push_back(Target.create<DeclStmt>(SourceLocation(),
-                                            std::vector<VarDecl *>{V}));
-  };
-  AppendDecl(Tid);
-  AppendDecl(Tid1);
-  AppendDecl(Tid2);
-  for (VarDecl *V : MapDecls)
-    AppendDecl(V);
-  for (Stmt *S : Decls1)
-    Fused.push_back(S);
-  for (Stmt *S : Decls2)
-    Fused.push_back(S);
-
-  // if (threadIdx.x >= d1) goto hf_k1_end;
-  auto GuardCond = [&](BinaryOpKind Op, int Bound) -> Expr * {
-    Expr *T = Target.create<BuiltinIdxExpr>(SourceLocation(),
-                                            BuiltinIdxKind::ThreadIdx, 0);
-    return Target.binOp(Op, T, Target.intLit(Bound));
-  };
-  Fused.push_back(Target.create<IfStmt>(
-      SourceLocation(), GuardCond(BinaryOpKind::Ge, Opts.D1),
-      Target.create<GotoStmt>(SourceLocation(), EndLabel1),
-      /*Else=*/nullptr));
-  for (Stmt *S : Body1->body())
-    Fused.push_back(S);
-  Fused.push_back(Target.create<LabelStmt>(SourceLocation(), EndLabel1,
-                                           /*Sub=*/nullptr));
-
-  // if (threadIdx.x < d1) goto hf_k2_end;
-  Fused.push_back(Target.create<IfStmt>(
-      SourceLocation(), GuardCond(BinaryOpKind::Lt, Opts.D1),
-      Target.create<GotoStmt>(SourceLocation(), EndLabel2),
-      /*Else=*/nullptr));
-  for (Stmt *S : Body2->body())
-    Fused.push_back(S);
-  Fused.push_back(Target.create<LabelStmt>(SourceLocation(), EndLabel2,
-                                           /*Sub=*/nullptr));
-
-  // Merge parameter lists (kernel 1 first).
-  std::vector<VarDecl *> Params;
-  Params.reserve(C1->params().size() + C2->params().size());
-  for (VarDecl *P : C1->params())
-    Params.push_back(P);
-  for (VarDecl *P : C2->params())
-    Params.push_back(P);
-  Res.NumParams1 = C1->params().size();
-  Res.NumParams2 = C2->params().size();
-
-  std::string Name = Opts.FusedName.empty()
-                         ? K1->name() + "_" + K2->name() + "_fused"
-                         : Opts.FusedName;
-  auto *BodyStmt = Target.create<CompoundStmt>(SourceLocation(),
-                                               std::move(Fused));
-  Res.Fused = Target.create<FunctionDecl>(
-      SourceLocation(), std::move(Name), FunctionDecl::FnKind::Global,
-      Types.voidTy(), std::move(Params), BodyStmt);
-  Target.translationUnit().functions().push_back(Res.Fused);
-  Res.Ok = true;
-  return Res;
-}
-
 FusionResult hfuse::transform::fuseVertical(ASTContext &Target,
                                             const FunctionDecl *K1,
                                             const FunctionDecl *K2,
@@ -420,7 +239,7 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
     ASTContext &Target, const std::vector<const FunctionDecl *> &Kernels,
     const std::vector<int> &Dims, const std::string &FusedName,
     DiagnosticEngine &Diags,
-    const std::vector<std::pair<int, int>> &Shapes) {
+    const std::vector<std::pair<int, int>> &Shapes, bool UsePartialBarriers) {
   MultiFusionResult Res;
   Res.Dims = Dims;
 
@@ -483,7 +302,7 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
     return Res;
   }
 
-  // Per-pair preconditions, plus the single-extern-shared rule.
+  // Per-kernel preconditions, plus the single-extern-shared rule.
   for (size_t I = 0; I < N; ++I) {
     const FunctionDecl *K = Kernels[I];
     if (!K->isKernel()) {
@@ -523,6 +342,7 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
   auto ThreadIdxX = [&]() -> Expr * {
     Expr *B = Target.create<BuiltinIdxExpr>(SourceLocation(),
                                             BuiltinIdxKind::ThreadIdx, 0);
+    // Cast to int so tid_k can go negative for earlier kernels' threads.
     return Target.create<CastExpr>(SourceLocation(), Types.intTy(), B,
                                    /*IsImplicit=*/false);
   };
@@ -533,8 +353,10 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
     return V;
   };
 
-  // Prologue: tid, and per kernel tid_k = threadIdx.x - prefix_k and
-  // size_k = Dims[k].
+  // Prologue (paper Figure 5, line 3): tid, and per kernel
+  // tid_k = threadIdx.x - prefix_k and its thread map (size_k = Dims[k]
+  // for a one-dimensional partition). A pair declares every tid_k before
+  // the thread maps, as in Figure 5; more kernels interleave them.
   std::vector<Stmt *> Fused;
   auto AppendDecl = [&](VarDecl *V) {
     Fused.push_back(Target.create<DeclStmt>(SourceLocation(),
@@ -542,6 +364,7 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
   };
   AppendDecl(MakeIntVar("tid", ThreadIdxX()));
   std::vector<VarDecl *> Tids(N);
+  std::vector<std::vector<VarDecl *>> MapDecls(N);
   std::vector<KernelThreadMap> Maps(N);
   int Prefix = 0;
   for (size_t I = 0; I < N; ++I) {
@@ -550,19 +373,30 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
                     : Target.binOp(BinaryOpKind::Sub, ThreadIdxX(),
                                    Target.intLit(Prefix));
     Tids[I] = MakeIntVar(formatString("tid_%zu", I + 1), TidInit);
-    AppendDecl(Tids[I]);
     int Y = Shapes.empty() ? 1 : Shapes[I].first;
     int Z = Shapes.empty() ? 1 : Shapes[I].second;
-    Maps[I] = buildThreadMap(Target, MakeIntVar, AppendDecl,
-                             formatString("%zu", I + 1), Tids[I], Dims[I],
-                             Y, Z);
+    Maps[I] = buildThreadMap(
+        Target, MakeIntVar, [&](VarDecl *V) { MapDecls[I].push_back(V); },
+        formatString("%zu", I + 1), Tids[I], Dims[I], Y, Z);
     Prefix += Dims[I];
+  }
+  if (N == 2) {
+    for (VarDecl *Tid : Tids)
+      AppendDecl(Tid);
+    for (const std::vector<VarDecl *> &Map : MapDecls)
+      for (VarDecl *V : Map)
+        AppendDecl(V);
+  } else {
+    for (size_t I = 0; I < N; ++I) {
+      AppendDecl(Tids[I]);
+      for (VarDecl *V : MapDecls[I])
+        AppendDecl(V);
+    }
   }
 
   // Per-kernel transformed bodies, then decls and guarded statements.
   std::vector<CompoundStmt *> Bodies(N);
   std::vector<std::vector<Stmt *>> Decls(N);
-  Prefix = 0;
   for (size_t I = 0; I < N; ++I) {
     std::vector<Stmt *> Stmts;
     splitDeclsAndStmts(Clones[I]->body(), Decls[I], Stmts);
@@ -575,8 +409,12 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
                                     I + 1, Diags.str().c_str()));
       return Res;
     }
-    int NumBars = replaceBarriers(Target, Bodies[I],
-                                  static_cast<int>(I + 1), Dims[I], Diags);
+    // Replace __syncthreads with partial barriers (Figure 5, lines 5-6).
+    int NumBars = UsePartialBarriers
+                      ? replaceBarriers(Target, Bodies[I],
+                                        static_cast<int>(I + 1), Dims[I],
+                                        Diags)
+                      : static_cast<int>(countSyncthreads(Bodies[I]));
     if (NumBars < 0) {
       Res.Err = Status(ErrorCode::FusionUnsupported,
                        formatString("kernel %zu: barrier rewrite "
@@ -584,8 +422,9 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
                                     I + 1, Diags.str().c_str()));
       return Res;
     }
+    Res.NumBarriers.push_back(static_cast<unsigned>(NumBars));
+    // An early `return` of one kernel must not skip the others.
     lowerReturnsToGoto(Target, Bodies[I], EndLabels[I]);
-    Prefix += Dims[I];
   }
 
   for (size_t I = 0; I < N; ++I)
@@ -603,7 +442,10 @@ MultiFusionResult hfuse::transform::fuseHorizontalMany(
 
   Prefix = 0;
   for (size_t I = 0; I < N; ++I) {
-    // Two-sided range guard [Prefix, Prefix + Dims[I]).
+    // Kernel I runs on [Prefix, Prefix + Dims[I]) (Figure 5, lines 7-12):
+    // if (threadIdx.x < prefix) goto end; if (threadIdx.x >= prefix + D)
+    // goto end; the first kernel needs only the upper guard, the last
+    // only the lower one.
     if (Prefix > 0)
       Fused.push_back(Guard(BinaryOpKind::Lt, Prefix, EndLabels[I]));
     if (I + 1 < N)

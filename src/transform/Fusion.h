@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The HFuse transformations. `fuseHorizontal` implements the paper's
-/// Generate() algorithm (Figure 5): the fused kernel partitions its
-/// thread space into [0,D1) for kernel 1 and [D1,D1+D2) for kernel 2,
+/// The HFuse transformations. `fuseHorizontalMany` implements the
+/// paper's Generate() algorithm (Figure 5) for N >= 2 kernels: the fused
+/// kernel partitions its thread space into consecutive ranges, one per
+/// input kernel ([0,D1) for kernel 1, [D1,D1+D2) for kernel 2, ...),
 /// recomputes per-kernel threadIdx/blockDim in a prologue, replaces
 /// __syncthreads() with partial `bar.sync` barriers, and guards each
-/// input kernel's statements with thread-range branches. `fuseVertical`
-/// implements the standard baseline: one thread executes both kernels'
-/// statements back to back, barriers untouched.
+/// input kernel's statements with thread-range branches. A pair is the
+/// paper's case. `fuseVertical` implements the standard baseline: one
+/// thread executes both kernels' statements back to back, barriers
+/// untouched.
 ///
 /// Inputs must be *preprocessed* kernels (see Pipeline.h): device calls
 /// inlined and local declarations lifted to the top of the body.
@@ -30,61 +32,23 @@
 
 namespace hfuse::transform {
 
-/// Options for fuseHorizontal.
-struct HorizontalFusionOptions {
-  /// Threads assigned to kernel 1 ([0, D1)); a positive multiple of 32.
-  int D1 = 0;
-  /// Threads assigned to kernel 2 ([D1, D1+D2)); a positive multiple
-  /// of 32.
-  int D2 = 0;
-  /// Block sub-dimensions (.y/.z extents) of each original kernel's
-  /// launch shape. Dk is the kernel's *total* thread count; its x
-  /// extent is Dk / (Yk * Zk). This is the paper's Figure 4 prologue,
-  /// where kernel 1's 896 threads form a 56x16 block
-  /// (`blockDim_x = 896 / 16; blockDim_y = 16`) and the fused kernel
-  /// recomputes threadIdx_x/_y/_z from the linear thread id. Extents of
-  /// 1 (the default) reproduce the one-dimensional Figure 5 prologue.
-  int Y1 = 1, Z1 = 1;
-  int Y2 = 1, Z2 = 1;
-  /// Name of the emitted kernel; empty derives "<k1>_<k2>_fused".
-  std::string FusedName;
-  /// PTX barrier ids used for the two kernels' partial barriers.
-  int BarrierId1 = 1;
-  int BarrierId2 = 2;
-  /// Ablation knob: when false, __syncthreads() is kept as a full
-  /// barrier instead of a partial bar.sync (this is what a naive fusion
-  /// without the paper's §III-A treatment would do). Functionally unsafe
-  /// in general; measured by bench_ablation_barrier.
-  bool UsePartialBarriers = true;
-};
-
-/// Result of a fusion transform. The fused function lives in the target
-/// ASTContext passed to the fuser and is appended to its translation
-/// unit. Parameters are the two input kernels' parameters concatenated
-/// (kernel 1 first), renamed where they collided.
+/// Result of the vertical fusion baseline. The fused function lives in
+/// the target ASTContext passed to the fuser and is appended to its
+/// translation unit. Parameters are the two input kernels' parameters
+/// concatenated (kernel 1 first), renamed where they collided.
 struct FusionResult {
   cuda::FunctionDecl *Fused = nullptr;
   bool Ok = false;
-  int D1 = 0;
-  int D2 = 0;
   unsigned NumParams1 = 0;
   unsigned NumParams2 = 0;
   /// Which input kernels use extern (dynamic) shared memory. At most one
   /// may; the fused kernel forwards its whole dynamic allocation to it.
   bool ExternShared1 = false;
   bool ExternShared2 = false;
-  /// Barriers rewritten per input kernel (0 when none were present).
+  /// Full barriers of each input kernel (0 when none were present).
   unsigned NumBarriers1 = 0;
   unsigned NumBarriers2 = 0;
 };
-
-/// Horizontally fuses two preprocessed kernels into \p Target (paper
-/// Figure 5). Reports problems to \p Diags; check Result.Ok.
-FusionResult fuseHorizontal(cuda::ASTContext &Target,
-                            const cuda::FunctionDecl *K1,
-                            const cuda::FunctionDecl *K2,
-                            const HorizontalFusionOptions &Opts,
-                            DiagnosticEngine &Diags);
 
 /// Vertically fuses two preprocessed kernels (the standard baseline):
 /// thread t runs K1's statements, then K2's. Both kernels must be
@@ -97,9 +61,11 @@ FusionResult fuseVertical(cuda::ASTContext &Target,
                           const std::string &FusedName,
                           DiagnosticEngine &Diags);
 
-/// Result of an N-way horizontal fusion (extension beyond the paper,
-/// which fuses pairs; the PTX barrier-id space allows up to 15 thread
-/// partitions per block).
+/// Result of a horizontal fusion. The paper fuses pairs; the PTX
+/// barrier-id space allows up to 15 thread partitions per block. The
+/// fused function lives in the target ASTContext and is appended to its
+/// translation unit. Parameters are the input kernels' parameters
+/// concatenated in kernel order, renamed where they collided.
 struct MultiFusionResult {
   cuda::FunctionDecl *Fused = nullptr;
   bool Ok = false;
@@ -114,24 +80,39 @@ struct MultiFusionResult {
   std::vector<int> Dims;
   /// Parameter count contributed by each input kernel, in order.
   std::vector<unsigned> NumParams;
+  /// Barriers of each input kernel, in order (0 when none were
+  /// present): rewritten to partial barriers, or kept as full ones.
+  std::vector<unsigned> NumBarriers;
   /// Which input kernel (if any) uses extern shared memory.
   int ExternSharedKernel = -1;
 };
 
 /// Horizontally fuses N >= 2 preprocessed kernels: kernel k's threads
 /// occupy [prefix_k, prefix_k + Dims[k]) of the fused block and its
-/// barriers become `bar.sync k+1, Dims[k]`. Middle partitions get
-/// two-sided thread-range guards (a generalization of the paper's
-/// Figure 5, which only needs one-sided guards for two kernels).
-/// \p Shapes optionally gives each kernel's (.y, .z) block extents (see
-/// HorizontalFusionOptions::Y1); empty means every kernel is
-/// one-dimensional.
+/// barriers become `bar.sync k+1, Dims[k]`. Each kernel's statements are
+/// guarded by one-sided thread-range branches: skip past the kernel when
+/// `threadIdx.x >= prefix_k + Dims[k]` (all but the last kernel) and when
+/// `threadIdx.x < prefix_k` (all but the first). The prologue declares
+/// `tid` and, per kernel, `tid_k = threadIdx.x - prefix_k` and its
+/// thread map (`size_k`, or the Figure 4 multi-dimensional variables). A
+/// pair keeps the Figure 5 order, every `tid_k` before the thread maps
+/// (`tid, tid_1, tid_2, size_1, size_2`); three or more kernels
+/// interleave them (`tid, tid_1, size_1, tid_2, size_2, ...`).
+/// \p Shapes optionally gives each kernel's (.y, .z) block extents: kernel
+/// k's partition of Dims[k] threads then forms a
+/// Dims[k]/(Y*Z) x Y x Z block, as in the paper's Figure 4 prologue,
+/// where kernel 1's 896 threads form a 56x16 block. Empty means every
+/// kernel is one-dimensional. \p UsePartialBarriers = false is an
+/// ablation: __syncthreads() stays a full barrier, which is what a naive
+/// fusion without the paper's section III-A treatment would do.
+/// Functionally unsafe in general; measured by bench_ablation_barrier.
 MultiFusionResult fuseHorizontalMany(
     cuda::ASTContext &Target,
     const std::vector<const cuda::FunctionDecl *> &Kernels,
     const std::vector<int> &Dims, const std::string &FusedName,
     DiagnosticEngine &Diags,
-    const std::vector<std::pair<int, int>> &Shapes = {});
+    const std::vector<std::pair<int, int>> &Shapes = {},
+    bool UsePartialBarriers = true);
 
 } // namespace hfuse::transform
 

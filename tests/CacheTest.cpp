@@ -264,10 +264,9 @@ PairRunner::Options budgetCacheOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
-  Opts.PruneLevel = 0; // pin the full candidate set
+  Opts.Prune = false; // pin the full candidate set
   Opts.Budget = SearchBudgetMode::Incumbent;
   Opts.Cache = std::make_shared<CompileCache>();
   return Opts;
@@ -317,7 +316,7 @@ TEST(BudgetedSearchCache, AbortedRunDoesNotPoisonTheSimulationMemo) {
   // Unbudgeted run of the abandoned candidate on the same runner: the
   // memo must miss (the abort was never stored) and the simulation must
   // run to completion, past the cycle the budget cut it at.
-  SimResult Full = R.runHFused(A.D1, A.D2, A.RegBound);
+  SimResult Full = R.runHFused(A.Dims, A.RegBound);
   ASSERT_TRUE(Full.Ok) << Full.Error;
   EXPECT_FALSE(Full.BudgetExceeded);
   EXPECT_GT(Full.TotalCycles, A.BudgetCycles);
@@ -330,7 +329,7 @@ TEST(BudgetedSearchCache, AbortedRunDoesNotPoisonTheSimulationMemo) {
   Clean.Budget = SearchBudgetMode::Off;
   PairRunner R2(BenchKernelId::Batchnorm, BenchKernelId::Hist, Clean);
   ASSERT_TRUE(R2.ok()) << R2.error();
-  SimResult Ref = R2.runHFused(A.D1, A.D2, A.RegBound);
+  SimResult Ref = R2.runHFused(A.Dims, A.RegBound);
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Full.TotalCycles, Ref.TotalCycles);
   EXPECT_EQ(Full.TotalIssued, Ref.TotalIssued);
@@ -338,7 +337,7 @@ TEST(BudgetedSearchCache, AbortedRunDoesNotPoisonTheSimulationMemo) {
   // Completed candidates, by contrast, stay memoized: re-running the
   // winner replays the stored result without a new simulation.
   Before = Opts.Cache->stats();
-  SimResult Win = R.runHFused(SR.Best.D1, SR.Best.D2, SR.Best.RegBound);
+  SimResult Win = R.runHFused(SR.Best.Dims, SR.Best.RegBound);
   ASSERT_TRUE(Win.Ok) << Win.Error;
   EXPECT_EQ(Win.TotalCycles, SR.Best.Cycles);
   After = Opts.Cache->stats();
@@ -357,11 +356,11 @@ TEST(BudgetedSearchCache, MemoizedFullResultDecidesAbandonmentForFree) {
   PairRunner::Options Opts = budgetCacheOptions();
   PairRunner R(BenchKernelId::Ethash, BenchKernelId::SHA256, Opts);
   ASSERT_TRUE(R.ok()) << R.error();
-  SimResult U = R.runHFused(256, 256, 0);
+  SimResult U = R.runHFused({256, 256}, 0);
   ASSERT_TRUE(U.Ok) << U.Error;
-  auto R0 = R.figure6RegBound(256, 256);
+  auto R0 = R.regBound({256, 256});
   ASSERT_TRUE(R0.has_value());
-  SimResult B = R.runHFused(256, 256, *R0);
+  SimResult B = R.runHFused({256, 256}, *R0);
   ASSERT_TRUE(B.Ok) << B.Error;
   ASSERT_GT(B.TotalCycles, U.TotalCycles); // the bound is the slow one
   CompileCache::Stats Before = Opts.Cache->stats();

@@ -58,8 +58,7 @@ PairRunner::Options fastOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.25;
-  Opts.Scale2 = 0.25;
+  Opts.Scales = {0.25};
   Opts.Verify = true;
   return Opts;
 }
@@ -96,7 +95,7 @@ TEST_P(FusionEquivalence, HorizontalFusionVerifies) {
     Partitions = {{256, 256}};
   }
   for (auto [D1, D2] : Partitions) {
-    SimResult H = R.runHFused(D1, D2, /*RegBound=*/0);
+    SimResult H = R.runHFused({D1, D2}, /*RegBound=*/0);
     EXPECT_TRUE(H.Ok) << "partition " << D1 << "/" << D2 << ": " << H.Error;
   }
 }
@@ -110,10 +109,10 @@ TEST_P(FusionEquivalence, HorizontalFusionWithRegBoundVerifies) {
       kernelHasTunableBlockDim(P.A) && kernelHasTunableBlockDim(P.B);
   int D1 = Tunable ? 512 : 256;
   int D2 = D1;
-  std::optional<unsigned> R0 = R.figure6RegBound(D1, D2);
+  std::optional<unsigned> R0 = R.regBound({D1, D2});
   if (!R0)
     GTEST_SKIP() << "no useful register bound for this pair";
-  SimResult H = R.runHFused(D1, D2, *R0);
+  SimResult H = R.runHFused({D1, D2}, *R0);
   EXPECT_TRUE(H.Ok) << "bound " << *R0 << ": " << H.Error;
 }
 
@@ -138,8 +137,7 @@ TEST_P(RandomPartitionEquivalence, FusedMatchesReferenceBitForBit) {
   // with Options::Verify, which compares every output buffer exactly.
   const PairCase &P = GetParam();
   PairRunner::Options Opts = fastOptions();
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   PairRunner R(P.A, P.B, Opts);
   ASSERT_TRUE(R.ok()) << R.error();
 
@@ -162,7 +160,7 @@ TEST_P(RandomPartitionEquivalence, FusedMatchesReferenceBitForBit) {
   size_t N = std::min<size_t>(20, Valid.size());
   for (size_t I = 0; I < N; ++I) {
     int D1 = Valid[I];
-    SimResult H = R.runHFused(D1, D0 - D1, /*RegBound=*/0);
+    SimResult H = R.runHFused({D1, D0 - D1}, /*RegBound=*/0);
     EXPECT_TRUE(H.Ok) << "partition " << D1 << "/" << (D0 - D1) << ": "
                       << H.Error;
   }
@@ -185,8 +183,8 @@ TEST(ConfigSearch, FindsFeasibleBestForDLPair) {
   EXPECT_GE(SR.All.size(), 7u);
   EXPECT_GT(SR.Best.Cycles, 0u);
   for (const FusionCandidate &C : SR.All) {
-    EXPECT_EQ(C.D1 + C.D2, 1024);
-    EXPECT_EQ(C.D1 % 128, 0);
+    EXPECT_EQ(C.Dims[0] + C.Dims[1], 1024);
+    EXPECT_EQ(C.Dims[0] % 128, 0);
     EXPECT_GE(C.Cycles, SR.Best.Cycles);
   }
 }
@@ -198,8 +196,7 @@ TEST(ConfigSearch, CryptoPairsUseEvenSplit) {
   SearchResult SR = R.searchBestConfig();
   ASSERT_TRUE(SR.Ok) << SR.Error;
   for (const FusionCandidate &C : SR.All) {
-    EXPECT_EQ(C.D1, 256);
-    EXPECT_EQ(C.D2, 256);
+    EXPECT_EQ(C.Dims, (std::vector<int>{256, 256}));
   }
 }
 
@@ -210,7 +207,7 @@ TEST(ConfigSearch, NaiveModeSkipsProfiling) {
   SearchResult SR = R.searchBestConfig(/*NaiveEvenSplit=*/true);
   ASSERT_TRUE(SR.Ok) << SR.Error;
   ASSERT_EQ(SR.All.size(), 1u);
-  EXPECT_EQ(SR.All[0].D1, 512);
+  EXPECT_EQ(SR.All[0].Dims[0], 512);
   EXPECT_EQ(SR.All[0].RegBound, 0u);
 }
 

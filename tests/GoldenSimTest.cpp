@@ -12,6 +12,7 @@
 ///
 ///  - all 16 paper pairs: native, even-split hfused, and Figure 6
 ///    register-bounded cycles and issued-instruction counts;
+///  - the five benchmark triples' Best launches (three-kernel fusion);
 ///  - micro-kernels stressing the paths the refactor touched —
 ///    intra-warp divergence (the convergent fast path's fallback),
 ///    barrier phases, and shared-atomic replays — including a
@@ -54,8 +55,7 @@ PairRunner::Options goldenOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.25;
-  Opts.Scale2 = 0.25;
+  Opts.Scales = {0.25};
   Opts.Verify = false;
   Opts.Cache = testCache();
   return Opts;
@@ -281,19 +281,51 @@ TEST(GoldenSim, PaperPairsMatchSeedSimulator) {
     bool Tunable =
         kernelHasTunableBlockDim(*IdA) && kernelHasTunableBlockDim(*IdB);
     int D = (Tunable ? 1024 : 512) / 2;
-    SimResult H = Runner.runHFused(D, D, 0);
+    SimResult H = Runner.runHFused({D, D}, 0);
     ASSERT_TRUE(H.Ok) << H.Error;
     EXPECT_EQ(H.TotalCycles, G.HFusedCycles) << G.A << "+" << G.B;
     EXPECT_EQ(H.TotalIssued, G.HFusedIssued) << G.A << "+" << G.B;
 
-    auto R0 = Runner.figure6RegBound(D, D);
+    auto R0 = Runner.regBound({D, D});
     EXPECT_EQ(R0 ? *R0 : 0u, G.R0) << G.A << "+" << G.B;
     if (R0 && G.BoundedCycles) {
-      SimResult HB = Runner.runHFused(D, D, *R0);
+      SimResult HB = Runner.runHFused({D, D}, *R0);
       ASSERT_TRUE(HB.Ok) << HB.Error;
       EXPECT_EQ(HB.TotalCycles, G.BoundedCycles) << G.A << "+" << G.B;
       EXPECT_EQ(HB.TotalIssued, G.BoundedIssued) << G.A << "+" << G.B;
     }
+  }
+}
+
+TEST(GoldenSim, NWayTriplesMatchGoldenBest) {
+  // The nway-cold benchmark triples' Best launches (benchmark/golden.json),
+  // captured at these options. They pin the three-kernel fused source:
+  // its prologue declaration order alone moves the DL triples' cycles.
+  struct NWayGolden {
+    std::vector<const char *> Names;
+    std::vector<int> Dims;
+    unsigned RegBound;
+    uint64_t Cycles, Issued;
+  };
+  const NWayGolden Goldens[] = {
+      {{"Batchnorm", "Hist", "Im2Col"}, {256, 128, 128}, 32, 177569ull, 1026688ull},
+      {{"Batchnorm", "Hist", "Maxpool"}, {256, 128, 128}, 32, 196132ull, 779200ull},
+      {{"Batchnorm", "Im2Col", "Maxpool"}, {128, 128, 128}, 34, 171247ull, 860384ull},
+      {{"Hist", "Im2Col", "Maxpool"}, {128, 384, 512}, 32, 130809ull, 756256ull},
+      {{"Blake256", "SHA256", "Ethash"}, {256, 256, 256}, 0, 667115ull, 4448256ull},
+  };
+  for (const NWayGolden &G : Goldens) {
+    std::vector<BenchKernelId> Ids;
+    for (const char *Name : G.Names)
+      Ids.push_back(*kernelIdByName(Name));
+    NWayRunner Runner(Ids, goldenOptions());
+    ASSERT_TRUE(Runner.ok()) << Runner.error();
+    SimResult H = Runner.runHFused(G.Dims, G.RegBound);
+    ASSERT_TRUE(H.Ok) << H.Error;
+    EXPECT_EQ(H.TotalCycles, G.Cycles) << G.Names[0] << "+" << G.Names[1]
+                                       << "+" << G.Names[2];
+    EXPECT_EQ(H.TotalIssued, G.Issued) << G.Names[0] << "+" << G.Names[1]
+                                       << "+" << G.Names[2];
   }
 }
 
@@ -318,7 +350,7 @@ TEST(GoldenSim, FullStatsMetricsMatchSeed) {
     PairRunner Runner(*kernelIdByName(G.A), *kernelIdByName(G.B),
                       goldenOptions());
     ASSERT_TRUE(Runner.ok()) << Runner.error();
-    SimResult H = Runner.runHFused(512, 512, 0);
+    SimResult H = Runner.runHFused({512, 512}, 0);
     ASSERT_TRUE(H.Ok) << H.Error;
     EXPECT_NEAR(H.DeviceIssueSlotUtilPct, G.Util, 1e-6);
     EXPECT_NEAR(H.DeviceMemStallPct, G.MemStall, 1e-6);
@@ -337,7 +369,7 @@ TEST(GoldenSim, L2ModelMatchesSeed) {
   Opts.ModelL2 = true;
   PairRunner Runner(BenchKernelId::Maxpool, BenchKernelId::Upsample, Opts);
   ASSERT_TRUE(Runner.ok()) << Runner.error();
-  SimResult H = Runner.runHFused(512, 512, 0);
+  SimResult H = Runner.runHFused({512, 512}, 0);
   ASSERT_TRUE(H.Ok) << H.Error;
   EXPECT_EQ(H.TotalCycles, 146581ull);
   EXPECT_EQ(H.TotalIssued, 513664ull);
@@ -355,7 +387,7 @@ TEST(GoldenSim, VoltaArchMatchesSeed) {
   ASSERT_TRUE(N.Ok) << N.Error;
   EXPECT_EQ(N.TotalCycles, 771080ull);
   EXPECT_EQ(N.TotalIssued, 2234880ull);
-  SimResult H = Runner.runHFused(256, 256, 0);
+  SimResult H = Runner.runHFused({256, 256}, 0);
   ASSERT_TRUE(H.Ok) << H.Error;
   EXPECT_EQ(H.TotalCycles, 560607ull);
   EXPECT_EQ(H.TotalIssued, 2250240ull);
@@ -370,7 +402,7 @@ TEST(GoldenSim, RoundRobinPolicyMatchesSeed) {
   ASSERT_TRUE(N.Ok) << N.Error;
   EXPECT_EQ(N.TotalCycles, 106160ull);
   EXPECT_EQ(N.TotalIssued, 155904ull);
-  SimResult H = Runner.runHFused(512, 512, 0);
+  SimResult H = Runner.runHFused({512, 512}, 0);
   ASSERT_TRUE(H.Ok) << H.Error;
   EXPECT_EQ(H.TotalCycles, 141538ull);
   EXPECT_EQ(H.TotalIssued, 211840ull);
@@ -480,8 +512,7 @@ TEST(GoldenSim, SweepBestCarriesFullStatsAtGoldenCycles) {
   ASSERT_TRUE(SR.Ok) << SR.Error;
   EXPECT_EQ(SR.Stats.Simulations, SR.All.size());
 
-  EXPECT_EQ(SR.Best.D1, 256);
-  EXPECT_EQ(SR.Best.D2, 256);
+  EXPECT_EQ(SR.Best.Dims, (std::vector<int>{256, 256}));
   EXPECT_EQ(SR.Best.RegBound, 0u);
   EXPECT_EQ(SR.Best.Cycles, G.HFusedCycles);
   EXPECT_EQ(SR.Best.Result.TotalIssued, G.HFusedIssued);
@@ -498,7 +529,7 @@ TEST(GoldenSim, SweepBestCarriesFullStatsAtGoldenCycles) {
   PairRunner Fresh(BenchKernelId::Ethash, BenchKernelId::SHA256,
                    goldenOptions());
   ASSERT_TRUE(Fresh.ok()) << Fresh.error();
-  SimResult Ref = Fresh.runHFused(256, 256, 0);
+  SimResult Ref = Fresh.runHFused({256, 256}, 0);
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(B.DeviceIssueSlotUtilPct, Ref.DeviceIssueSlotUtilPct);
   EXPECT_EQ(B.DeviceMemStallPct, Ref.DeviceMemStallPct);

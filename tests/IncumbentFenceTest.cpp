@@ -299,7 +299,6 @@ TEST(IncumbentSweep, FollowerCompletedBeforeTheSeedFailedIsDiscarded) {
     std::lock_guard<std::mutex> Lock(Mu);
     Discarded.push_back(K);
   };
-  H.MarginReadmit = [](size_t) { return false; };
   H.SameLaunch = [](size_t, size_t) { return false; };
 
   ThreadPool Pool(3);
@@ -316,24 +315,27 @@ TEST(IncumbentSweep, SerialSweepStartsEveryFollowerAfterTheFenceResolved) {
   SearchOptions Opts;
   Opts.Budget = SearchBudgetMode::Incumbent;
   std::vector<size_t> Order{2, 0, 1};
+  std::vector<size_t> Started;
   std::vector<RunBudget> Seen;
   SweepHooks H;
   H.Measure = [&](size_t K, const RunBudget &B,
                   double) -> std::optional<uint64_t> {
+    Started.push_back(K);
     Seen.push_back(B);
     return 100 + K;
   };
   H.Discard = [](size_t) {};
-  H.MarginReadmit = [](size_t K) { return K == 1; };
   H.SameLaunch = [](size_t, size_t) { return false; };
-  Opts.BudgetMarginPct = 10.0;
   EXPECT_EQ(runSimulatePhase(nullptr, Opts, Order, H), 102u);
+  // Serial order is the bound order; the seed runs first and every
+  // follower starts under the seed's resolved, fixed cycle count.
+  EXPECT_EQ(Started, Order);
   ASSERT_EQ(Seen.size(), 3u);
   EXPECT_TRUE(Seen[0].Seed);
-  EXPECT_FALSE(Seen[1].Fence);
-  EXPECT_EQ(Seen[1].Cycles, 102u);
-  EXPECT_FALSE(Seen[2].Fence);
-  EXPECT_EQ(Seen[2].Cycles, marginBudget(102, 10.0));
+  for (size_t I = 1; I < Seen.size(); ++I) {
+    EXPECT_FALSE(Seen[I].Fence);
+    EXPECT_EQ(Seen[I].Cycles, 102u);
+  }
 }
 
 } // namespace

@@ -155,17 +155,13 @@ namespace {
 
 /// Fuses CoordSource (as a Y1 x Z1-shaped partition of D1 threads) with
 /// LinearSource and returns the fused function + context via out-params.
-transform::FusionResult fuseCoordLinear(ASTContext &Ctx,
-                                        CompiledKernel &K2D,
-                                        CompiledKernel &K1D, int D1, int Y1,
-                                        int Z1, int D2,
-                                        DiagnosticEngine &Diags) {
-  transform::HorizontalFusionOptions HO;
-  HO.D1 = D1;
-  HO.D2 = D2;
-  HO.Y1 = Y1;
-  HO.Z1 = Z1;
-  return transform::fuseHorizontal(Ctx, K2D.fn(), K1D.fn(), HO, Diags);
+transform::MultiFusionResult fuseCoordLinear(ASTContext &Ctx,
+                                             CompiledKernel &K2D,
+                                             CompiledKernel &K1D, int D1,
+                                             int Y1, int Z1, int D2,
+                                             DiagnosticEngine &Diags) {
+  return transform::fuseHorizontalMany(Ctx, {K2D.fn(), K1D.fn()}, {D1, D2},
+                                       "", Diags, {{Y1, Z1}, {1, 1}});
 }
 
 } // namespace
@@ -177,7 +173,7 @@ TEST(MultiDimTransform, PrologueRecomputesCoordinates) {
   ASSERT_TRUE(K2D && K1D) << Diags.str();
 
   ASTContext Ctx;
-  transform::FusionResult FR =
+  transform::MultiFusionResult FR =
       fuseCoordLinear(Ctx, *K2D, *K1D, /*D1=*/896, /*Y1=*/16, /*Z1=*/1,
                       /*D2=*/128, Diags);
   ASSERT_TRUE(FR.Ok) << Diags.str();
@@ -213,7 +209,7 @@ TEST(MultiDimTransform, OneWideDimsFoldToConstants) {
   ASSERT_TRUE(K2D && K1D) << Diags.str();
 
   ASTContext Ctx;
-  transform::FusionResult FR = fuseCoordLinear(
+  transform::MultiFusionResult FR = fuseCoordLinear(
       Ctx, *K2D, *K1D, /*D1=*/256, /*Y1=*/1, /*Z1=*/1, /*D2=*/256, Diags);
   ASSERT_TRUE(FR.Ok) << Diags.str();
   std::string Src = printFunction(FR.Fused);
@@ -230,7 +226,7 @@ TEST(MultiDimTransform, RejectsIndivisiblePartition) {
 
   ASTContext Ctx;
   // 160 threads cannot form whole rows of a x16 block.
-  transform::FusionResult FR = fuseCoordLinear(
+  transform::MultiFusionResult FR = fuseCoordLinear(
       Ctx, *K2D, *K1D, /*D1=*/160, /*Y1=*/16, /*Z1=*/3, /*D2=*/128, Diags);
   EXPECT_FALSE(FR.Ok);
   EXPECT_NE(Diags.str().find("cannot form a block"), std::string::npos)
@@ -290,7 +286,7 @@ TEST_P(MultiDimFusedExec, MatchesNativeSemantics) {
   ASSERT_TRUE(K2D && K1D) << Diags.str();
 
   ASTContext Ctx;
-  transform::FusionResult FR = fuseCoordLinear(
+  transform::MultiFusionResult FR = fuseCoordLinear(
       Ctx, *K2D, *K1D, C.D1, C.Y1, C.Z1, C.D2, Diags);
   ASSERT_TRUE(FR.Ok) << Diags.str();
   auto IR = lowerFunction(Ctx, FR.Fused, C.RegBound, Diags);
@@ -357,8 +353,7 @@ PairRunner::Options fastOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.25;
-  Opts.Scale2 = 0.25;
+  Opts.Scales = {0.25};
   Opts.Verify = true;
   return Opts;
 }
@@ -387,7 +382,7 @@ TEST(Batchnorm2D, PaperFigure4PartitionVerifies) {
   ASSERT_TRUE(Runner.ok()) << Runner.error();
   // The paper's 1080 Ti pick: 896 Batchnorm threads (56x16) + 128 Hist
   // threads, register bound 32.
-  SimResult R = Runner.runHFused(896, 128, 32);
+  SimResult R = Runner.runHFused({896, 128}, 32);
   EXPECT_TRUE(R.Ok) << R.Error;
 
   std::string Src = Runner.fusedSource(896, 128);
@@ -402,7 +397,7 @@ TEST(Batchnorm2D, PartitionSweepVerifies) {
                     fastOptions());
   ASSERT_TRUE(Runner.ok()) << Runner.error();
   for (int D1 : {256, 512, 768}) {
-    SimResult R = Runner.runHFused(D1, 1024 - D1, 0);
+    SimResult R = Runner.runHFused({D1, 1024 - D1}, 0);
     EXPECT_TRUE(R.Ok) << "partition " << D1 << ": " << R.Error;
   }
 }
@@ -485,7 +480,7 @@ TEST(Batchnorm2D, SearchOnlyProposesRowAlignedPartitions) {
   ASSERT_FALSE(SR.All.empty());
   for (const FusionCandidate &C : SR.All) {
     // Every candidate must give Batchnorm2D whole 16-thread rows.
-    EXPECT_EQ(C.D1 % 16, 0) << C.D1 << "/" << C.D2;
+    EXPECT_EQ(C.Dims[0] % 16, 0) << dimsLabel(C.Dims);
     EXPECT_TRUE(C.Result.Ok);
   }
 }

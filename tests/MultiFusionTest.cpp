@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the N-way horizontal fusion extension: structure of the
-/// generated kernel (two-sided guards, one barrier id per kernel),
-/// validation, and end-to-end functional equivalence of a 3-way fusion
-/// running three real benchmark kernels in one launch.
+/// Tests for horizontal fusion of N >= 2 kernels: structure of the
+/// generated kernel (range guards, one barrier id per kernel, the
+/// prologue order that keeps a pair's Figure 5 source), the full-barrier
+/// ablation, validation, and end-to-end functional equivalence of a
+/// 3-way fusion running three real benchmark kernels in one launch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +96,71 @@ TEST(MultiFusion, ThreeWayStructure) {
   Parser P(Src, Ctx2, D2);
   ASSERT_TRUE(P.parseTranslationUnit()) << D2.str() << Src;
   ASSERT_TRUE(Sema(Ctx2, D2).run()) << D2.str() << Src;
+}
+
+/// The names of the fused prologue's leading declarations, in order.
+std::vector<std::string> prologueNames(const FunctionDecl *F) {
+  std::vector<std::string> Names;
+  for (Stmt *S : F->body()->body()) {
+    auto *DS = dyn_cast<DeclStmt>(S);
+    if (!DS)
+      break;
+    for (VarDecl *V : DS->decls())
+      if (V->name() == "tid" || V->name().rfind("tid_", 0) == 0 ||
+          V->name().rfind("size_", 0) == 0)
+        Names.push_back(V->name());
+  }
+  return Names;
+}
+
+TEST(MultiFusion, PairPrologueKeepsFigure5Order) {
+  ThreeKernels K = compileThree();
+  ASSERT_TRUE(K.ok());
+  ASTContext Target;
+  DiagnosticEngine Diags;
+  MultiFusionResult R = fuseHorizontalMany(Target, {K.A->fn(), K.B->fn()},
+                                           {128, 96}, "", Diags);
+  ASSERT_TRUE(R.Ok) << Diags.str();
+  EXPECT_EQ(prologueNames(R.Fused),
+            (std::vector<std::string>{"tid", "tid_1", "tid_2", "size_1",
+                                      "size_2"}));
+}
+
+TEST(MultiFusion, ThreeWayPrologueInterleaves) {
+  ThreeKernels K = compileThree();
+  ASSERT_TRUE(K.ok());
+  ASTContext Target;
+  DiagnosticEngine Diags;
+  MultiFusionResult R = fuseHorizontalMany(
+      Target, {K.A->fn(), K.B->fn(), K.C->fn()}, {128, 96, 64}, "", Diags);
+  ASSERT_TRUE(R.Ok) << Diags.str();
+  EXPECT_EQ(prologueNames(R.Fused),
+            (std::vector<std::string>{"tid", "tid_1", "size_1", "tid_2",
+                                      "size_2", "tid_3", "size_3"}));
+}
+
+TEST(MultiFusion, FullBarrierAblationAtEveryKernelCount) {
+  ThreeKernels K = compileThree();
+  ASSERT_TRUE(K.ok());
+  const std::vector<const FunctionDecl *> All = {K.A->fn(), K.B->fn(),
+                                                 K.C->fn()};
+  const std::vector<int> Dims = {128, 96, 64};
+  for (size_t N : {2u, 3u}) {
+    SCOPED_TRACE("kernels=" + std::to_string(N));
+    ASTContext Target;
+    DiagnosticEngine Diags;
+    MultiFusionResult R = fuseHorizontalMany(
+        Target, {All.begin(), All.begin() + N},
+        {Dims.begin(), Dims.begin() + N}, "", Diags, {},
+        /*UsePartialBarriers=*/false);
+    ASSERT_TRUE(R.Ok) << Diags.str();
+    std::string Src = printFunction(R.Fused);
+    EXPECT_NE(Src.find("__syncthreads()"), std::string::npos) << Src;
+    EXPECT_EQ(Src.find("bar.sync"), std::string::npos) << Src;
+    std::vector<unsigned> Barriers(N, 0);
+    Barriers[0] = 1; // only kernel A synchronizes
+    EXPECT_EQ(R.NumBarriers, Barriers);
+  }
 }
 
 TEST(MultiFusion, Validation) {

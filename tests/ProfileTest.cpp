@@ -27,8 +27,7 @@ PairRunner::Options tinyOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
   return Opts;
 }
@@ -40,7 +39,7 @@ TEST(Figure6Bound, MatchesFormula) {
 
   const GpuArch Arch = makeGTX1080Ti();
   int D1 = 512, D2 = 512;
-  auto R0 = R.figure6RegBound(D1, D2);
+  auto R0 = R.regBound({D1, D2});
   ASSERT_TRUE(R0.has_value());
 
   // Recompute by hand: b1/b2 from solo register counts; shared memory
@@ -59,8 +58,8 @@ TEST(Figure6Bound, TighterForWiderBlocks) {
   PairRunner R(BenchKernelId::Maxpool, BenchKernelId::Upsample,
                tinyOptions());
   ASSERT_TRUE(R.ok()) << R.error();
-  auto Narrow = R.figure6RegBound(128, 128);
-  auto Wide = R.figure6RegBound(512, 512);
+  auto Narrow = R.regBound({128, 128});
+  auto Wide = R.regBound({512, 512});
   ASSERT_TRUE(Narrow.has_value());
   ASSERT_TRUE(Wide.has_value());
   // More threads per fused block -> fewer registers per thread for the
@@ -92,7 +91,7 @@ TEST(CompiledKernels, FusedRegsAtLeastMaxOfParts) {
 
   PairRunner R(BenchKernelId::Batchnorm, BenchKernelId::Hist,
                tinyOptions());
-  SimResult F = R.runHFused(512, 512, 0);
+  SimResult F = R.runHFused({512, 512}, 0);
   ASSERT_TRUE(F.Ok) << F.Error;
   ASSERT_EQ(F.Kernels.size(), 1u);
   unsigned FusedRegs = F.Kernels[0].RegsPerThread;
@@ -107,10 +106,10 @@ TEST(RegBoundRun, CapsFusedRegisters) {
   PairRunner R(BenchKernelId::Im2Col, BenchKernelId::Upsample,
                tinyOptions());
   ASSERT_TRUE(R.ok()) << R.error();
-  SimResult Unbounded = R.runHFused(512, 512, 0);
+  SimResult Unbounded = R.runHFused({512, 512}, 0);
   ASSERT_TRUE(Unbounded.Ok) << Unbounded.Error;
   unsigned Cap = Unbounded.Kernels[0].RegsPerThread - 8;
-  SimResult Bounded = R.runHFused(512, 512, Cap);
+  SimResult Bounded = R.runHFused({512, 512}, Cap);
   ASSERT_TRUE(Bounded.Ok) << Bounded.Error;
   EXPECT_LE(Bounded.Kernels[0].RegsPerThread, Cap);
 }

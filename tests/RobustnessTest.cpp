@@ -38,7 +38,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 using namespace hfuse;
@@ -63,8 +62,7 @@ PairRunner::Options quickOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
   Opts.Cache = std::make_shared<CompileCache>();
   return Opts;
@@ -346,7 +344,7 @@ TEST(Robustness, WedgedSimulationIsRetiredFromTheMemoAndRetryMatches) {
   PairRunner::Options Ref = quickOptions();
   PairRunner RRef(BenchKernelId::Batchnorm, BenchKernelId::Hist, Ref);
   ASSERT_TRUE(RRef.ok()) << RRef.error();
-  SimResult Healthy = RRef.runHFused(512, 512, 0);
+  SimResult Healthy = RRef.runHFused({512, 512}, 0);
   ASSERT_TRUE(Healthy.Ok) << Healthy.Error;
 
   PairRunner::Options Opts = quickOptions();
@@ -357,7 +355,7 @@ TEST(Robustness, WedgedSimulationIsRetiredFromTheMemoAndRetryMatches) {
   // releases, the instant detector classifies the deadlock, and the
   // memo entry is retired before the failure is published.
   arm("sim-wedge:nth=1:label=,512/512)");
-  SimResult W = R.runHFused(512, 512, 0);
+  SimResult W = R.runHFused({512, 512}, 0);
   EXPECT_FALSE(W.Ok);
   EXPECT_TRUE(W.Deadlock) << W.Error;
   EXPECT_TRUE(W.FaultInjected);
@@ -367,7 +365,7 @@ TEST(Robustness, WedgedSimulationIsRetiredFromTheMemoAndRetryMatches) {
 
   // Retry re-simulates (no poisoned entry) and is bit-identical to the
   // fault-free runner.
-  SimResult Retry = R.runHFused(512, 512, 0);
+  SimResult Retry = R.runHFused({512, 512}, 0);
   ASSERT_TRUE(Retry.Ok) << Retry.Error;
   EXPECT_FALSE(Retry.FaultInjected);
   EXPECT_EQ(Retry.TotalCycles, Healthy.TotalCycles);
@@ -377,7 +375,7 @@ TEST(Robustness, WedgedSimulationIsRetiredFromTheMemoAndRetryMatches) {
   EXPECT_EQ(S.SimMemoHits, 0u);
 
   // The healthy result is memoized as usual.
-  SimResult Again = R.runHFused(512, 512, 0);
+  SimResult Again = R.runHFused({512, 512}, 0);
   ASSERT_TRUE(Again.Ok);
   EXPECT_EQ(Again.TotalCycles, Healthy.TotalCycles);
   S = Opts.Cache->stats();
@@ -396,12 +394,12 @@ std::string caseName(const testing::TestParamInfo<BenchPair> &Info) {
          kernelDisplayName(Info.param.B);
 }
 
-using CandKey = std::tuple<int, int, unsigned>;
+using CandKey = std::pair<std::vector<int>, unsigned>;
 
 std::set<CandKey> failedKeys(const SearchResult &SR) {
   std::set<CandKey> Keys;
   for (const FailedCandidate &F : SR.Failed)
-    Keys.insert({F.D1, F.D2, F.RegBound});
+    Keys.insert({F.Dims, F.RegBound});
   return Keys;
 }
 
@@ -427,8 +425,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
   // the unbounded IR, where no lowering runs and no fault can fire),
   // and a second candidate whose simulation we wedge.
   auto IsBest = [&](const FusionCandidate &C) {
-    return C.D1 == Ref.Best.D1 && C.D2 == Ref.Best.D2 &&
-           C.RegBound == Ref.Best.RegBound;
+    return C.Id == Ref.Best.Id;
   };
   const FusionCandidate *LowerVictim = nullptr;
   for (const FusionCandidate &C : Ref.All) {
@@ -436,7 +433,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
       continue;
     bool MaybeAliased = false;
     for (const FusionCandidate &U : Ref.All)
-      if (U.D1 == C.D1 && U.RegBound == 0 && U.Cycles == C.Cycles)
+      if (U.Dims == C.Dims && U.RegBound == 0 && U.Cycles == C.Cycles)
         MaybeAliased = true;
     if (!MaybeAliased) {
       LowerVictim = &C;
@@ -447,7 +444,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
   for (const FusionCandidate &C : Ref.All) {
     if (IsBest(C) || &C == LowerVictim)
       continue;
-    if (LowerVictim && C.D1 == LowerVictim->D1 &&
+    if (LowerVictim && C.Dims == LowerVictim->Dims &&
         C.RegBound == LowerVictim->RegBound)
       continue;
     WedgeVictim = &C;
@@ -456,11 +453,12 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
 
   std::string Spec = "compile:nth=1;cache-corrupt:nth=1";
   if (LowerVictim)
-    Spec += formatString(";lower:label=%d/%d:r%u", LowerVictim->D1,
-                         LowerVictim->D2, LowerVictim->RegBound);
+    Spec += formatString(";lower:label=%s:r%u",
+                         dimsLabel(LowerVictim->Dims).c_str(),
+                         LowerVictim->RegBound);
   if (WedgeVictim)
-    Spec += formatString(";sim-wedge:label=,%d/%d%s)", WedgeVictim->D1,
-                         WedgeVictim->D2,
+    Spec += formatString(";sim-wedge:label=,%s%s)",
+                         dimsLabel(WedgeVictim->Dims).c_str(),
                          WedgeVictim->RegBound
                              ? formatString(",r%u", WedgeVictim->RegBound)
                                    .c_str()
@@ -491,8 +489,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
     ASSERT_TRUE(SR.Ok) << SR.Error;
 
     // The headline: Best is bit-identical to the fault-free sweep.
-    EXPECT_EQ(SR.Best.D1, Ref.Best.D1);
-    EXPECT_EQ(SR.Best.D2, Ref.Best.D2);
+    EXPECT_EQ(SR.Best.Dims, Ref.Best.Dims);
     EXPECT_EQ(SR.Best.RegBound, Ref.Best.RegBound);
     EXPECT_EQ(SR.Best.Cycles, Ref.Best.Cycles);
 
@@ -506,10 +503,10 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
     // dropped, and reports the injected fault.
     std::set<CandKey> Failed = failedKeys(SR);
     if (LowerVictim) {
-      CandKey VK{LowerVictim->D1, LowerVictim->D2, LowerVictim->RegBound};
+      CandKey VK{LowerVictim->Dims, LowerVictim->RegBound};
       EXPECT_EQ(Failed.count(VK), 1u) << "lowering victim not in Failed";
       for (const FailedCandidate &F : SR.Failed)
-        if (CandKey{F.D1, F.D2, F.RegBound} == VK) {
+        if (CandKey{F.Dims, F.RegBound} == VK) {
           EXPECT_EQ(F.Err.code(), ErrorCode::RegAllocError);
           EXPECT_NE(F.Err.message().find("injected"), std::string::npos);
         }
@@ -517,7 +514,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
     // Every surviving candidate measured the reference cycles exactly.
     for (const FusionCandidate &C : SR.All) {
       for (const FusionCandidate &RC : Ref.All)
-        if (RC.D1 == C.D1 && RC.D2 == C.D2 && RC.RegBound == C.RegBound)
+        if (RC.Dims == C.Dims && RC.RegBound == C.RegBound)
           EXPECT_EQ(C.Cycles, RC.Cycles);
     }
 
@@ -548,11 +545,11 @@ TEST(Robustness, RunnerWatchdogOptionsAreWiredThrough) {
   ASSERT_TRUE(R.ok()) << R.error();
 
   arm("sim-wedge:label=,640/384)");
-  SimResult W = R.runHFused(640, 384, 0);
+  SimResult W = R.runHFused({640, 384}, 0);
   EXPECT_FALSE(W.Ok);
   EXPECT_TRUE(W.Deadlock) << W.Error;
   EXPECT_TRUE(W.FaultInjected);
 
-  SimResult Healthy = R.runHFused(512, 512, 0);
+  SimResult Healthy = R.runHFused({512, 512}, 0);
   EXPECT_TRUE(Healthy.Ok) << Healthy.Error;
 }

@@ -55,13 +55,13 @@ NWayRunner::Options quickOptions() {
   // 0.25 is the hfusec --quick scale: big enough that the fused
   // triple's latency-hiding win over the stream baseline is real at 2
   // simulated SMs, small enough for test-suite wall time.
-  Opts.Scale = 0.25;
+  Opts.Scales = {0.25};
   Opts.Verify = false;
   Opts.Cache = testCache();
   return Opts;
 }
 
-NWaySearchResult runSweep(const std::vector<BenchKernelId> &Ids,
+SearchResult runSweep(const std::vector<BenchKernelId> &Ids,
                           NWayRunner::Options Opts) {
   NWayRunner R(Ids, std::move(Opts));
   EXPECT_TRUE(R.ok()) << R.error();
@@ -69,9 +69,9 @@ NWaySearchResult runSweep(const std::vector<BenchKernelId> &Ids,
 }
 
 std::map<std::pair<std::vector<int>, unsigned>, uint64_t>
-candidateMap(const NWaySearchResult &SR) {
+candidateMap(const SearchResult &SR) {
   std::map<std::pair<std::vector<int>, unsigned>, uint64_t> M;
-  for (const NWayCandidate &C : SR.All)
+  for (const FusionCandidate &C : SR.All)
     M[{C.Dims, C.RegBound}] = C.Cycles;
   return M;
 }
@@ -82,16 +82,16 @@ std::vector<BenchKernelId> dlTriple() {
 
 /// Every measured, abandoned (budget and issued instructions) and failed
 /// verdict, by canonical id, plus the incumbent.
-std::vector<std::string> ledger(const NWaySearchResult &SR) {
+std::vector<std::string> ledger(const SearchResult &SR) {
   std::vector<std::string> L;
-  for (const NWayCandidate &C : SR.All)
+  for (const FusionCandidate &C : SR.All)
     L.push_back("all c" + std::to_string(C.Id) + " " +
                 std::to_string(C.Cycles));
-  for (const NWayAbandonedCandidate &A : SR.Abandoned)
+  for (const AbandonedCandidate &A : SR.Abandoned)
     L.push_back("abandoned c" + std::to_string(A.Id) + " " +
                 std::to_string(A.BudgetCycles) + " " +
                 std::to_string(A.IssuedInsts));
-  for (const NWayFailedCandidate &F : SR.Failed)
+  for (const FailedCandidate &F : SR.Failed)
     L.push_back("failed c" + std::to_string(F.Id));
   L.push_back("incumbent " + std::to_string(SR.Stats.IncumbentCycles));
   return L;
@@ -99,7 +99,7 @@ std::vector<std::string> ledger(const NWaySearchResult &SR) {
 
 /// The search's own accounting identity must close on every run,
 /// partial or not.
-void expectLedgerCloses(const NWaySearchResult &SR) {
+void expectLedgerCloses(const SearchResult &SR) {
   EXPECT_EQ(SR.Stats.Candidates,
             SR.All.size() + SR.Pruned.size() + SR.Abandoned.size() +
                 SR.Failed.size() + SR.Unvisited.size());
@@ -139,7 +139,7 @@ struct TempDir {
 //===----------------------------------------------------------------------===//
 
 TEST(SearchNWay, ParallelSweepMatchesSerialSweep) {
-  NWaySearchResult Serial, Par;
+  SearchResult Serial, Par;
   {
     NWayRunner::Options Opts = quickOptions();
     Opts.SearchJobs = 1;
@@ -183,7 +183,7 @@ TEST(SearchNWay, AbandonmentSetIdenticalAcrossJobs) {
     NWayRunner::Options Opts = quickOptions();
     Opts.Budget = SearchBudgetMode::Incumbent;
     Opts.SearchJobs = Jobs;
-    NWaySearchResult SR = runSweep(dlTriple(), Opts);
+    SearchResult SR = runSweep(dlTriple(), Opts);
     EXPECT_TRUE(SR.Ok) << SR.Error;
     return ledger(SR);
   };
@@ -199,7 +199,7 @@ TEST(SearchNWay, AbandonmentSetIdenticalAcrossJobs) {
 TEST(SearchNWay, CryptoTripleBeatsNativeAndSerialBaselines) {
   NWayRunner R(cryptoTriple(), quickOptions());
   ASSERT_TRUE(R.ok()) << R.error();
-  NWaySearchResult SR = R.searchBestConfig();
+  SearchResult SR = R.searchBestConfig();
   ASSERT_TRUE(SR.Ok) << SR.Error;
 
   SimResult Native = R.runNative();
@@ -222,11 +222,11 @@ TEST(SearchNWay, CryptoTripleBeatsNativeAndSerialBaselines) {
 
 TEST(SearchNWay, PruningPreservesWinner) {
   NWayRunner::Options NoPrune = quickOptions();
-  NoPrune.PruneLevel = 0;
-  NWaySearchResult Full = runSweep(cryptoTriple(), NoPrune);
+  NoPrune.Prune = false;
+  SearchResult Full = runSweep(cryptoTriple(), NoPrune);
   ASSERT_TRUE(Full.Ok) << Full.Error;
 
-  NWaySearchResult Pruned = runSweep(cryptoTriple(), quickOptions());
+  SearchResult Pruned = runSweep(cryptoTriple(), quickOptions());
   ASSERT_TRUE(Pruned.Ok) << Pruned.Error;
 
   EXPECT_EQ(Full.Best.Dims, Pruned.Best.Dims);
@@ -234,42 +234,31 @@ TEST(SearchNWay, PruningPreservesWinner) {
   EXPECT_EQ(Full.Best.Cycles, Pruned.Best.Cycles);
   // Level 1 only skips candidates it can prove cannot win; every
   // pruned row names its dominator.
-  for (const NWayPrunedCandidate &P : Pruned.Pruned)
+  for (const PrunedCandidate &P : Pruned.Pruned)
     EXPECT_FALSE(P.Reason.empty());
   expectLedgerCloses(Full);
   expectLedgerCloses(Pruned);
 }
 
 //===----------------------------------------------------------------------===//
-// Budget modes preserve Best; measured bound is ordering-only
+// The incumbent budget preserves Best
 //===----------------------------------------------------------------------===//
 
 TEST(SearchNWay, BudgetModesAndMeasuredBoundPreserveBest) {
-  NWaySearchResult Off;
-  {
-    NWayRunner::Options Opts = quickOptions();
-    Opts.Budget = SearchBudgetMode::Off;
-    Off = runSweep(cryptoTriple(), Opts);
-  }
+  // Both budget modes, off and incumbent, agree on Best at 4 jobs.
+  NWayRunner::Options Opts = quickOptions();
+  Opts.Budget = SearchBudgetMode::Off;
+  SearchResult Off = runSweep(cryptoTriple(), Opts);
   ASSERT_TRUE(Off.Ok) << Off.Error;
 
-  for (SearchBudgetMode Mode :
-       {SearchBudgetMode::Incumbent, SearchBudgetMode::IncumbentTight}) {
-    for (bool Measured : {false, true}) {
-      SCOPED_TRACE(std::string(searchBudgetModeName(Mode)) +
-                   (Measured ? "/measured" : "/static"));
-      NWayRunner::Options Opts = quickOptions();
-      Opts.Budget = Mode;
-      Opts.MeasuredBound = Measured;
-      Opts.SearchJobs = 4;
-      NWaySearchResult SR = runSweep(cryptoTriple(), Opts);
-      ASSERT_TRUE(SR.Ok) << SR.Error;
-      EXPECT_EQ(SR.Best.Dims, Off.Best.Dims);
-      EXPECT_EQ(SR.Best.RegBound, Off.Best.RegBound);
-      EXPECT_EQ(SR.Best.Cycles, Off.Best.Cycles);
-      expectLedgerCloses(SR);
-    }
-  }
+  Opts.Budget = SearchBudgetMode::Incumbent;
+  Opts.SearchJobs = 4;
+  SearchResult SR = runSweep(cryptoTriple(), Opts);
+  ASSERT_TRUE(SR.Ok) << SR.Error;
+  EXPECT_EQ(SR.Best.Dims, Off.Best.Dims);
+  EXPECT_EQ(SR.Best.RegBound, Off.Best.RegBound);
+  EXPECT_EQ(SR.Best.Cycles, Off.Best.Cycles);
+  expectLedgerCloses(SR);
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,21 +283,21 @@ TEST(SearchNWay, WarmStoreRerunIsBitIdenticalToCold) {
       NWayRunner::Options Opts = quickOptions();
       Opts.Cache = Cache;
       Opts.Budget = Case.second;
-      NWaySearchResult SR = runSweep(Case.first, Opts);
+      SearchResult SR = runSweep(Case.first, Opts);
       EXPECT_TRUE(SR.Ok) << SR.Error;
       S = Cache->stats();
       return SR;
     };
 
     CompileCache::Stats ColdStats, WarmStats;
-    NWaySearchResult Cold = Sweep(ColdStats);
+    SearchResult Cold = Sweep(ColdStats);
     EXPECT_EQ(ColdStats.DiskHits, 0u);
     EXPECT_GT(ColdStats.DiskWrites, 0u);
     if (Case.second != SearchBudgetMode::Off)
       EXPECT_FALSE(Cold.Abandoned.empty());
 
     // Warm: fresh cache (no in-memory memo survives), reopened store.
-    NWaySearchResult Warm = Sweep(WarmStats);
+    SearchResult Warm = Sweep(WarmStats);
     EXPECT_EQ(Warm.Best.Dims, Cold.Best.Dims);
     EXPECT_EQ(Warm.Best.RegBound, Cold.Best.RegBound);
     EXPECT_EQ(Warm.Best.Cycles, Cold.Best.Cycles);
@@ -330,7 +319,7 @@ TEST(SearchNWay, CancelMidSweepYieldsPartialWithClosingLedger) {
   Opts.Cancel = CancellationToken::make();
   NWayRunner R(cryptoTriple(), Opts);
   ASSERT_TRUE(R.ok()) << R.error();
-  NWaySearchResult SR = R.searchBestConfig();
+  SearchResult SR = R.searchBestConfig();
 
   // The cancel fired before the first measurement, so the sweep ends
   // partial; every enumerated candidate is still accounted for.
@@ -348,20 +337,20 @@ TEST(SearchNWay, InjectedLoweringFaultRetiresCandidateWithoutChangingBest) {
   // Clean run first, to learn the winner and pick a victim: the
   // register-bounded sibling of the winning partition (its lowering is
   // a separate fault site from the unbounded one's).
-  NWaySearchResult Clean = runSweep(cryptoTriple(), quickOptions());
+  SearchResult Clean = runSweep(cryptoTriple(), quickOptions());
   ASSERT_TRUE(Clean.Ok) << Clean.Error;
   ASSERT_EQ(Clean.Best.RegBound, 0u) << "victim assumes an unbounded winner";
 
   // Find the bounded sibling's bound from whichever ledger bucket it
   // landed in.
   unsigned VictimBound = 0;
-  for (const NWayCandidate &C : Clean.All)
+  for (const FusionCandidate &C : Clean.All)
     if (C.Dims == Clean.Best.Dims && C.RegBound != 0)
       VictimBound = C.RegBound;
-  for (const NWayPrunedCandidate &P : Clean.Pruned)
+  for (const PrunedCandidate &P : Clean.Pruned)
     if (P.Dims == Clean.Best.Dims && P.RegBound != 0)
       VictimBound = P.RegBound;
-  for (const NWayAbandonedCandidate &A : Clean.Abandoned)
+  for (const AbandonedCandidate &A : Clean.Abandoned)
     if (A.Dims == Clean.Best.Dims && A.RegBound != 0)
       VictimBound = A.RegBound;
   ASSERT_NE(VictimBound, 0u) << "no bounded sibling to inject into";
@@ -371,7 +360,7 @@ TEST(SearchNWay, InjectedLoweringFaultRetiresCandidateWithoutChangingBest) {
       std::to_string(VictimBound));
   // Fresh runner: the fusion/lowering cache is per-runner, so the
   // armed lowering actually re-runs.
-  NWaySearchResult SR = runSweep(cryptoTriple(), quickOptions());
+  SearchResult SR = runSweep(cryptoTriple(), quickOptions());
   ASSERT_TRUE(SR.Ok) << SR.Error;
 
   // The victim retired to Failed with a structured, transient error;
@@ -429,22 +418,16 @@ TEST(SearchNWay, ServiceRequestRunsNWayWithBothBaselines) {
 
   service::SearchRequest Req;
   Req.Kernels = cryptoTriple();
-  static_cast<SearchOptions &>(Req.Runner) =
-      static_cast<const SearchOptions &>(quickOptions());
-  Req.Runner.Scale1 = 0.25;
+  Req.Runner = quickOptions();
 
   Expected<service::SearchOutcome> Res = Svc.search(Req);
   ASSERT_TRUE(Res) << Res.status().message();
   service::SearchOutcome Out = Res.take();
-  ASSERT_TRUE(Out.NWay.has_value());
-  ASSERT_TRUE(Out.NWay->Ok) << Out.NWay->Error;
-  // Lifecycle fields mirrored into Search for uniform accounting.
-  EXPECT_TRUE(Out.Search.Ok);
-  EXPECT_EQ(Out.Search.RunId, Out.NWay->RunId);
+  ASSERT_TRUE(Out.Search.Ok) << Out.Search.Error;
   // Healthy N-way outcomes carry both baselines for the verdict.
   ASSERT_TRUE(Out.NativeBaseline.has_value());
   EXPECT_TRUE(Out.NativeBaseline->Ok);
   ASSERT_TRUE(Out.SerialBaseline.has_value());
   EXPECT_TRUE(Out.SerialBaseline->Ok);
-  EXPECT_LT(Out.NWay->Best.Cycles, Out.NativeBaseline->TotalCycles);
+  EXPECT_LT(Out.Search.Best.Cycles, Out.NativeBaseline->TotalCycles);
 }

@@ -20,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "profile/PaperPairs.h"
+#include "profile/PairRunner.h"
 #include "service/SearchService.h"
 #include "support/FaultInjector.h"
 #include "support/ResultStore.h"
@@ -32,7 +33,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -71,8 +71,7 @@ PairRunner::Options quickOptions() {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
   Opts.Budget = SearchBudgetMode::Off;
   return Opts;
@@ -80,23 +79,21 @@ PairRunner::Options quickOptions() {
 
 SearchRequest quickRequest() {
   SearchRequest R;
-  R.A = testPair().A;
-  R.B = testPair().B;
+  R.Kernels = {testPair().A, testPair().B};
   R.Runner = quickOptions();
   return R;
 }
 
-std::map<std::tuple<int, int, unsigned>, uint64_t>
+std::map<std::pair<std::vector<int>, unsigned>, uint64_t>
 candidateMap(const SearchResult &SR) {
-  std::map<std::tuple<int, int, unsigned>, uint64_t> M;
+  std::map<std::pair<std::vector<int>, unsigned>, uint64_t> M;
   for (const FusionCandidate &C : SR.All)
-    M[{C.D1, C.D2, C.RegBound}] = C.Cycles;
+    M[{C.Dims, C.RegBound}] = C.Cycles;
   return M;
 }
 
 void expectBitIdentical(const SearchResult &A, const SearchResult &B) {
-  EXPECT_EQ(A.Best.D1, B.Best.D1);
-  EXPECT_EQ(A.Best.D2, B.Best.D2);
+  EXPECT_EQ(A.Best.Dims, B.Best.Dims);
   EXPECT_EQ(A.Best.RegBound, B.Best.RegBound);
   EXPECT_EQ(A.Best.Cycles, B.Best.Cycles);
   EXPECT_EQ(candidateMap(A), candidateMap(B));
@@ -273,9 +270,7 @@ TEST(ServiceTest, CancelDuringInputCompilationIsPartial) {
   ASSERT_TRUE(T) << T.status().message();
   EXPECT_TRUE(T->Search.Partial);
   EXPECT_EQ(T->Search.PartialReason.code(), ErrorCode::Cancelled);
-  ASSERT_TRUE(T->NWay.has_value());
-  EXPECT_TRUE(T->NWay->Partial);
-  EXPECT_EQ(T->NWay->Stats.Candidates, 0u);
+  EXPECT_EQ(T->Search.Stats.Candidates, 0u);
 }
 
 TEST(ServiceTest, IdenticalConcurrentRequestsJoinOneExecution) {
@@ -317,8 +312,7 @@ TEST(ServiceTest, AdmissionBeyondBoundedQueueIsRejectedQueueFull) {
   // Long-running occupant: full-scale request, cancellable so the test
   // does not pay for its completion.
   SearchRequest Long = quickRequest();
-  Long.Runner.Scale1 = 1.0;
-  Long.Runner.Scale2 = 1.0;
+  Long.Runner.Scales = {1.0};
   Long.Cancel = CancellationToken::make();
   Expected<SearchOutcome> OutA = Status::success();
   std::thread A([&] { OutA = Svc.search(Long); });
@@ -350,8 +344,7 @@ TEST(ServiceTest, ShutdownEvictsQueueCancelsInFlightAndRejectsAfter) {
 
   // Occupant A executing, B admitted and queued behind it.
   SearchRequest Long = quickRequest();
-  Long.Runner.Scale1 = 1.0;
-  Long.Runner.Scale2 = 1.0;
+  Long.Runner.Scales = {1.0};
   Expected<SearchOutcome> OutA = Status::success();
   Expected<SearchOutcome> OutB = Status::success();
   std::thread A([&] { OutA = Svc.search(Long); });

@@ -31,7 +31,6 @@
 #include <filesystem>
 #include <map>
 #include <string>
-#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -75,8 +74,7 @@ PairRunner::Options quickOptions(const std::shared_ptr<CompileCache> &Cache) {
   PairRunner::Options Opts;
   Opts.Arch = makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
   Opts.Budget = SearchBudgetMode::Off;
   Opts.Cache = Cache;
@@ -91,11 +89,11 @@ SearchResult runSweep(const BenchPair &P, const PairRunner::Options &Opts) {
   return SR;
 }
 
-std::map<std::tuple<int, int, unsigned>, uint64_t>
+std::map<std::pair<std::vector<int>, unsigned>, uint64_t>
 candidateMap(const SearchResult &SR) {
-  std::map<std::tuple<int, int, unsigned>, uint64_t> M;
+  std::map<std::pair<std::vector<int>, unsigned>, uint64_t> M;
   for (const FusionCandidate &C : SR.All)
-    M[{C.D1, C.D2, C.RegBound}] = C.Cycles;
+    M[{C.Dims, C.RegBound}] = C.Cycles;
   return M;
 }
 
@@ -138,8 +136,7 @@ PairRunner::Options budgetedOptions(const std::shared_ptr<CompileCache> &Cache,
 }
 
 void expectBitIdentical(const SearchResult &A, const SearchResult &B) {
-  EXPECT_EQ(A.Best.D1, B.Best.D1);
-  EXPECT_EQ(A.Best.D2, B.Best.D2);
+  EXPECT_EQ(A.Best.Dims, B.Best.Dims);
   EXPECT_EQ(A.Best.RegBound, B.Best.RegBound);
   EXPECT_EQ(A.Best.Cycles, B.Best.Cycles);
   EXPECT_EQ(candidateMap(A), candidateMap(B));
@@ -242,7 +239,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
   TempDir D("abortrecord");
   auto Budgeted = [](const std::shared_ptr<CompileCache> &Cache) {
     PairRunner::Options Opts = budgetedOptions(Cache);
-    Opts.PruneLevel = 0; // pin the full candidate set
+    Opts.Prune = false; // pin the full candidate set
     return Opts;
   };
   SearchResult Cold = runSweep(P, Budgeted(cacheOn(D)));
@@ -256,7 +253,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
   auto Looser = cacheOn(D);
   PairRunner R2(P.A, P.B, Budgeted(Looser));
   ASSERT_TRUE(R2.ok()) << R2.error();
-  SimResult Full = R2.runHFused(A.D1, A.D2, A.RegBound);
+  SimResult Full = R2.runHFused(A.Dims, A.RegBound);
   ASSERT_TRUE(Full.Ok) << Full.Error;
   EXPECT_GT(Full.TotalCycles, A.BudgetCycles);
   CompileCache::Stats S = Looser->stats();
@@ -268,7 +265,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
   // It matches a storeless runner that never had a budget.
   PairRunner RRef(P.A, P.B, quickOptions(std::make_shared<CompileCache>()));
   ASSERT_TRUE(RRef.ok()) << RRef.error();
-  SimResult Ref = RRef.runHFused(A.D1, A.D2, A.RegBound);
+  SimResult Ref = RRef.runHFused(A.Dims, A.RegBound);
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Full.TotalCycles, Ref.TotalCycles);
   EXPECT_EQ(Full.TotalIssued, Ref.TotalIssued);
@@ -277,7 +274,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
   auto Third = cacheOn(D);
   PairRunner R3(P.A, P.B, Budgeted(Third));
   ASSERT_TRUE(R3.ok()) << R3.error();
-  SimResult Hit = R3.runHFused(A.D1, A.D2, A.RegBound);
+  SimResult Hit = R3.runHFused(A.Dims, A.RegBound);
   ASSERT_TRUE(Hit.Ok) << Hit.Error;
   EXPECT_EQ(Hit.TotalCycles, Full.TotalCycles);
   EXPECT_EQ(Hit.TotalIssued, Full.TotalIssued);
@@ -322,7 +319,8 @@ TEST(StoreAbort, WedgedRunThatHitsTheBudgetIsNotPersisted) {
   TempDir D("wedgedabort");
   auto Cache = cacheOn(D);
   ASSERT_TRUE(FaultInjector::instance().configure(
-      formatString("sim-wedge:label=,%d/%d,r%u)", A.D1, A.D2, A.RegBound)));
+      formatString("sim-wedge:label=,%s,r%u)", dimsLabel(A.Dims).c_str(),
+                   A.RegBound)));
   SearchResult Wedged = runSweep(P, budgetedOptions(Cache));
   FaultInjector::instance().reset();
   EXPECT_EQ(ledger(Wedged), ledger(Ref));
@@ -379,9 +377,9 @@ TEST(StoreAbort, VoidFollowersOfAWedgedSeedAreNotPersisted) {
       Seed = &C;
   ASSERT_NE(Seed, nullptr);
   const std::string Label =
-      Seed->RegBound
-          ? formatString("%d/%d,r%u)", Seed->D1, Seed->D2, Seed->RegBound)
-          : formatString("%d/%d)", Seed->D1, Seed->D2);
+      dimsLabel(Seed->Dims) +
+      (Seed->RegBound ? formatString(",r%u)", Seed->RegBound)
+                      : std::string(")"));
 
   auto Wedged = [&](const TempDir &D, int Jobs, CompileCache::Stats &S) {
     auto Cache = cacheOn(D);

@@ -253,8 +253,7 @@ profile::PairRunner::Options quickOptions() {
   profile::PairRunner::Options Opts;
   Opts.Arch = gpusim::makeGTX1080Ti();
   Opts.SimSMs = 2;
-  Opts.Scale1 = 0.2;
-  Opts.Scale2 = 0.2;
+  Opts.Scales = {0.2};
   Opts.Verify = false;
   // Fresh cache per run: a shared cache would serve the second run from
   // memoization and make the determinism comparison vacuous.
@@ -335,17 +334,17 @@ TEST_F(TelemetryTest, SearchSpansBalancedAcrossWorkers) {
   EXPECT_TRUE(FenceWaitArg);
 }
 
-using BestKey = std::tuple<int, int, unsigned, uint64_t>;
+using BestKey = std::tuple<std::vector<int>, unsigned, uint64_t>;
 
 BestKey bestKey(const profile::SearchResult &SR) {
-  return {SR.Best.D1, SR.Best.D2, SR.Best.RegBound, SR.Best.Cycles};
+  return {SR.Best.Dims, SR.Best.RegBound, SR.Best.Cycles};
 }
 
-std::map<std::tuple<int, int, unsigned>, uint64_t>
+std::map<std::pair<std::vector<int>, unsigned>, uint64_t>
 candidateMap(const profile::SearchResult &SR) {
-  std::map<std::tuple<int, int, unsigned>, uint64_t> M;
+  std::map<std::pair<std::vector<int>, unsigned>, uint64_t> M;
   for (const profile::FusionCandidate &C : SR.All)
-    M[{C.D1, C.D2, C.RegBound}] = C.Cycles;
+    M[{C.Dims, C.RegBound}] = C.Cycles;
   return M;
 }
 

@@ -377,7 +377,7 @@ TEST(BarrierReplacer, RejectsNonWarpMultiple) {
 struct FusedPair {
   ASTContext Target;
   DiagnosticEngine Diags;
-  FusionResult Res;
+  MultiFusionResult Res;
 };
 
 std::unique_ptr<FusedPair> fusePair(const char *Src1, const char *Src2,
@@ -387,11 +387,8 @@ std::unique_ptr<FusedPair> fusePair(const char *Src1, const char *Src2,
   if (!K1 || !K2)
     return nullptr;
   auto Out = std::make_unique<FusedPair>();
-  HorizontalFusionOptions Opts;
-  Opts.D1 = D1;
-  Opts.D2 = D2;
-  Out->Res = fuseHorizontal(Out->Target, K1->Kernel, K2->Kernel, Opts,
-                            Out->Diags);
+  Out->Res = fuseHorizontalMany(Out->Target, {K1->Kernel, K2->Kernel},
+                                {D1, D2}, "", Out->Diags);
   if (Out->Res.Ok) {
     Sema S(Out->Target, Out->Diags);
     if (!S.runOnFunction(Out->Res.Fused))
@@ -421,14 +418,11 @@ TEST(HorizontalFuser, MotivatingExampleStructure) {
   EXPECT_EQ(Printed.find("__syncthreads"), std::string::npos) << Printed;
 
   // Barrier counts preserved (2 in each input kernel).
-  EXPECT_EQ(FP->Res.NumBarriers1, 2u);
-  EXPECT_EQ(FP->Res.NumBarriers2, 2u);
+  EXPECT_EQ(FP->Res.NumBarriers, (std::vector<unsigned>{2, 2}));
 
   // threadIdx.x remains only in the prologue and the two guards.
-  EXPECT_EQ(FP->Res.NumParams1, 4u);
-  EXPECT_EQ(FP->Res.NumParams2, 6u);
-  EXPECT_TRUE(FP->Res.ExternShared2);
-  EXPECT_FALSE(FP->Res.ExternShared1);
+  EXPECT_EQ(FP->Res.NumParams, (std::vector<unsigned>{4, 6}));
+  EXPECT_EQ(FP->Res.ExternSharedKernel, 1);
 }
 
 TEST(HorizontalFuser, FusedSourceReparses) {
@@ -545,12 +539,9 @@ TEST(HorizontalFuser, AblationKeepsFullBarriers) {
   ASSERT_NE(K2, nullptr);
   ASTContext Target;
   DiagnosticEngine Diags;
-  HorizontalFusionOptions Opts;
-  Opts.D1 = 896;
-  Opts.D2 = 128;
-  Opts.UsePartialBarriers = false;
-  FusionResult Res = fuseHorizontal(Target, K1->Kernel, K2->Kernel, Opts,
-                                    Diags);
+  MultiFusionResult Res =
+      fuseHorizontalMany(Target, {K1->Kernel, K2->Kernel}, {896, 128}, "",
+                         Diags, {}, /*UsePartialBarriers=*/false);
   ASSERT_TRUE(Res.Ok) << Diags.str();
   std::string Printed = printFunction(Res.Fused);
   EXPECT_NE(Printed.find("__syncthreads()"), std::string::npos) << Printed;
