@@ -73,7 +73,7 @@ int main() {
       if (!S1.Ok || !S2.Ok || !Native.Ok || !SR.Ok) {
         std::fprintf(stderr, "%s: %s%s%s%s\n", pairName(P).c_str(),
                      S1.Error.c_str(), S2.Error.c_str(),
-                     Native.Error.c_str(), SR.Error.c_str());
+                     Native.Error.c_str(), SR.Err.message().c_str());
         Failed = true;
         break;
       }

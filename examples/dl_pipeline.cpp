@@ -42,7 +42,7 @@ int main() {
     SearchResult Search = Runner.searchBestConfig();
     if (!Native.Ok || !VFused.Ok || !Search.Ok) {
       std::fprintf(stderr, "run failed: %s%s%s\n", Native.Error.c_str(),
-                   VFused.Error.c_str(), Search.Error.c_str());
+                   VFused.Error.c_str(), Search.Err.message().c_str());
       return 1;
     }
 

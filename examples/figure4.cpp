@@ -110,7 +110,7 @@ int main() {
     SimResult Native = Runner.runNative();
     SearchResult SR = Runner.searchBestConfig();
     if (!Native.Ok || !SR.Ok) {
-      std::fprintf(stderr, "search failed: %s\n", SR.Error.c_str());
+      std::fprintf(stderr, "search failed: %s\n", SR.Err.message().c_str());
       return 1;
     }
     double Pct = 100.0 * (static_cast<double>(Native.TotalCycles) /

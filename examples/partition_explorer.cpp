@@ -68,7 +68,7 @@ int main(int Argc, char **Argv) {
   }
   SearchResult SR = Runner.searchBestConfig();
   if (!SR.Ok) {
-    std::fprintf(stderr, "%s\n", SR.Error.c_str());
+    std::fprintf(stderr, "%s\n", SR.Err.str().c_str());
     return 1;
   }
 

@@ -21,7 +21,10 @@
 /// kernels on the simulator instead — a pair, or three or more kernels
 /// for the portfolio extension — through one search pipeline:
 /// --search-jobs N evaluates candidates on N worker threads, and
-/// --no-prune disables occupancy pruning.
+/// --no-prune disables occupancy pruning. Each search builds its own
+/// profile::NWayRunner with one cancellation token (a deadline under
+/// --deadline-ms); SIGTERM and SIGINT cancel the running search into
+/// its partial result and skip the searches after it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +33,6 @@
 #include "profile/Compile.h"
 #include "profile/NWayRunner.h"
 #include "profile/PaperPairs.h"
-#include "service/SearchService.h"
 #include "support/FaultInjector.h"
 #include "support/Log.h"
 #include "support/StringUtils.h"
@@ -39,11 +41,13 @@
 #include "transform/Fusion.h"
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <functional>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,9 +68,10 @@ enum ExitCode : int {
   ExitInternal = 5,       ///< everything else (a bug, not an input)
   ExitStoreDegraded = 6,  ///< search succeeded, but the --cache-dir
                           ///< store degraded to in-memory mid-run
-  ExitPartial = 7,        ///< the request was cancelled or deadlined:
-                          ///< anytime (partial) results were emitted,
-                          ///< with the unvisited candidates accounted
+  ExitPartial = 7,        ///< a search was cancelled, deadlined or
+                          ///< interrupted: anytime (partial) results were
+                          ///< emitted, with the unvisited candidates
+                          ///< accounted
 };
 
 struct CliOptions {
@@ -116,12 +121,11 @@ struct CliOptions {
   std::string MetricsFile; ///< --metrics: JSON snapshot of the registry
   std::string TraceFile;   ///< --trace: Chrome trace_event JSON
   bool Explain = false;    ///< --explain: search-funnel report
-  /// Request lifecycle (see README "Request lifecycle"). A deadlined
-  /// or SIGTERM-drained search still emits its best-so-far results
-  /// (exit code 7) with every skipped candidate accounted.
-  uint64_t DeadlineMs = 0;   ///< --deadline-ms: per-search deadline
-  int MaxQueue = 8;          ///< --max-queue: admission queue bound
-  uint64_t DrainGraceMs = 0; ///< --drain-grace-ms: SIGTERM grace window
+  /// --deadline-ms: per-search deadline (see README "Request
+  /// lifecycle"). A deadlined or interrupted search still emits its
+  /// best-so-far results (exit code 7) with every skipped candidate
+  /// accounted.
+  uint64_t DeadlineMs = 0;
 };
 
 void printUsage() {
@@ -205,14 +209,8 @@ void printUsage() {
       "                   boundary and emits its best-so-far result\n"
       "                   with the unvisited candidates listed (exit\n"
       "                   code 7); 0 = no deadline (default)\n"
-      "  --max-queue N    admission-queue bound of the in-process\n"
-      "                   search service (default 8); the N+1st waiting\n"
-      "                   request is rejected, never queued unbounded\n"
-      "  --drain-grace-ms N\n"
-      "                   on SIGTERM/SIGINT, let the in-flight search\n"
-      "                   finish naturally for N ms before cancelling\n"
-      "                   it into a partial result (default 0: cancel\n"
-      "                   immediately; results are still flushed)\n"
+      "  SIGTERM/SIGINT   cancel the running search into its partial\n"
+      "                   result and skip the rest (exit code 7)\n"
       "\n"
       "robustness:\n"
       "  --sim-watchdog N abandon a candidate simulation as deadlocked\n"
@@ -364,8 +362,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       Opts.PortfolioSize = static_cast<int>(N);
     } else if (Arg == "--sim-watchdog" || Arg == "--timeout" ||
-               Arg == "--deadline-ms" || Arg == "--drain-grace-ms" ||
-               Arg == "--max-queue") {
+               Arg == "--deadline-ms") {
       const char *V = Next();
       if (!V)
         return false;
@@ -381,12 +378,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.WatchdogCycles = N;
       else if (Arg == "--timeout")
         Opts.TimeoutMs = N;
-      else if (Arg == "--deadline-ms")
-        Opts.DeadlineMs = N;
-      else if (Arg == "--drain-grace-ms")
-        Opts.DrainGraceMs = N;
       else
-        Opts.MaxQueue = static_cast<int>(N);
+        Opts.DeadlineMs = N;
     } else if (Arg == "--fault") {
       const char *V = Next();
       if (!V)
@@ -638,21 +631,17 @@ void printExplain(const profile::SearchResult &SR,
   }
 }
 
-/// One search through the service. A pair prints the paper's Figure 6
-/// table; three or more kernels add the concurrent-streams and
-/// sequential baseline rows and the verdict line, so the fused winner's
-/// standing is visible in one table.
+/// One search. A pair prints the paper's Figure 6 table; three or more
+/// kernels add the concurrent-streams and sequential baseline rows and
+/// the verdict line, so the fused winner's standing is visible in one
+/// table.
 int searchOne(const CliOptions &Opts,
               const std::vector<kernels::BenchKernelId> &Ids,
-              service::SearchService &Svc,
               const std::shared_ptr<profile::CompileCache> &Cache,
               const std::shared_ptr<ResultStore> &Store,
               uint64_t *WinnerCycles = nullptr,
               std::string *WinnerDesc = nullptr) {
-  service::SearchRequest Req;
-  Req.Kernels = Ids;
-  Req.DeadlineMs = Opts.DeadlineMs;
-  profile::NWayRunner::Options &RO = Req.Runner;
+  profile::NWayRunner::Options RO;
   RO.Arch = Opts.Volta ? gpusim::makeV100() : gpusim::makeGTX1080Ti();
   RO.SimSMs = Opts.Quick ? 2 : 3;
   RO.Scales = {Opts.Quick ? 0.25 : 1.0};
@@ -663,6 +652,13 @@ int searchOne(const CliOptions &Opts,
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;
+  // One live token per search, so an interrupt or the deadline reaches
+  // every phase (the deadline runs from here, input compilation
+  // included).
+  RO.Cancel = Opts.DeadlineMs
+                  ? CancellationToken::withDeadlineMs(Opts.DeadlineMs)
+                  : CancellationToken::make();
+  const CancellationToken Cancel = RO.Cancel;
 
   const bool Pair = Ids.size() == 2;
   std::string Names;
@@ -687,16 +683,25 @@ int searchOne(const CliOptions &Opts,
   if (Opts.Explain)
     AggBefore = telemetry::Tracer::instance().aggregate();
 
-  Expected<service::SearchOutcome> Res = Svc.search(Req);
-  if (!Res) {
-    // Lifecycle rejection: the request never ran (drain eviction or a
-    // full admission queue).
-    std::fprintf(stderr, "search rejected: %s\n", Res.status().str().c_str());
-    return Res.status().code() == ErrorCode::Cancelled ? ExitPartial
-                                                       : ExitInternal;
+  profile::NWayRunner Runner(Ids, std::move(RO));
+  const profile::SearchResult SR = Runner.searchBestConfig();
+  // The unfused baselines, unless the search was cancelled (an
+  // interrupted run does nothing after its search) or never started.
+  // Three or more kernels always run both: the portfolio verdict
+  // compares the fused winner against both ways of running them
+  // unfused. A pair runs the native one only when its search failed,
+  // so the degraded row still answers "how fast without fusion".
+  std::optional<gpusim::SimResult> Native, Serial;
+  if (Runner.ok() && !Cancel.cancelled()) {
+    if (!Pair) {
+      Native = Runner.runNative();
+      if (SR.Ok)
+        Serial = Runner.runSerial();
+    } else if (!SR.Ok) {
+      Native = Runner.runNative();
+    }
   }
-  service::SearchOutcome Out = Res.take();
-  profile::SearchResult &SR = Out.Search;
+
   if (!SR.Ok && SR.Partial) {
     // The cancel/deadline landed before any candidate was measured:
     // there is no best-so-far, but the ledger still accounts for every
@@ -715,10 +720,9 @@ int searchOne(const CliOptions &Opts,
     // kernels without fusion". Emit it marked degraded:<error code> and
     // exit with the documented distinct code.
     std::fprintf(stderr, "search failed: %s\n", SR.Err.str().c_str());
-    if (!Out.NativeBaseline || !Out.NativeBaseline->Ok) {
+    if (!Native || !Native->Ok) {
       std::fprintf(stderr, "native baseline failed too: %s\n",
-                   Out.NativeBaseline ? Out.NativeBaseline->Error.c_str()
-                                      : "(not run)");
+                   Native ? Native->Error.c_str() : "(not run)");
       return ExitInternal;
     }
     std::fputs(Title.c_str(), stdout);
@@ -727,8 +731,8 @@ int searchOne(const CliOptions &Opts,
                 "cycles", "time(ms)");
     std::printf("%s %8s %14llu %10.3f  degraded:%s\n",
                 textCols(Pair, "-", "-", "streams").c_str(), "-",
-                static_cast<unsigned long long>(Out.NativeBaseline->TotalCycles),
-                Out.NativeBaseline->TotalMs, errorCodeName(SR.Err.code()));
+                static_cast<unsigned long long>(Native->TotalCycles),
+                Native->TotalMs, errorCodeName(SR.Err.code()));
     return ExitSearchDegraded;
   }
 
@@ -736,19 +740,17 @@ int searchOne(const CliOptions &Opts,
   std::printf("%s %8s %14s %10s %9s\n",
               textCols(Pair, "d1", "d2", "dims").c_str(), "bound", "cycles",
               "time(ms)", "blk/SM");
-  // Baseline rows: a request of 3+ kernels carries both.
-  if (Out.NativeBaseline && Out.NativeBaseline->Ok)
+  // Baseline rows: a search of 3+ kernels carries both.
+  if (Native && Native->Ok)
     std::printf("%-20s %8s %14llu %10.3f %9s  (concurrent baseline)\n",
                 "streams", "-",
-                static_cast<unsigned long long>(
-                    Out.NativeBaseline->TotalCycles),
-                Out.NativeBaseline->TotalMs, "-");
-  if (Out.SerialBaseline && Out.SerialBaseline->Ok)
+                static_cast<unsigned long long>(Native->TotalCycles),
+                Native->TotalMs, "-");
+  if (Serial && Serial->Ok)
     std::printf("%-20s %8s %14llu %10.3f %9s  (sequential baseline)\n",
                 "serial", "-",
-                static_cast<unsigned long long>(
-                    Out.SerialBaseline->TotalCycles),
-                Out.SerialBaseline->TotalMs, "-");
+                static_cast<unsigned long long>(Serial->TotalCycles),
+                Serial->TotalMs, "-");
   for (const profile::FusionCandidate &C : SR.All)
     std::printf("%s %8u %14llu %10.3f %9d%s\n", configCols(C.Dims).c_str(),
                 C.RegBound, static_cast<unsigned long long>(C.Cycles),
@@ -793,12 +795,11 @@ int searchOne(const CliOptions &Opts,
   // The portfolio verdict: did the fused winner beat running the
   // kernels separately (both ways of doing that)?
   uint64_t BaselineCycles = 0;
-  if (Out.NativeBaseline && Out.NativeBaseline->Ok)
-    BaselineCycles = Out.NativeBaseline->TotalCycles;
-  if (Out.SerialBaseline && Out.SerialBaseline->Ok &&
-      (BaselineCycles == 0 ||
-       Out.SerialBaseline->TotalCycles < BaselineCycles))
-    BaselineCycles = Out.SerialBaseline->TotalCycles;
+  if (Native && Native->Ok)
+    BaselineCycles = Native->TotalCycles;
+  if (Serial && Serial->Ok &&
+      (BaselineCycles == 0 || Serial->TotalCycles < BaselineCycles))
+    BaselineCycles = Serial->TotalCycles;
   if (BaselineCycles && SR.Best.Cycles)
     std::printf("\nbest fused config %s the best unfused baseline: "
                 "%.3fx (%llu vs %llu cycles)\n",
@@ -850,6 +851,9 @@ int searchOne(const CliOptions &Opts,
   }
   return ExitOk;
 }
+
+/// The SIGTERM/SIGINT handler: one lock-free store, async-signal-safe.
+void onInterruptSignal(int) { CancellationToken::interruptAll(); }
 
 /// Resolves a --portfolio pool name into the kernel list, in canonical
 /// (paper) order.
@@ -985,19 +989,13 @@ int runSearch(const CliOptions &Opts) {
     }
   }
 
-  // The in-process search service: hfusec is its first thin client.
-  // One worker (the CLI is a single-request client; concurrency lives
-  // inside the search), a bounded admission queue, and a SIGTERM/
-  // SIGINT watcher so an interrupted sweep drains to partial results
-  // instead of dying mid-write.
-  service::SearchService::Config SC;
-  SC.Workers = 1;
-  SC.MaxQueue = Opts.MaxQueue;
-  SC.Cache = Cache;
-  SC.DrainGraceMs = Opts.DrainGraceMs;
-  SC.WatchSignals = true;
-  service::SearchService::installSignalHandlers();
-  service::SearchService Svc(SC);
+  // SIGTERM/SIGINT cancel the running search instead of killing the
+  // process mid-write: the handler latches the process-wide interrupt,
+  // every live token reports Cancelled, and the search unwinds to its
+  // partial result. Every store put() is already durable (temp + fsync
+  // + rename), so nothing needs flushing afterwards.
+  std::signal(SIGTERM, onInterruptSignal);
+  std::signal(SIGINT, onInterruptSignal);
 
   // Multi-search sweeps report the first non-OK exit code and still run
   // every entry (a degraded one never hides later results).
@@ -1009,16 +1007,16 @@ int runSearch(const CliOptions &Opts) {
       std::printf("\n");
     uint64_t Cycles = 0;
     std::string Desc;
-    int GroupRC = searchOne(Opts, Groups[I], Svc, Cache, Store, &Cycles, &Desc);
+    int GroupRC = searchOne(Opts, Groups[I], Cache, Store, &Cycles, &Desc);
     if (RC == ExitOk)
       RC = GroupRC;
     if (Cycles && (OverallCycles == 0 || Cycles < OverallCycles)) {
       OverallCycles = Cycles;
       OverallDesc = Desc;
     }
-    // A drain (SIGTERM) rejects everything after the in-flight search;
-    // stop sweeping instead of printing a rejection per search.
-    if (Svc.shuttingDown()) {
+    // An interrupt (SIGTERM/SIGINT) ends the sweep after the search it
+    // cancelled.
+    if (CancellationToken::interrupted()) {
       if (I + 1 < Groups.size())
         std::fprintf(stderr, "drain: %zu remaining search(es) not run\n",
                      Groups.size() - I - 1);

@@ -267,36 +267,26 @@ CompileCache::getKernel(std::string_view Source, const std::string &Name,
       // compilation, so it counts as one: the compile-count pins stay
       // exact. Permanent failures never retry — recompiling a parse
       // error yields the same parse error.
-      int Attempts = Policy.MaxAttempts < 1 ? 1 : Policy.MaxAttempts;
-      for (int A = 1; A <= Attempts; ++A) {
-        uint64_t DelayMs = Policy.delayBeforeAttemptMs(A);
-        Policy.sleepMs(DelayMs);
-        if (A > 1) {
-          {
-            std::lock_guard<std::mutex> Lock(Mu);
-            ++S.KernelCompiles;
-            ++S.CompileRetries;
-          }
-          mirrorCount(&Stats::KernelCompiles, 1);
-          mirrorCount(&Stats::CompileRetries, 1);
-          HFUSE_METRIC_ADD("retry.attempts", 1);
-          HFUSE_METRIC_HISTO("retry.backoff_ms", DelayMs);
-          if (telemetry::traceOn())
-            telemetry::Tracer::instance().instant(
-                "retry", "backoff",
-                "{\"attempt\":" + std::to_string(A) +
-                    ",\"delay_ms\":" + std::to_string(DelayMs) + "}");
+      uint64_t Retries = 0;
+      C.Err = retryTransient(
+          Policy,
+          [&]() -> Status {
+            DiagnosticEngine Local;
+            auto R = compileSourceOr(Source, Name, RegBound, Local);
+            if (!R)
+              return R.status();
+            C.Kernel = R.take();
+            return Status::success();
+          },
+          &Retries);
+      if (Retries) {
+        {
+          std::lock_guard<std::mutex> Lock(Mu);
+          S.KernelCompiles += Retries;
+          S.CompileRetries += Retries;
         }
-        DiagnosticEngine Local;
-        auto R = compileSourceOr(Source, Name, RegBound, Local);
-        if (R) {
-          C.Kernel = R.take();
-          C.Err = Status::success();
-          break;
-        }
-        C.Err = R.status();
-        if (!C.Err.transient())
-          break;
+        mirrorCount(&Stats::KernelCompiles, Retries);
+        mirrorCount(&Stats::CompileRetries, Retries);
       }
       if (!C.Kernel) {
         // Retire the negative entry *before* publishing the result:

@@ -66,7 +66,7 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
   // An empty token is upgraded to a private live one so the cancel-*
   // fault sites (and callers holding a copy of Options) always have a
   // real token to fire; it has no deadline and no external cancel()
-  // caller, so it cannot fire on its own.
+  // caller, so only a fault site or a process interrupt can fire it.
   if (!this->Opts.Cancel.valid())
     this->Opts.Cancel = CancellationToken::make();
 
@@ -505,6 +505,10 @@ std::optional<unsigned> NWayRunner::regBound(const std::vector<int> &Dims) {
 }
 
 std::vector<std::vector<int>> NWayRunner::partitions() const {
+  // A runner whose constructor failed has no workloads to shape the
+  // partitions; sweep() reports why.
+  if (!Ready)
+    return {};
   const size_t NK = Ids.size();
   // A partition must be divisible by each kernel's fixed .y extent so its
   // threads form whole rows of the original block shape.
@@ -569,18 +573,23 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
                   bool TryBound) {
   auto Start = std::chrono::steady_clock::now();
   SearchResult SR;
+  if (!Ready) {
+    // A cancel that landed inside the constructor (input-kernel
+    // compilation) is an anytime result that reached no candidate; any
+    // other construction failure is an internal error.
+    if (Opts.Cancel.cancelled()) {
+      SR.Partial = true;
+      SR.PartialReason = Opts.Cancel.status();
+      SR.Err = SR.PartialReason;
+    } else {
+      SR.Err = Status(ErrorCode::Internal, Err);
+    }
+    return SR;
+  }
   // Process-unique run id, joined against every span this search emits
   // and against the driver's failed:/abandoned: table rows.
   SR.RunId =
       formatString("s%u:%s", nextSearchRunSeq(), namesLabel().c_str());
-  if (!Ready) {
-    // A cancel that landed inside the constructor (input-kernel
-    // compilation) is a request verdict, not an internal error.
-    SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status()
-                                     : Status(ErrorCode::Internal, Err);
-    SR.Error = SR.Err.message().empty() ? Err : SR.Err.message();
-    return SR;
-  }
   telemetry::TraceSpan SearchSpan;
   if (telemetry::traceOn())
     SearchSpan.beginSpan(
@@ -1006,7 +1015,6 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
                    : Status(ErrorCode::FusionUnsupported,
                             Err.empty() ? "no feasible fusion configuration"
                                         : Err);
-    SR.Error = SR.Err.message();
     return SR;
   }
   SR.Best = *std::min_element(

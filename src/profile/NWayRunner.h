@@ -64,15 +64,18 @@
 /// geometry, simulator model, and workload identity), so a warm
 /// --cache-dir rerun is bit-identical to a cold one.
 ///
-/// Options::Cancel threads a request lifecycle through the sweep: a
-/// cancelled or deadlined search stops at the next candidate boundary
-/// and returns an *anytime* result — best-so-far incumbent, Partial
-/// flag, and every skipped candidate accounted in the Unvisited ledger
-/// bucket. When the token never fires, every check is a relaxed atomic
-/// load and results are bit-identical to a token-free run. The ledger
-/// identity Candidates == All + Pruned + Abandoned + Failed + Unvisited
-/// holds on every run, partial or not, and Best/All are bit-identical
-/// across SearchJobs.
+/// Options::Cancel threads cancellation through the sweep: a cancelled,
+/// deadlined or interrupted (SIGTERM/SIGINT) search stops at the next
+/// candidate boundary and returns an *anytime* result — best-so-far
+/// incumbent, Partial flag, and every skipped candidate accounted in
+/// the Unvisited ledger bucket. A cancel that lands while the
+/// constructor compiles the input kernels makes searchBestConfig a
+/// Partial result of 0 candidates; every other construction failure
+/// makes it a !Ok Internal one. When the token never fires, every check
+/// is a relaxed atomic load and results are bit-identical to a
+/// token-free run. The ledger identity Candidates == All + Pruned +
+/// Abandoned + Failed + Unvisited holds on every run, partial or not,
+/// and Best/All are bit-identical across SearchJobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,12 +190,12 @@ struct SearchResult {
   bool Ok = false;
   /// Process-unique id of this search run ("s<N>:<a>+<b>[+<c>...]"),
   /// threaded through every trace span the search emits so table rows
-  /// and Perfetto tracks can be joined.
+  /// and Perfetto tracks can be joined. Empty when the runner failed to
+  /// construct: that search used up no id.
   std::string RunId;
-  std::string Error;
-  /// Structured form of Error: the first failure observed, or the
-  /// reason no candidate was feasible. Ok() when the search succeeded —
-  /// possibly with individual candidates retired into Failed.
+  /// The first failure observed, or the reason no candidate was
+  /// feasible. Ok() when the search succeeded — possibly with
+  /// individual candidates retired into Failed.
   Status Err;
   FusionCandidate Best;
   std::vector<FusionCandidate> All;
@@ -202,13 +205,15 @@ struct SearchResult {
   /// sweep's Best is bit-identical to a failure-free sweep as long as
   /// the winner itself is healthy.
   std::vector<FailedCandidate> Failed;
-  /// Anytime-result marker: the request was cancelled or deadlined
-  /// mid-sweep and at least one candidate went unvisited. Ok stays
-  /// true when an incumbent was measured — Best is then the best of
-  /// what *was* measured (never a silent half-answer: the Unvisited
-  /// ledger says exactly what was skipped) — and false when the cancel
-  /// landed before any measurement. Complete runs (Partial == false)
-  /// are bit-identical to an un-cancelled sweep.
+  /// Anytime-result marker: the search was cancelled or deadlined
+  /// mid-sweep and at least one candidate went unvisited, or before the
+  /// sweep (during input-kernel compilation) with a ledger of 0
+  /// candidates. Ok stays true when an incumbent was measured — Best
+  /// is then the best of what *was* measured (never a silent
+  /// half-answer: the Unvisited ledger says exactly what was skipped) —
+  /// and false when the cancel landed before any measurement. Complete
+  /// runs (Partial == false) are bit-identical to an un-cancelled
+  /// sweep.
   bool Partial = false;
   /// Why the sweep is partial: Cancelled or DeadlineExceeded (ok()
   /// when Partial is false).

@@ -8,9 +8,8 @@
 /// The option set of the configuration search (profile::NWayRunner,
 /// which runs the paper's Figure 6 sweep for a pair and the portfolio
 /// extension for 3+ kernels). The search is a pure function of these
-/// knobs plus the runner's workload scales, so the service fingerprint,
-/// the driver flags, and the budget/prune semantics documented here
-/// apply to every kernel count.
+/// knobs plus the runner's workload scales, so the driver flags and the
+/// budget/prune semantics documented here apply to every kernel count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,8 +84,8 @@ struct SearchOptions {
   /// anytime result (Partial). An empty token is upgraded to a
   /// private live one in the constructor so the cancel-* fault sites
   /// always have something to fire; with no deadline, no cancel()
-  /// caller, and no armed fault site it can never fire, and results
-  /// are bit-identical to a token-free run.
+  /// caller, no interrupt, and no armed fault site it can never fire,
+  /// and results are bit-identical to a token-free run.
   CancellationToken Cancel;
 };
 

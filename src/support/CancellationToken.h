@@ -5,23 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A copyable handle to shared cancellation state for one search
-/// request: an explicit cancel() (SIGTERM drain, a client hanging up,
-/// a cancel-* fault site) and an optional steady-clock deadline. Every
-/// phase of the pipeline polls cancelled() at its own granularity —
-/// per candidate in the search, per wait slice in CompileCache, at the
-/// macro-progress cadence inside the simulator loop — and unwinds with
-/// a Cancelled/DeadlineExceeded Status instead of a half-answer.
+/// A copyable handle to shared cancellation state for one search: an
+/// explicit cancel() (a cancel-* fault site, a caller holding a copy),
+/// an optional steady-clock deadline fixed when the token is made, and
+/// the process-wide interrupt latch that hfusec's SIGTERM/SIGINT handler
+/// sets. Every phase of the pipeline polls cancelled() at its own
+/// granularity — per candidate in the search, per wait slice in
+/// CompileCache, at the macro-progress cadence inside the simulator
+/// loop — and unwinds with a Cancelled/DeadlineExceeded Status instead
+/// of a half-answer.
 ///
 /// The default-constructed token is *empty*: it never reports
-/// cancelled, cancel() is a no-op, and polling it costs one pointer
-/// test. Code that always wants a live token (so fault sites have
-/// something to fire) upgrades an empty token with make().
+/// cancelled (not even after an interrupt), cancel() is a no-op, and
+/// polling it costs one pointer test. Code that always wants a live
+/// token (so fault sites have something to fire) upgrades an empty
+/// token with make().
 ///
 /// The first observed cause wins: a deadline that latches before an
-/// explicit cancel() reports DeadlineExceeded forever after, and vice
-/// versa, so a request's partial-result reason is stable no matter how
-/// many phases observe it.
+/// explicit cancel() or an interrupt reports DeadlineExceeded forever
+/// after, and vice versa, so a search's partial-result reason is stable
+/// no matter how many phases observe it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +60,9 @@ public:
   /// passes.
   static CancellationToken withDeadline(Clock::time_point Deadline) {
     CancellationToken T = make();
-    T.armDeadline(Deadline);
+    // Set before the token is shared, so a plain field suffices.
+    T.State_->HasDeadline = true;
+    T.State_->Deadline = Deadline;
     return T;
   }
 
@@ -69,55 +74,39 @@ public:
   /// Whether this handle refers to live shared state.
   bool valid() const { return State_ != nullptr; }
 
-  /// Whether two handles share one control block (the only notion of
-  /// token identity — a copied handle IS the same token).
-  bool sameStateAs(const CancellationToken &O) const {
-    return State_ == O.State_;
+  /// Cancels every live token in the process, now and from now on
+  /// (reason Cancelled, unless a token already latched a deadline).
+  /// One lock-free store, so a SIGTERM/SIGINT handler may call it. The
+  /// latch cannot be undone.
+  static void interruptAll() {
+    Interrupted.store(true, std::memory_order_relaxed);
   }
-
-  /// Arms a deadline on a live token that has none yet (the service
-  /// composes a caller-supplied cancel token with a --deadline-ms this
-  /// way). The first armed deadline wins; later calls no-op. Safe
-  /// against concurrent cancelled() readers: Deadline is written before
-  /// the release store that publishes it.
-  void armDeadline(Clock::time_point D) const {
-    if (!State_)
-      return;
-    if (State_->Arming.exchange(true, std::memory_order_acq_rel))
-      return; // someone else already armed (or is arming) a deadline
-    State_->Deadline = D;
-    State_->HasDeadline.store(true, std::memory_order_release);
-  }
-  void armDeadlineMs(uint64_t Ms) const {
-    armDeadline(Clock::now() + std::chrono::milliseconds(Ms));
+  /// Whether interruptAll() has been called.
+  static bool interrupted() {
+    return Interrupted.load(std::memory_order_relaxed);
   }
 
   /// Requests cancellation (reason Cancelled, unless a deadline already
   /// latched). Thread-safe, idempotent, no-op on an empty token.
   void cancel() const {
-    if (!State_)
-      return;
-    uint8_t Expected = 0;
-    State_->Rsn.compare_exchange_strong(
-        Expected, static_cast<uint8_t>(Reason::Cancelled),
-        std::memory_order_acq_rel);
-    State_->Flag.store(true, std::memory_order_release);
+    if (State_)
+      latch(Reason::Cancelled);
   }
 
-  /// True once cancel() was called or the deadline passed. The deadline
-  /// latches on first observation so reason() stays stable.
+  /// True once cancel() was called, the process was interrupted, or the
+  /// deadline passed. The cause latches on first observation so
+  /// reason() stays stable.
   bool cancelled() const {
     if (!State_)
       return false;
     if (State_->Flag.load(std::memory_order_acquire))
       return true;
-    if (State_->HasDeadline.load(std::memory_order_acquire) &&
-        Clock::now() >= State_->Deadline) {
-      uint8_t Expected = 0;
-      State_->Rsn.compare_exchange_strong(
-          Expected, static_cast<uint8_t>(Reason::Deadline),
-          std::memory_order_acq_rel);
-      State_->Flag.store(true, std::memory_order_release);
+    if (interrupted()) {
+      latch(Reason::Cancelled);
+      return true;
+    }
+    if (State_->HasDeadline && Clock::now() >= State_->Deadline) {
+      latch(Reason::Deadline);
       return true;
     }
     return false;
@@ -125,14 +114,17 @@ public:
 
   /// Why the token fired; None while not cancelled.
   Reason reason() const {
-    if (!cancelled())
+    // State_ is tested here too, not only inside cancelled(): without
+    // it GCC 12 reports a false -Wstringop-overflow on the load below
+    // for an empty token.
+    if (!State_ || !cancelled())
       return Reason::None;
     return static_cast<Reason>(State_->Rsn.load(std::memory_order_acquire));
   }
 
   /// The Status a phase should unwind with: ok while not cancelled,
   /// else a transient Cancelled/DeadlineExceeded error. Transient
-  /// because retrying the identical request (without the cancel) can
+  /// because retrying the identical search (without the cancel) can
   /// succeed — negative caches must never memoize it.
   Status status() const {
     switch (reason()) {
@@ -147,24 +139,26 @@ public:
     return Status::success();
   }
 
-  /// The deadline, if any (for deriving drain budgets).
-  bool hasDeadline() const {
-    return State_ && State_->HasDeadline.load(std::memory_order_acquire);
-  }
-  Clock::time_point deadline() const {
-    return hasDeadline() ? State_->Deadline : Clock::time_point::max();
-  }
-
 private:
   struct State {
     std::atomic<bool> Flag{false};
     std::atomic<uint8_t> Rsn{0};
-    /// Deadline publication: Arming serializes writers, Deadline is
-    /// written before the HasDeadline release store, readers acquire.
-    std::atomic<bool> Arming{false};
-    std::atomic<bool> HasDeadline{false};
+    bool HasDeadline = false;
     Clock::time_point Deadline{};
   };
+
+  /// Records \p R as the cause unless one is already set, then fires.
+  void latch(Reason R) const {
+    uint8_t Expected = 0;
+    State_->Rsn.compare_exchange_strong(Expected, static_cast<uint8_t>(R),
+                                        std::memory_order_acq_rel);
+    State_->Flag.store(true, std::memory_order_release);
+  }
+
+  static_assert(std::atomic<bool>::is_always_lock_free,
+                "interruptAll() must be async-signal-safe");
+  inline static std::atomic<bool> Interrupted{false};
+
   std::shared_ptr<State> State_;
 };
 

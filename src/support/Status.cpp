@@ -42,8 +42,6 @@ const char *hfuse::errorCodeName(ErrorCode Code) {
     return "Cancelled";
   case ErrorCode::DeadlineExceeded:
     return "DeadlineExceeded";
-  case ErrorCode::QueueFull:
-    return "QueueFull";
   case ErrorCode::Internal:
     return "Internal";
   }

@@ -47,9 +47,8 @@ enum class ErrorCode : uint8_t {
   VerifyError,       ///< output mismatch against the CPU reference
   CacheCorrupt,      ///< a cache entry failed its integrity check
   StoreError,        ///< persistent result store I/O or lock failure
-  Cancelled,         ///< the request's cancellation token fired
-  DeadlineExceeded,  ///< the request's deadline passed mid-flight
-  QueueFull,         ///< admission control rejected the request
+  Cancelled,         ///< the search's token fired (cancel, SIGTERM/SIGINT)
+  DeadlineExceeded,  ///< the search's deadline passed mid-flight
   Internal,          ///< invariant violation; a bug, not an input error
 };
 

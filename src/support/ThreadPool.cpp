@@ -31,41 +31,17 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-bool ThreadPool::submit(std::function<void()> Task) {
+void ThreadPool::submit(std::function<void()> Task) {
   {
     std::unique_lock<std::mutex> Lock(Mu);
-    if (Draining)
-      return false;
     Queue.push_back(std::move(Task));
   }
   HasWork.notify_one();
-  return true;
 }
 
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(Mu);
   AllIdle.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
-}
-
-void ThreadPool::drain() {
-  {
-    std::unique_lock<std::mutex> Lock(Mu);
-    Draining = true;
-  }
-  wait();
-}
-
-size_t ThreadPool::cancelPending() {
-  std::deque<std::function<void()>> Dropped;
-  {
-    std::unique_lock<std::mutex> Lock(Mu);
-    Dropped.swap(Queue);
-    if (InFlight == 0)
-      AllIdle.notify_all();
-  }
-  // Destroyed outside the lock: a captured state's destructor may take
-  // locks of its own, and a task destructor must not deadlock the pool.
-  return Dropped.size();
 }
 
 unsigned ThreadPool::defaultConcurrency() {
@@ -109,7 +85,6 @@ void hfuse::parallelFor(ThreadPool *Pool, size_t N,
     return;
   }
   for (size_t I = 0; I < N; ++I)
-    if (!Pool->submit([&Body, I] { Body(I); }))
-      Body(I); // draining pool: complete the loop inline
+    Pool->submit([&Body, I] { Body(I); });
   Pool->wait();
 }

@@ -13,14 +13,11 @@
 /// parallel callers share one code path and serial runs pay no
 /// synchronization cost.
 ///
-/// Shutdown semantics for the service lifecycle: `drain()` stops
-/// admitting tasks and waits for everything already queued to finish;
-/// `cancelPending()` drops the queued-but-unstarted tasks (running
-/// tasks always complete). Tasks run under an exception-safe wrapper —
-/// a throwing task is counted (`taskExceptions()`) and swallowed
-/// rather than taking down the pool; tasks with results should report
-/// failure through their own channel (the pipeline uses Status).
-/// Tasks may submit further tasks.
+/// Tasks run under an exception-safe wrapper — a throwing task is
+/// counted (`taskExceptions()`) and swallowed rather than taking down
+/// the pool; tasks with results should report failure through their
+/// own channel (the pipeline uses Status). Tasks may submit further
+/// tasks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,24 +49,12 @@ public:
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Enqueues \p Task for execution on some worker. Returns false (and
-  /// drops the task) once drain() has been called.
-  bool submit(std::function<void()> Task);
+  /// Enqueues \p Task for execution on some worker.
+  void submit(std::function<void()> Task);
 
   /// Blocks until every submitted task (including tasks submitted by
   /// tasks) has finished.
   void wait();
-
-  /// Stops admitting new tasks (submit() returns false from now on),
-  /// then blocks until the queue is empty and nothing is in flight.
-  /// Idempotent. The pool stays joinable afterwards; only the
-  /// destructor stops the workers.
-  void drain();
-
-  /// Drops every queued-but-unstarted task and returns how many were
-  /// dropped. Tasks already running are unaffected. Does not stop
-  /// admission — pair with drain() for full shutdown.
-  size_t cancelPending();
 
   /// Tasks whose exceptions the wrapper swallowed since construction.
   uint64_t taskExceptions() const {
@@ -89,7 +74,6 @@ private:
   std::condition_variable AllIdle;  ///< queue empty and nothing in flight
   size_t InFlight = 0;
   bool ShuttingDown = false;
-  bool Draining = false;
   std::atomic<uint64_t> TaskExceptions{0};
 };
 
@@ -99,8 +83,7 @@ private:
 /// one task each (candidate evaluation is coarse enough that chunking
 /// would only hurt load balance) and the call blocks until all have
 /// finished. \p Body must be safe to invoke concurrently for distinct
-/// indices. A draining pool runs the loop inline instead of dropping
-/// indices, so late parallelFor callers still complete their work.
+/// indices.
 void parallelFor(ThreadPool *Pool, size_t N,
                  const std::function<void(size_t)> &Body);
 

@@ -282,7 +282,7 @@ TEST(BudgetedSearchCache, CompileCountsMatchTheUnbudgetedSweep) {
   PairRunner R(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   ASSERT_GT(SR.Stats.Abandoned, 0u); // the budget actually fired
 
   CompileCache::Stats S = Opts.Cache->stats();
@@ -308,7 +308,7 @@ TEST(BudgetedSearchCache, AbortedRunDoesNotPoisonTheSimulationMemo) {
   PairRunner R(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   ASSERT_FALSE(SR.Abandoned.empty());
   const AbandonedCandidate &A = SR.Abandoned.front();
   CompileCache::Stats Before = Opts.Cache->stats();
@@ -366,7 +366,7 @@ TEST(BudgetedSearchCache, MemoizedFullResultDecidesAbandonmentForFree) {
   CompileCache::Stats Before = Opts.Cache->stats();
 
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   CompileCache::Stats After = Opts.Cache->stats();
   EXPECT_EQ(After.SimRuns, Before.SimRuns); // nothing simulated anew
   EXPECT_EQ(SR.Stats.Simulations, 0u);

@@ -178,7 +178,7 @@ TEST(ConfigSearch, FindsFeasibleBestForDLPair) {
                fastOptions());
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   // 7 partitions, each possibly with a register-bound variant.
   EXPECT_GE(SR.All.size(), 7u);
   EXPECT_GT(SR.Best.Cycles, 0u);
@@ -194,7 +194,7 @@ TEST(ConfigSearch, CryptoPairsUseEvenSplit) {
                fastOptions());
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   for (const FusionCandidate &C : SR.All) {
     EXPECT_EQ(C.Dims, (std::vector<int>{256, 256}));
   }
@@ -205,7 +205,7 @@ TEST(ConfigSearch, NaiveModeSkipsProfiling) {
                fastOptions());
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig(/*NaiveEvenSplit=*/true);
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   ASSERT_EQ(SR.All.size(), 1u);
   EXPECT_EQ(SR.All[0].Dims[0], 512);
   EXPECT_EQ(SR.All[0].RegBound, 0u);

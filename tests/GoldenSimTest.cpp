@@ -509,7 +509,7 @@ TEST(GoldenSim, SweepBestCarriesFullStatsAtGoldenCycles) {
                     goldenOptions());
   ASSERT_TRUE(Runner.ok()) << Runner.error();
   SearchResult SR = Runner.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   EXPECT_EQ(SR.Stats.Simulations, SR.All.size());
 
   EXPECT_EQ(SR.Best.Dims, (std::vector<int>{256, 256}));

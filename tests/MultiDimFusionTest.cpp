@@ -476,7 +476,7 @@ TEST(Batchnorm2D, SearchOnlyProposesRowAlignedPartitions) {
                     fastOptions());
   ASSERT_TRUE(Runner.ok()) << Runner.error();
   SearchResult SR = Runner.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   ASSERT_FALSE(SR.All.empty());
   for (const FusionCandidate &C : SR.All) {
     // Every candidate must give Batchnorm2D whole 16-thread rows.

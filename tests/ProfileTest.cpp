@@ -119,7 +119,7 @@ TEST(Search, BestIsMinimumOfCandidates) {
                tinyOptions());
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   for (const FusionCandidate &C : SR.All)
     EXPECT_GE(C.Cycles, SR.Best.Cycles);
 }

@@ -417,7 +417,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
   PairRunner RRef(P.A, P.B, Opts);
   ASSERT_TRUE(RRef.ok()) << RRef.error();
   SearchResult Ref = RRef.searchBestConfig();
-  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  ASSERT_TRUE(Ref.Ok) << Ref.Err;
   ASSERT_TRUE(Ref.Failed.empty());
 
   // Pick victims among the non-winning candidates: a bounded variant
@@ -486,7 +486,7 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
     PairRunner R(P.A, P.B, FOpts);
     ASSERT_TRUE(R.ok()) << R.error();
     SearchResult SR = R.searchBestConfig();
-    ASSERT_TRUE(SR.Ok) << SR.Error;
+    ASSERT_TRUE(SR.Ok) << SR.Err;
 
     // The headline: Best is bit-identical to the fault-free sweep.
     EXPECT_EQ(SR.Best.Dims, Ref.Best.Dims);

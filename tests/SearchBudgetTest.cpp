@@ -71,7 +71,7 @@ SearchResult runSearch(const BenchPair &P, SearchBudgetMode Budget,
   PairRunner R(P.A, P.B, Opts);
   EXPECT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  EXPECT_TRUE(SR.Ok) << SR.Error;
+  EXPECT_TRUE(SR.Ok) << SR.Err;
   return SR;
 }
 
@@ -196,7 +196,7 @@ TEST(SearchBudgetDeterminism, FailedSeedLedgerIdenticalAcrossJobs) {
   // with the next-best seed. The result must be the serial ledger.
   BenchPair P{BenchKernelId::Batchnorm, BenchKernelId::Upsample};
   SearchResult Clean = runSearch(P, SearchBudgetMode::Incumbent, 1);
-  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_TRUE(Clean.Ok) << Clean.Err;
   const FusionCandidate *Seed = nullptr;
   for (const FusionCandidate &C : Clean.All)
     if (C.Cycles == Clean.Stats.IncumbentCycles)
@@ -226,7 +226,7 @@ TEST(SearchBudgetDeterminism, FailedSeedLedgerIdenticalAcrossJobs) {
   };
   SearchResult Serial = Wedged(1);
   SearchResult Parallel = Wedged(4);
-  ASSERT_TRUE(Serial.Ok) << Serial.Error;
+  ASSERT_TRUE(Serial.Ok) << Serial.Err;
   ASSERT_EQ(Serial.Failed.size(), 1u);
   EXPECT_EQ(Serial.Failed[0].Id, Seed->Id);
   EXPECT_NE(Serial.Stats.IncumbentCycles, Clean.Stats.IncumbentCycles);

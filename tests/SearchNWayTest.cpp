@@ -8,16 +8,15 @@
 /// The N-way (3+ kernel) configuration search: determinism across
 /// worker counts, result preservation under pruning and the budget
 /// modes, warm-store bit-identity, anytime (partial) ledger accounting
-/// under cancellation, fault containment, the generalized register
-/// bound, and the service-level request path. The crypto triple
-/// Blake256+SHA256+Ethash is the acceptance workload: its kernels pin
-/// their native 256-thread blocks, so the enumeration is small enough
-/// for quick-scale runs while still exercising every phase.
+/// under cancellation, fault containment, and the generalized register
+/// bound. The crypto triple Blake256+SHA256+Ethash is the acceptance
+/// workload: its kernels pin their native 256-thread blocks, so the
+/// enumeration is small enough for quick-scale runs while still
+/// exercising every phase.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "profile/NWayRunner.h"
-#include "service/SearchService.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
@@ -150,8 +149,8 @@ TEST(SearchNWay, ParallelSweepMatchesSerialSweep) {
     Opts.SearchJobs = 4;
     Par = runSweep(cryptoTriple(), Opts);
   }
-  ASSERT_TRUE(Serial.Ok) << Serial.Error;
-  ASSERT_TRUE(Par.Ok) << Par.Error;
+  ASSERT_TRUE(Serial.Ok) << Serial.Err;
+  ASSERT_TRUE(Par.Ok) << Par.Err;
 
   // Bit-identical Best and full measured set.
   EXPECT_EQ(Serial.Best.Dims, Par.Best.Dims);
@@ -184,7 +183,7 @@ TEST(SearchNWay, AbandonmentSetIdenticalAcrossJobs) {
     Opts.Budget = SearchBudgetMode::Incumbent;
     Opts.SearchJobs = Jobs;
     SearchResult SR = runSweep(dlTriple(), Opts);
-    EXPECT_TRUE(SR.Ok) << SR.Error;
+    EXPECT_TRUE(SR.Ok) << SR.Err;
     return ledger(SR);
   };
   std::vector<std::string> Serial = Ledger(1);
@@ -200,7 +199,7 @@ TEST(SearchNWay, CryptoTripleBeatsNativeAndSerialBaselines) {
   NWayRunner R(cryptoTriple(), quickOptions());
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
 
   SimResult Native = R.runNative();
   ASSERT_TRUE(Native.Ok) << Native.Error;
@@ -224,10 +223,10 @@ TEST(SearchNWay, PruningPreservesWinner) {
   NWayRunner::Options NoPrune = quickOptions();
   NoPrune.Prune = false;
   SearchResult Full = runSweep(cryptoTriple(), NoPrune);
-  ASSERT_TRUE(Full.Ok) << Full.Error;
+  ASSERT_TRUE(Full.Ok) << Full.Err;
 
   SearchResult Pruned = runSweep(cryptoTriple(), quickOptions());
-  ASSERT_TRUE(Pruned.Ok) << Pruned.Error;
+  ASSERT_TRUE(Pruned.Ok) << Pruned.Err;
 
   EXPECT_EQ(Full.Best.Dims, Pruned.Best.Dims);
   EXPECT_EQ(Full.Best.RegBound, Pruned.Best.RegBound);
@@ -249,12 +248,12 @@ TEST(SearchNWay, BudgetModesAndMeasuredBoundPreserveBest) {
   NWayRunner::Options Opts = quickOptions();
   Opts.Budget = SearchBudgetMode::Off;
   SearchResult Off = runSweep(cryptoTriple(), Opts);
-  ASSERT_TRUE(Off.Ok) << Off.Error;
+  ASSERT_TRUE(Off.Ok) << Off.Err;
 
   Opts.Budget = SearchBudgetMode::Incumbent;
   Opts.SearchJobs = 4;
   SearchResult SR = runSweep(cryptoTriple(), Opts);
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
   EXPECT_EQ(SR.Best.Dims, Off.Best.Dims);
   EXPECT_EQ(SR.Best.RegBound, Off.Best.RegBound);
   EXPECT_EQ(SR.Best.Cycles, Off.Best.Cycles);
@@ -284,7 +283,7 @@ TEST(SearchNWay, WarmStoreRerunIsBitIdenticalToCold) {
       Opts.Cache = Cache;
       Opts.Budget = Case.second;
       SearchResult SR = runSweep(Case.first, Opts);
-      EXPECT_TRUE(SR.Ok) << SR.Error;
+      EXPECT_TRUE(SR.Ok) << SR.Err;
       S = Cache->stats();
       return SR;
     };
@@ -338,7 +337,7 @@ TEST(SearchNWay, InjectedLoweringFaultRetiresCandidateWithoutChangingBest) {
   // register-bounded sibling of the winning partition (its lowering is
   // a separate fault site from the unbounded one's).
   SearchResult Clean = runSweep(cryptoTriple(), quickOptions());
-  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_TRUE(Clean.Ok) << Clean.Err;
   ASSERT_EQ(Clean.Best.RegBound, 0u) << "victim assumes an unbounded winner";
 
   // Find the bounded sibling's bound from whichever ledger bucket it
@@ -361,7 +360,7 @@ TEST(SearchNWay, InjectedLoweringFaultRetiresCandidateWithoutChangingBest) {
   // Fresh runner: the fusion/lowering cache is per-runner, so the
   // armed lowering actually re-runs.
   SearchResult SR = runSweep(cryptoTriple(), quickOptions());
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
 
   // The victim retired to Failed with a structured, transient error;
   // Best is bit-identical to the clean run.
@@ -404,30 +403,4 @@ TEST(SearchNWay, RegBoundMatchesFigure6Generalization) {
   GpuArch Arch = makeGTX1080Ti();
   EXPECT_LE(*R0, static_cast<unsigned>(Arch.RegsPerSM / 768));
   EXPECT_GE(*R0, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// The service-level request path
-//===----------------------------------------------------------------------===//
-
-TEST(SearchNWay, ServiceRequestRunsNWayWithBothBaselines) {
-  service::SearchService::Config SC;
-  SC.Workers = 1;
-  SC.Cache = testCache();
-  service::SearchService Svc(SC);
-
-  service::SearchRequest Req;
-  Req.Kernels = cryptoTriple();
-  Req.Runner = quickOptions();
-
-  Expected<service::SearchOutcome> Res = Svc.search(Req);
-  ASSERT_TRUE(Res) << Res.status().message();
-  service::SearchOutcome Out = Res.take();
-  ASSERT_TRUE(Out.Search.Ok) << Out.Search.Error;
-  // Healthy N-way outcomes carry both baselines for the verdict.
-  ASSERT_TRUE(Out.NativeBaseline.has_value());
-  EXPECT_TRUE(Out.NativeBaseline->Ok);
-  ASSERT_TRUE(Out.SerialBaseline.has_value());
-  EXPECT_TRUE(Out.SerialBaseline->Ok);
-  EXPECT_LT(Out.Search.Best.Cycles, Out.NativeBaseline->TotalCycles);
 }

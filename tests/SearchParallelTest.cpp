@@ -67,14 +67,14 @@ TEST(ParallelSearch, IdenticalToSerial) {
   PairRunner RS(BenchKernelId::Batchnorm, BenchKernelId::Hist, Serial);
   ASSERT_TRUE(RS.ok()) << RS.error();
   SearchResult SerialSR = RS.searchBestConfig();
-  ASSERT_TRUE(SerialSR.Ok) << SerialSR.Error;
+  ASSERT_TRUE(SerialSR.Ok) << SerialSR.Err;
 
   PairRunner::Options Par = tinyOptions();
   Par.SearchJobs = 4;
   PairRunner RP(BenchKernelId::Batchnorm, BenchKernelId::Hist, Par);
   ASSERT_TRUE(RP.ok()) << RP.error();
   SearchResult ParSR = RP.searchBestConfig();
-  ASSERT_TRUE(ParSR.Ok) << ParSR.Error;
+  ASSERT_TRUE(ParSR.Ok) << ParSR.Err;
 
   expectSameBest(SerialSR, ParSR);
   EXPECT_EQ(candidateMap(SerialSR), candidateMap(ParSR));
@@ -89,7 +89,7 @@ TEST(ParallelSearch, DefaultPruningNeverDropsSerialWinner) {
     PairRunner RU(A, B, NoPrune);
     ASSERT_TRUE(RU.ok()) << RU.error();
     SearchResult Unpruned = RU.searchBestConfig();
-    ASSERT_TRUE(Unpruned.Ok) << Unpruned.Error;
+    ASSERT_TRUE(Unpruned.Ok) << Unpruned.Err;
     EXPECT_TRUE(Unpruned.Pruned.empty());
 
     PairRunner::Options WithPrune = tinyOptions(); // pruning on
@@ -97,7 +97,7 @@ TEST(ParallelSearch, DefaultPruningNeverDropsSerialWinner) {
     PairRunner RP(A, B, WithPrune);
     ASSERT_TRUE(RP.ok()) << RP.error();
     SearchResult Pruned = RP.searchBestConfig();
-    ASSERT_TRUE(Pruned.Ok) << Pruned.Error;
+    ASSERT_TRUE(Pruned.Ok) << Pruned.Err;
 
     expectSameBest(Unpruned, Pruned);
 
@@ -119,7 +119,7 @@ TEST(CompileCacheCounts, OneFusionPerPartitionOneCompilePerKernel) {
   PairRunner R(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
   ASSERT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  ASSERT_TRUE(SR.Ok) << SR.Error;
+  ASSERT_TRUE(SR.Ok) << SR.Err;
 
   CompileCache::Stats S = Opts.Cache->stats();
   // Both input kernels compiled exactly once, front to back.

@@ -85,7 +85,7 @@ SearchResult runSweep(const BenchPair &P, const PairRunner::Options &Opts) {
   PairRunner R(P.A, P.B, Opts);
   EXPECT_TRUE(R.ok()) << R.error();
   SearchResult SR = R.searchBestConfig();
-  EXPECT_TRUE(SR.Ok) << SR.Error;
+  EXPECT_TRUE(SR.Ok) << SR.Err;
   return SR;
 }
 
@@ -181,7 +181,7 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
     WarmCache->attachStore(Store);
   }
   SearchResult Warm = runSweep(P, quickOptions(WarmCache));
-  ASSERT_TRUE(Warm.Ok) << Warm.Error;
+  ASSERT_TRUE(Warm.Ok) << Warm.Err;
 
   expectBitIdentical(Warm, Cold);
 
@@ -209,7 +209,7 @@ TEST_P(StoreSearch, WarmBudgetedSweepMatchesColdBudgetedSweep) {
   // as BudgetExceeded, not smuggled in as a survivor.
   auto WarmCache = cacheOn(D);
   SearchResult Warm = runSweep(P, budgetedOptions(WarmCache));
-  ASSERT_TRUE(Warm.Ok) << Warm.Error;
+  ASSERT_TRUE(Warm.Ok) << Warm.Err;
 
   expectBitIdentical(Warm, Cold);
   EXPECT_EQ(ledger(Warm), ledger(Cold));
@@ -243,7 +243,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
     return Opts;
   };
   SearchResult Cold = runSweep(P, Budgeted(cacheOn(D)));
-  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
   ASSERT_GE(Cold.Abandoned.size(), 2u);
   const AbandonedCandidate A = Cold.Abandoned.front();
   ASSERT_GT(A.IssuedInsts, 0u);
@@ -289,7 +289,7 @@ TEST(StoreAbort, AbortRecordAnswersOnlyCallersAtLeastAsTight) {
   // completed record, at no instruction cost.
   auto Tight = cacheOn(D);
   SearchResult Again = runSweep(P, Budgeted(Tight));
-  ASSERT_TRUE(Again.Ok) << Again.Error;
+  ASSERT_TRUE(Again.Ok) << Again.Err;
   EXPECT_EQ(Tight->stats().SimRuns, 0u);
   EXPECT_EQ(Tight->stats().DiskMisses, 0u);
   EXPECT_EQ(candidateMap(Again), candidateMap(Cold));
@@ -309,7 +309,7 @@ TEST(StoreAbort, WedgedRunThatHitsTheBudgetIsNotPersisted) {
   const BenchPair P{BenchKernelId::Ethash, BenchKernelId::SHA256};
   SearchResult Ref =
       runSweep(P, budgetedOptions(std::make_shared<CompileCache>()));
-  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  ASSERT_TRUE(Ref.Ok) << Ref.Err;
   ASSERT_EQ(Ref.Abandoned.size(), 1u);
   const AbandonedCandidate &A = Ref.Abandoned.front();
 
@@ -340,7 +340,7 @@ TEST(StoreAbort, CancelledRunsAreNotPersisted) {
   const BenchPair P{BenchKernelId::Batchnorm, BenchKernelId::Hist};
   SearchResult Ref =
       runSweep(P, budgetedOptions(std::make_shared<CompileCache>()));
-  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  ASSERT_TRUE(Ref.Ok) << Ref.Err;
 
   // Cancel mid-sweep at 4 jobs: whatever was in flight ends Cancelled
   // (or void, if it was gated by a cancelled seed). Which runs finished
@@ -370,7 +370,7 @@ TEST(StoreAbort, VoidFollowersOfAWedgedSeedAreNotPersisted) {
   const BenchPair P{BenchKernelId::Batchnorm, BenchKernelId::Upsample};
   SearchResult Clean =
       runSweep(P, budgetedOptions(std::make_shared<CompileCache>()));
-  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_TRUE(Clean.Ok) << Clean.Err;
   const FusionCandidate *Seed = nullptr;
   for (const FusionCandidate &C : Clean.All)
     if (C.Cycles == Clean.Stats.IncumbentCycles)
@@ -424,7 +424,7 @@ TEST(StoreFaultTest, EveryInjectedStoreFaultDegradesToACorrectRun) {
   // Storeless reference.
   auto RefCache = std::make_shared<CompileCache>();
   SearchResult Ref = runSweep(faultPair(), quickOptions(RefCache));
-  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  ASSERT_TRUE(Ref.Ok) << Ref.Err;
 
   const char *Faults[] = {"store-write-torn", "store-corrupt",
                           "store-lock-timeout", "store-read-fail"};
@@ -444,7 +444,7 @@ TEST(StoreFaultTest, EveryInjectedStoreFaultDegradesToACorrectRun) {
       ASSERT_TRUE(Store);
       SeedCache->attachStore(Store);
       SearchResult Seed = runSweep(faultPair(), quickOptions(SeedCache));
-      ASSERT_TRUE(Seed.Ok) << Seed.Error;
+      ASSERT_TRUE(Seed.Ok) << Seed.Err;
     }
 
     // Now run with the fault firing on every matching site. The sweep
@@ -459,7 +459,7 @@ TEST(StoreFaultTest, EveryInjectedStoreFaultDegradesToACorrectRun) {
     Cache->attachStore(Store);
     SearchResult Got = runSweep(faultPair(), quickOptions(Cache));
     FaultInjector::instance().reset();
-    ASSERT_TRUE(Got.Ok) << Fault << ": " << Got.Error;
+    ASSERT_TRUE(Got.Ok) << Fault << ": " << Got.Err;
     expectBitIdentical(Got, Ref);
     // Nothing could be served from disk, so everything was simulated.
     EXPECT_EQ(Cache->stats().DiskHits, 0u);
@@ -477,7 +477,7 @@ TEST(StoreFaultTest, SchemaBumpQuarantinesOldRecordsAndRecomputes) {
     ColdCache->attachStore(Store);
   }
   SearchResult Cold = runSweep(faultPair(), quickOptions(ColdCache));
-  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
   const uint64_t Persisted = ColdCache->stats().DiskWrites;
   ASSERT_GT(Persisted, 0u);
 
@@ -490,7 +490,7 @@ TEST(StoreFaultTest, SchemaBumpQuarantinesOldRecordsAndRecomputes) {
   EXPECT_GE(Store->stats().Quarantined, Persisted);
   Cache->attachStore(Store);
   SearchResult Got = runSweep(faultPair(), quickOptions(Cache));
-  ASSERT_TRUE(Got.Ok) << Got.Error;
+  ASSERT_TRUE(Got.Ok) << Got.Err;
   expectBitIdentical(Got, Cold);
   EXPECT_EQ(Cache->stats().DiskHits, 0u);
   EXPECT_GT(Cache->stats().SimRuns, 0u);

@@ -26,11 +26,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -443,13 +441,11 @@ TEST(CancellationTokenTest, EmptyTokenIsInertAndFree) {
   EXPECT_FALSE(T.cancelled());
   EXPECT_EQ(T.reason(), CancellationToken::Reason::None);
   EXPECT_TRUE(T.status().ok());
-  EXPECT_FALSE(T.hasDeadline());
 }
 
 TEST(CancellationTokenTest, CancelLatchesAndCopiesShareState) {
   CancellationToken T = CancellationToken::make();
   CancellationToken Copy = T; // same shared state
-  EXPECT_TRUE(T.sameStateAs(Copy));
   EXPECT_FALSE(T.cancelled());
   Copy.cancel();
   EXPECT_TRUE(T.cancelled());
@@ -466,7 +462,6 @@ TEST(CancellationTokenTest, DeadlineLatchesWithStableReason) {
   CancellationToken T =
       CancellationToken::withDeadline(CancellationToken::Clock::now() -
                                       std::chrono::milliseconds(1));
-  EXPECT_TRUE(T.hasDeadline());
   EXPECT_TRUE(T.cancelled());
   EXPECT_EQ(T.reason(), CancellationToken::Reason::Deadline);
   EXPECT_EQ(T.status().code(), ErrorCode::DeadlineExceeded);
@@ -477,82 +472,23 @@ TEST(CancellationTokenTest, DeadlineLatchesWithStableReason) {
   // A generous deadline does not fire.
   CancellationToken Far = CancellationToken::withDeadlineMs(600000);
   EXPECT_FALSE(Far.cancelled());
-
-  // armDeadline: first armed deadline wins, later calls no-op.
-  CancellationToken A = CancellationToken::make();
-  A.armDeadlineMs(600000);
-  A.armDeadline(CancellationToken::Clock::now() -
-                std::chrono::milliseconds(1));
-  EXPECT_FALSE(A.cancelled());
-}
-
-TEST(ThreadPoolTest, DrainStopsAdmissionAndWaitsForInFlight) {
-  ThreadPool Pool(2);
-  std::atomic<int> Ran{0};
-  for (int I = 0; I < 8; ++I)
-    EXPECT_TRUE(Pool.submit([&Ran] { ++Ran; }));
-  Pool.drain();
-  EXPECT_EQ(Ran.load(), 8);
-  // A drained pool rejects new work instead of queueing it silently...
-  EXPECT_FALSE(Pool.submit([&Ran] { ++Ran; }));
-  EXPECT_EQ(Ran.load(), 8);
-  // ...and parallelFor falls back to running indices inline, so loops
-  // over a draining pool still complete every index.
-  std::atomic<int> Inline{0};
-  parallelFor(&Pool, 5, [&Inline](size_t) { ++Inline; });
-  EXPECT_EQ(Inline.load(), 5);
-  Pool.drain(); // idempotent
-}
-
-TEST(ThreadPoolTest, CancelPendingDropsOnlyQueuedTasks) {
-  ThreadPool Pool(1);
-  std::mutex Mu;
-  std::condition_variable Cv;
-  bool Release = false, Started = false;
-  std::atomic<int> Ran{0};
-  // Occupy the single worker so everything behind it stays queued.
-  ASSERT_TRUE(Pool.submit([&] {
-    std::unique_lock<std::mutex> Lock(Mu);
-    Started = true;
-    Cv.notify_all();
-    Cv.wait(Lock, [&] { return Release; });
-  }));
-  {
-    std::unique_lock<std::mutex> Lock(Mu);
-    Cv.wait(Lock, [&] { return Started; });
-  }
-  for (int I = 0; I < 6; ++I)
-    ASSERT_TRUE(Pool.submit([&Ran] { ++Ran; }));
-  EXPECT_EQ(Pool.cancelPending(), 6u);
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Release = true;
-    Cv.notify_all();
-  }
-  Pool.wait();
-  // The queued tasks were dropped; the in-flight one finished.
-  EXPECT_EQ(Ran.load(), 0);
-  // Admission is still open after cancelPending (unlike drain).
-  ASSERT_TRUE(Pool.submit([&Ran] { ++Ran; }));
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), 1);
 }
 
 TEST(ThreadPoolTest, TaskExceptionsAreContainedAndCounted) {
   ThreadPool Pool(2);
   std::atomic<int> Ran{0};
   for (int I = 0; I < 4; ++I)
-    ASSERT_TRUE(Pool.submit([&Ran, I] {
+    Pool.submit([&Ran, I] {
       if (I % 2)
         throw std::runtime_error("task failure");
       ++Ran;
-    }));
+    });
   Pool.wait();
   // Throwing tasks never take down a worker: the healthy tasks all
   // ran, the pool still accepts work, and the count is observable.
   EXPECT_EQ(Ran.load(), 2);
   EXPECT_EQ(Pool.taskExceptions(), 2u);
-  ASSERT_TRUE(Pool.submit([&Ran] { ++Ran; }));
+  Pool.submit([&Ran] { ++Ran; });
   Pool.wait();
   EXPECT_EQ(Ran.load(), 3);
 }

@@ -270,7 +270,7 @@ profile::SearchResult runQuickSearch(profile::SearchBudgetMode Budget,
                         kernels::BenchKernelId::Hist, Opts);
   EXPECT_TRUE(R.ok()) << R.error();
   profile::SearchResult SR = R.searchBestConfig();
-  EXPECT_TRUE(SR.Ok) << SR.Error;
+  EXPECT_TRUE(SR.Ok) << SR.Err;
   return SR;
 }
 
