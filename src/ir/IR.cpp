@@ -6,6 +6,7 @@
 
 #include "ir/IR.h"
 
+#include "support/Hashing.h"
 #include "support/StringUtils.h"
 
 using namespace hfuse;
@@ -174,6 +175,47 @@ std::string hfuse::ir::instructionToString(const Instruction &I) {
   if (I.Op == Opcode::CBra || I.Op == Opcode::Bar || I.Imm2 != 0)
     Out += formatString(" imm2=%d", I.Imm2);
   return Out;
+}
+
+uint64_t IRKernel::contentHash() const {
+  // Fields go in one at a time at fixed widths (raw struct bytes would
+  // hash padding), and every sequence is length-prefixed, so no two
+  // layouts feed the same bytes.
+  Fnv1a64 H;
+  H.le(Name.size(), 4).str(Name);
+  H.le(NumRegs, 4).le(ArchRegsPerThread, 4);
+  H.le(StaticSharedBytes, 4).le(UsesDynamicShared, 1).le(LocalBytes, 4);
+  H.le(ParamRegs.size(), 4);
+  for (Reg R : ParamRegs)
+    H.le(R, 2);
+  H.le(SpilledParams.size(), 4);
+  for (const ParamSpill &S : SpilledParams)
+    H.le(S.ParamIndex, 4).le(S.LocalOffset, 4);
+  H.le(Blocks.size(), 4);
+  for (const BasicBlock &B : Blocks) {
+    H.le(B.Insts.size(), 4);
+    for (const Instruction &I : B.Insts) {
+      // Binding every field stops compiling when Instruction gains one,
+      // so a new field cannot be left out of the hash (a store schema
+      // bump goes with it).
+      const auto &[Op, W, SrcW, Pred, MemSize, MemSigned, AtomFloat, Dst,
+                   Src, Imm, Imm2] = I;
+      H.le(static_cast<uint8_t>(Op), 1)
+          .le(static_cast<uint8_t>(W), 1)
+          .le(static_cast<uint8_t>(SrcW), 1)
+          .le(static_cast<uint8_t>(Pred), 1)
+          .le(MemSize, 1)
+          .le(MemSigned, 1)
+          .le(AtomFloat, 1)
+          .le(Dst, 2)
+          .le(Src[0], 2)
+          .le(Src[1], 2)
+          .le(Src[2], 2)
+          .le(static_cast<uint64_t>(Imm), 8)
+          .le(static_cast<uint32_t>(Imm2), 4);
+    }
+  }
+  return H.digest();
 }
 
 void IRKernel::linearize() {

@@ -304,8 +304,19 @@ public:
   /// Total dynamic size checks for debugging.
   size_t numInstructions() const;
 
-  /// Readable dump of the whole kernel.
+  /// Readable dump of the whole kernel, for people. It omits fields the
+  /// simulator reads (SrcW, MemSize, MemSigned, AtomFloat, ParamRegs,
+  /// SpilledParams), so two kernels that simulate differently can print
+  /// the same text: key on contentHash(), never on this.
   std::string str() const;
+
+  /// Stable 64-bit FNV-1a hash of everything a simulation of this kernel
+  /// reads: the header (name, register counts, shared and local bytes),
+  /// ParamRegs, SpilledParams, and every field of every instruction,
+  /// block by block (the blocks define Flat and BlockStart). Equal hashes
+  /// simulate identically, so it keys the result store and the compile
+  /// digest; it is the same in every process and on every host.
+  uint64_t contentHash() const;
 
   /// Appends a new block, returning its id.
   unsigned addBlock() {

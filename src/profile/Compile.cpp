@@ -11,7 +11,6 @@
 #include "ir/RegAlloc.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
-#include "support/Hashing.h"
 #include "support/Log.h"
 #include "support/Telemetry.h"
 
@@ -53,6 +52,8 @@ const char *metricNameFor(uint64_t CompileCache::Stats::*Counter) {
     return "compile.disk_misses";
   if (Counter == &Stats::DiskWrites)
     return "compile.disk_writes";
+  if (Counter == &Stats::ContextSetups)
+    return "sim.context_setups";
   return nullptr;
 }
 
@@ -456,11 +457,7 @@ void CompileCache::publishCompileDigest(const std::string &Name,
   std::string Key = KeyW.take();
 
   ByteWriter W;
-  W.u32(CK.IR->ArchRegsPerThread);
-  W.u32(CK.IR->StaticSharedBytes);
-  W.u32(CK.IR->LocalBytes);
-  W.u64(CK.IR->numInstructions());
-  W.u64(fnv1a64(CK.IR->str()));
+  W.u64(CK.IR->contentHash());
   std::string Digest = W.take();
 
   // Cross-check before (re)publishing: a stored digest that disagrees

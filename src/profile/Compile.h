@@ -40,7 +40,8 @@ namespace hfuse::profile {
 /// ResultStore: the SimResult codec, the compile-digest layout, and the
 /// disk-key construction. Bump it whenever any of those changes — old
 /// records are then quarantined on open instead of being misread.
-inline constexpr uint32_t kStoreSchemaVersion = 3;
+/// Schema 4 keys and digests kernels by ir::IRKernel::contentHash().
+inline constexpr uint32_t kStoreSchemaVersion = 4;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
 /// integer field round-trips verbatim and doubles round-trip by IEEE
@@ -133,6 +134,9 @@ public:
     uint64_t DiskHits = 0;       ///< results served from the ResultStore
     uint64_t DiskMisses = 0;     ///< ResultStore consulted, no answer
     uint64_t DiskWrites = 0;     ///< results persisted to the ResultStore
+    /// Simulator contexts whose workload inputs were built (a search
+    /// the store answers builds none).
+    uint64_t ContextSetups = 0;
   };
 
   /// Compiles (or fetches) CuLite \p Source. On failure returns null,
@@ -170,7 +174,7 @@ public:
   void resetStats();
 
   /// Bumps one statistics counter (used by NWayRunner for the fusion,
-  /// lowering, and simulation layers).
+  /// lowering, simulation, and context set-up layers).
   void count(uint64_t Stats::*Counter, uint64_t N = 1);
 
   /// Attaches an on-disk second-level store. Simulation results are

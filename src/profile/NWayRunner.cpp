@@ -11,7 +11,6 @@
 #include "profile/IncumbentSweep.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
-#include "support/Hashing.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -19,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <climits>
 #include <functional>
@@ -71,23 +71,31 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
     this->Opts.Cancel = CancellationToken::make();
 
   if (Ids.size() < 2) {
-    Err = "horizontal fusion needs at least 2 kernels";
+    Err = Status(ErrorCode::Internal,
+                 "horizontal fusion needs at least 2 kernels");
     return;
   }
   const size_t NScales = this->Opts.Scales.size();
   if (NScales > 1 && NScales != Ids.size()) {
-    Err = formatString("%zu workload scales for %zu kernels", NScales,
-                       Ids.size());
+    Err = Status(ErrorCode::Internal,
+                 formatString("%zu workload scales for %zu kernels",
+                              NScales, Ids.size()));
     return;
   }
 
   DiagnosticEngine Diags;
   Ks.reserve(Ids.size());
   for (BenchKernelId Id : Ids) {
+    Status CompileErr;
     std::shared_ptr<const CompiledKernel> K = Cache->getBenchKernel(
-        Id, /*RegBound=*/0, Diags, nullptr, this->Opts.Cancel);
+        Id, /*RegBound=*/0, Diags, &CompileErr, this->Opts.Cancel);
     if (!K) {
-      Err = "kernel compilation failed:\n" + Diags.str();
+      // Keep the compile's code and transient flag: a retryable
+      // injected fault is not an internal error.
+      std::string Msg = "kernel compilation failed:\n" + Diags.str();
+      Err = CompileErr.transient()
+                ? Status::transient(CompileErr.code(), std::move(Msg))
+                : Status(CompileErr.code(), std::move(Msg));
       return;
     }
     Ks.push_back(std::move(K));
@@ -96,7 +104,7 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
   std::string CtxErr;
   std::unique_ptr<SimContext> C = makeContext(CtxErr);
   if (!C) {
-    Err = CtxErr;
+    Err = Status(ErrorCode::Internal, CtxErr);
     return;
   }
   Primary = std::move(*C);
@@ -136,8 +144,16 @@ NWayRunner::makeContext(std::string &Error) const {
   SC.WallTimeoutMs = Opts.WallTimeoutMs;
   SC.Cancel = Opts.Cancel;
   C->Sim = std::make_unique<Simulator>(SC);
-  for (auto &W : C->W)
-    W->setup(*C->Sim);
+  return C;
+}
+
+NWayRunner::SimContext &NWayRunner::setUp(SimContext &C) {
+  if (!C.IsSetUp) {
+    for (auto &W : C.W)
+      W->setup(*C.Sim);
+    C.IsSetUp = true;
+    Cache->count(&CompileCache::Stats::ContextSetups);
+  }
   return C;
 }
 
@@ -150,7 +166,7 @@ NWayRunner::SimContext *NWayRunner::acquireContext(std::string &Error) {
       return C;
     }
   }
-  // Build a fresh context outside the lock; setup is the expensive part.
+  // Build a fresh context outside the lock.
   std::unique_ptr<SimContext> C = makeContext(Error);
   if (!C)
     return nullptr;
@@ -186,6 +202,7 @@ SimResult NWayRunner::runLaunches(SimContext &C,
                                   const std::vector<int> &VerifyThreads,
                                   const RunBudget &Budget,
                                   double *FenceWaitMs) {
+  assert(C.IsSetUp && "launch params read before setUp()");
   for (auto &W : C.W)
     W->clearOutputs(*C.Sim);
   SimResult R = C.Sim->run(Launches, StatsLevel::Full, Budget, FenceWaitMs);
@@ -205,8 +222,8 @@ SimResult NWayRunner::runLaunches(SimContext &C,
   return R;
 }
 
-KernelLaunch NWayRunner::soloLaunch(size_t K) const {
-  const Workload &W = *Primary.W[K];
+KernelLaunch NWayRunner::soloLaunch(size_t K) {
+  const Workload &W = *setUp(Primary).W[K];
   KernelLaunch L;
   L.Kernel = Ks[K]->IR.get();
   L.GridDim = W.preferredGrid();
@@ -220,7 +237,7 @@ KernelLaunch NWayRunner::soloLaunch(size_t K) const {
 
 SimResult NWayRunner::runNative() {
   if (!Ready)
-    return fail(Err);
+    return fail(Err.message());
   std::vector<KernelLaunch> Launches;
   std::vector<int> VerifyThreads;
   for (size_t I = 0; I < Ids.size(); ++I) {
@@ -233,7 +250,7 @@ SimResult NWayRunner::runNative() {
 
 SimResult NWayRunner::runSolo(size_t K) {
   if (!Ready)
-    return fail(Err);
+    return fail(Err.message());
   KernelLaunch L = soloLaunch(K);
   std::vector<int> VerifyThreads(Ids.size(), 0);
   VerifyThreads[K] = L.GridDim * Primary.W[K]->preferredBlockThreads();
@@ -377,8 +394,8 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
   SimMemo::Key MemoKey{IR.get(), Grid, BlockDim, DynShared};
 
   // Disk key for the second-level ResultStore. It mirrors the memo key
-  // with pointer identity widened to content identity — the fused IR
-  // dump hash — plus everything else the simulation is a pure function
+  // with pointer identity widened to content identity — the fused IR's
+  // contentHash() — plus everything else the simulation is a pure function
   // of: launch geometry, the architecture/simulator model, and the
   // workload identity (seed, then each kernel's scale and name) that
   // determines the kernel parameters. Verified runs bypass the disk: a
@@ -388,7 +405,7 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
   if (!Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
-    KW.u64(fnv1a64(IR->str()));
+    KW.u64(IR->contentHash());
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
@@ -405,8 +422,8 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
     }
     DiskKey = KW.take();
   }
-  // Only a simulation needs a context: memo and disk hits never take
-  // one from the pool (or build a fresh one).
+  // Only a simulation needs a context and its workload inputs: memo and
+  // disk hits never take one from the pool (or build or set one up).
   auto Simulate = [&](const RunBudget &B) -> std::optional<SimResult> {
     std::string CtxErr;
     SimContext *Ctx = C ? C : acquireContext(CtxErr);
@@ -414,6 +431,7 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
       Err = Status(ErrorCode::WorkloadError, CtxErr);
       return std::nullopt;
     }
+    setUp(*Ctx);
     KernelLaunch L;
     L.Kernel = IR.get();
     L.GridDim = Grid;
@@ -448,13 +466,13 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
 SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
                                 unsigned RegBound) {
   if (!Ready)
-    return fail(Err);
+    return fail(Err.message());
   if (Dims.size() != Ids.size())
     return fail("partition count does not match kernel count");
   Status E;
   SimResult R = runHFusedIn(&Primary, Dims, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
-    Err = E.message();
+    Err = E;
   return R;
 }
 
@@ -500,7 +518,7 @@ std::optional<unsigned> NWayRunner::regBound(const std::vector<int> &Dims) {
   Status E;
   std::optional<unsigned> R0 = regBoundImpl(Dims, E);
   if (!E.ok())
-    Err = E.message();
+    Err = E;
   return R0;
 }
 
@@ -576,13 +594,13 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   if (!Ready) {
     // A cancel that landed inside the constructor (input-kernel
     // compilation) is an anytime result that reached no candidate; any
-    // other construction failure is an internal error.
+    // other construction failure is reported as it happened.
     if (Opts.Cancel.cancelled()) {
       SR.Partial = true;
       SR.PartialReason = Opts.Cancel.status();
       SR.Err = SR.PartialReason;
     } else {
-      SR.Err = Status(ErrorCode::Internal, Err);
+      SR.Err = Err;
     }
     return SR;
   }
@@ -1013,8 +1031,8 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
       SR.Err = !FirstError.ok()
                    ? FirstError
                    : Status(ErrorCode::FusionUnsupported,
-                            Err.empty() ? "no feasible fusion configuration"
-                                        : Err);
+                            Err.ok() ? "no feasible fusion configuration"
+                                     : Err.message());
     return SR;
   }
   SR.Best = *std::min_element(

@@ -62,7 +62,9 @@
 /// Candidate simulations are memoized per launch and persisted to the
 /// ResultStore keyed on the fused IR's content hash (plus launch
 /// geometry, simulator model, and workload identity), so a warm
-/// --cache-dir rerun is bit-identical to a cold one.
+/// --cache-dir rerun is bit-identical to a cold one. A context's
+/// workload inputs are built at its first simulation, so a search the
+/// store answers builds none.
 ///
 /// Options::Cancel threads cancellation through the sweep: a cancelled,
 /// deadlined or interrupted (SIGTERM/SIGINT) search stops at the next
@@ -71,11 +73,12 @@
 /// the Unvisited ledger bucket. A cancel that lands while the
 /// constructor compiles the input kernels makes searchBestConfig a
 /// Partial result of 0 candidates; every other construction failure
-/// makes it a !Ok Internal one. When the token never fires, every check
-/// is a relaxed atomic load and results are bit-identical to a
-/// token-free run. The ledger identity Candidates == All + Pruned +
-/// Abandoned + Failed + Unvisited holds on every run, partial or not,
-/// and Best/All are bit-identical across SearchJobs.
+/// makes it a !Ok one carrying the failure's Status (an input compile's
+/// own code and transient flag, Internal otherwise). When the token
+/// never fires, every check is a relaxed atomic load and results are
+/// bit-identical to a token-free run. The ledger identity Candidates ==
+/// All + Pruned + Abandoned + Failed + Unvisited holds on every run,
+/// partial or not, and Best/All are bit-identical across SearchJobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -236,7 +239,7 @@ public:
   NWayRunner(std::vector<kernels::BenchKernelId> Ids, Options Opts);
 
   bool ok() const { return Ready; }
-  const std::string &error() const { return Err; }
+  const std::string &error() const { return Err.message(); }
 
   const std::vector<kernels::BenchKernelId> &kernelIds() const {
     return Ids;
@@ -277,8 +280,18 @@ public:
 protected:
   struct SimContext {
     std::unique_ptr<gpusim::Simulator> Sim;
+    /// Constructed with the context, so their launch shapes are known;
+    /// their inputs exist in Sim only once setUp() ran.
     std::vector<std::unique_ptr<kernels::Workload>> W;
+    bool IsSetUp = false;
   };
+
+  /// Sets up \p C's workloads in its simulator (allocates and fills
+  /// their inputs, which fixes their params()) on the first call, and
+  /// returns \p C. Only a context about to simulate needs that, so a
+  /// search the store answers sets up none; every params() reader
+  /// calls this first.
+  SimContext &setUp(SimContext &C);
 
   /// The partitions the search sweeps, in canonical order: Figure 6's
   /// list for a pair, the product of per-kernel choices for more
@@ -305,7 +318,9 @@ protected:
 
   std::vector<kernels::BenchKernelId> Ids;
   bool Ready = false;
-  std::string Err;
+  /// Why construction failed (an input compile's own Status), or the
+  /// last failure of a public run* or regBound call.
+  Status Err;
   std::vector<std::shared_ptr<const CompiledKernel>> Ks;
 
   /// Serves the public run* methods; the search lends it to a worker
@@ -337,8 +352,8 @@ private:
   };
 
   double scale(size_t K) const;
-  /// Kernel \p K alone at its preferred launch shape.
-  gpusim::KernelLaunch soloLaunch(size_t K) const;
+  /// Kernel \p K alone at its preferred launch shape, in Primary.
+  gpusim::KernelLaunch soloLaunch(size_t K);
   std::unique_ptr<SimContext> makeContext(std::string &Error) const;
   SimContext *acquireContext(std::string &Error);
   void releaseContext(SimContext *C);

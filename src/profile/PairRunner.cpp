@@ -20,7 +20,7 @@ PairRunner::PairRunner(BenchKernelId A, BenchKernelId B, Options Opts)
 
 SimResult PairRunner::runVFused() {
   if (!Ready)
-    return fail(Err);
+    return fail(Err.message());
   if (!VFused) {
     DiagnosticEngine Diags;
     auto Ctx = std::make_unique<cuda::ASTContext>();
@@ -39,15 +39,16 @@ SimResult PairRunner::runVFused() {
     VFusedDynShared =
         Primary.W[0]->dynSharedBytes() + Primary.W[1]->dynSharedBytes();
   }
+  const SimContext &C = setUp(Primary);
   KernelLaunch L;
   L.Kernel = VFused->IR.get();
   int Grid = commonGrid();
   L.GridDim = Grid;
   L.BlockDim = 256;
   L.DynSharedBytes = VFusedDynShared;
-  L.Params = Primary.W[0]->params();
-  L.Params.insert(L.Params.end(), Primary.W[1]->params().begin(),
-                  Primary.W[1]->params().end());
+  L.Params = C.W[0]->params();
+  L.Params.insert(L.Params.end(), C.W[1]->params().begin(),
+                  C.W[1]->params().end());
   L.Label = formatString("VFuse(%s+%s)", kernelDisplayName(Ids[0]),
                          kernelDisplayName(Ids[1]));
   return runLaunches(Primary, {L}, {Grid * 256, Grid * 256});

@@ -38,9 +38,14 @@ public:
     return *this;
   }
   Fnv1a64 &str(std::string_view S) { return bytes(S.data(), S.size()); }
-  template <typename T> Fnv1a64 &pod(const T &V) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return bytes(&V, sizeof(V));
+  /// The low \p Width bytes of \p V, little-endian, so the digest does
+  /// not depend on the host's byte order.
+  Fnv1a64 &le(uint64_t V, unsigned Width) {
+    for (unsigned I = 0; I < Width; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= Prime;
+    }
+    return *this;
   }
 
   uint64_t digest() const { return H; }

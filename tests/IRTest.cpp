@@ -15,6 +15,7 @@
 #include "gpusim/MemorySystem.h"
 #include "ir/IR.h"
 #include "ir/RegAlloc.h"
+#include "profile/Compile.h"
 
 #include <gtest/gtest.h>
 
@@ -293,3 +294,57 @@ TEST(MemorySystemUnit, InflightTrackerBackpressure) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Content hash
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::unique_ptr<profile::CompiledKernel> compileOrFail(const std::string &Src) {
+  DiagnosticEngine Diags;
+  auto K = profile::compileSource(Src, "", /*RegBound=*/0, Diags);
+  EXPECT_NE(K, nullptr) << Diags.str();
+  return K;
+}
+
+} // namespace
+
+TEST(IRContentHash, CoversFieldsStrOmits) {
+  // Each pair lowers to the same printed text but simulates differently:
+  // a sign- vs zero-extending byte load (MemSigned), and a float vs an
+  // integer atomic add (AtomFloat). str() cannot key the store; the
+  // content hash must tell them apart.
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"__global__ void k(int *out, const char *in) {\n"
+       "  int i = threadIdx.x;\n"
+       "  out[i] = in[i];\n"
+       "}\n",
+       "__global__ void k(int *out, const unsigned char *in) {\n"
+       "  int i = threadIdx.x;\n"
+       "  out[i] = in[i];\n"
+       "}\n"},
+      {"__global__ void k(float *p, float v) { atomicAdd(&p[0], v); }\n",
+       "__global__ void k(int *p, int v) { atomicAdd(&p[0], v); }\n"},
+  };
+  for (const auto &[A, B] : Pairs) {
+    SCOPED_TRACE(A);
+    auto KA = compileOrFail(A);
+    auto KB = compileOrFail(B);
+    ASSERT_TRUE(KA && KB);
+    EXPECT_EQ(KA->IR->str(), KB->IR->str());
+    EXPECT_NE(KA->IR->contentHash(), KB->IR->contentHash());
+  }
+}
+
+TEST(IRContentHash, EqualForTwoCompilesOfOneSource) {
+  const char *Src = "__global__ void k(float *a, int n) {\n"
+                    "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
+                    "  if (i < n) a[i] = a[i] * 2.0f;\n"
+                    "}\n";
+  auto K1 = compileOrFail(Src);
+  auto K2 = compileOrFail(Src);
+  ASSERT_TRUE(K1 && K2);
+  EXPECT_NE(K1->IR.get(), K2->IR.get());
+  EXPECT_EQ(K1->IR->contentHash(), K2->IR->contentHash());
+}

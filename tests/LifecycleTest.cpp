@@ -13,10 +13,10 @@
 /// the on-disk ResultStore (warm reruns match a clean cold run
 /// bit-for-bit); a deadline yields a DeadlineExceeded partial result; a
 /// runner whose constructor failed reports the failure from
-/// searchBestConfig() — Partial when cancelled, Internal otherwise —
-/// instead of crashing; and the process-wide interrupt (what hfusec's
-/// SIGTERM/SIGINT handler sets) cancels a running sweep into its
-/// partial result.
+/// searchBestConfig() — Partial when cancelled, the failing compile's
+/// own Status otherwise — instead of crashing; and the process-wide
+/// interrupt (what hfusec's SIGTERM/SIGINT handler sets) cancels a
+/// running sweep into its partial result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -232,17 +232,19 @@ TEST(Lifecycle, CancelDuringInputCompilationIsPartial) {
   EXPECT_EQ(T.Stats.Candidates, 0u);
 }
 
-TEST(Lifecycle, CompileFailureBeforeSearchIsInternalNotPartial) {
+TEST(Lifecycle, CompileFailureBeforeSearchKeepsItsStatusNotPartial) {
   // Every input compile fails (a private cache, so nothing is served
   // from an earlier test): the runner never becomes ready, and its
-  // search reports the failure as an Internal error with 0 candidates.
-  // It is not an anytime result, and no run id is spent on it.
+  // search reports the compile's own failure, the injected transient
+  // CodegenError, with 0 candidates. It is not an anytime result, and
+  // no run id is spent on it.
   InjectorGuard G;
   ASSERT_TRUE(FaultInjector::instance().configure("compile"));
   auto Check = [](const SearchResult &SR) {
     EXPECT_FALSE(SR.Ok);
     EXPECT_FALSE(SR.Partial);
-    EXPECT_EQ(SR.Err.code(), ErrorCode::Internal);
+    EXPECT_EQ(SR.Err.code(), ErrorCode::CodegenError);
+    EXPECT_TRUE(SR.Err.transient());
     EXPECT_EQ(SR.Stats.Candidates, 0u);
     EXPECT_TRUE(SR.RunId.empty());
     expectLedgerIntact(SR);

@@ -307,6 +307,40 @@ TEST(SearchNWay, WarmStoreRerunIsBitIdenticalToCold) {
   }
 }
 
+TEST(SearchNWay, StoreAnsweredSearchSetsUpNoWorkload) {
+  // Workload inputs are built per simulator context, at its first
+  // simulation. A cold sweep at 2 jobs sets up at most one context per
+  // job. A warm one the store answers sets up none, and the baselines,
+  // which bypass the store, set up the primary context once.
+  TempDir D("setups");
+  auto CacheOn = [&] {
+    auto Cache = std::make_shared<CompileCache>();
+    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+    EXPECT_TRUE(Store);
+    Cache->attachStore(Store);
+    return Cache;
+  };
+  NWayRunner::Options Opts = quickOptions();
+  Opts.SearchJobs = 2;
+  Opts.Cache = CacheOn();
+  SearchResult Cold = runSweep(dlTriple(), Opts);
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+  EXPECT_GE(Opts.Cache->stats().ContextSetups, 1u);
+  EXPECT_LE(Opts.Cache->stats().ContextSetups, 2u);
+
+  Opts.Cache = CacheOn();
+  NWayRunner R(dlTriple(), Opts);
+  ASSERT_TRUE(R.ok()) << R.error();
+  SearchResult Warm = R.searchBestConfig();
+  ASSERT_TRUE(Warm.Ok) << Warm.Err;
+  EXPECT_EQ(ledger(Warm), ledger(Cold));
+  EXPECT_EQ(Opts.Cache->stats().SimRuns, 0u);
+  EXPECT_EQ(Opts.Cache->stats().ContextSetups, 0u);
+  EXPECT_TRUE(R.runNative().Ok);
+  EXPECT_TRUE(R.runSerial().Ok);
+  EXPECT_EQ(Opts.Cache->stats().ContextSetups, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Cancellation mid-sweep: anytime results with a closing ledger
 //===----------------------------------------------------------------------===//

@@ -9,14 +9,15 @@
 /// pipeline: a warm-cache run (results served from disk) and a cold run
 /// (results computed) produce bit-identical SearchResults for all 16
 /// paper pairs — same Best config, same cycle counts, same candidate
-/// sets — with the warm run performing zero simulations. Also covered:
-/// every injected store fault degrades the sweep to a correct
-/// storeless run (never a wrong answer, never a crash); warm budgeted
-/// sweeps replay the cold budgeted ledger, budget aborts included,
-/// without simulating; a stored abort answers only callers at least as
-/// tight and is replaced by a looser run; no unclean run (wedged,
-/// cancelled, void) is persisted; and a schema bump quarantines old
-/// records and recomputes rather than serving stale payloads.
+/// sets — with the warm run performing zero simulations and setting up
+/// no workload. Also covered: every injected store fault degrades the
+/// sweep to a correct storeless run (never a wrong answer, never a
+/// crash); warm budgeted sweeps replay the cold budgeted ledger, budget
+/// aborts included, without simulating; a stored abort answers only
+/// callers at least as tight and is replaced by a looser run; no unclean
+/// run (wedged, cancelled, void) is persisted; and a schema bump
+/// quarantines old records and recomputes rather than serving stale
+/// payloads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,6 +171,8 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
   EXPECT_GT(ColdStats.SimRuns, 0u);
   EXPECT_GT(ColdStats.DiskWrites, 0u);
   EXPECT_EQ(ColdStats.DiskHits, 0u);
+  // One simulator context per job, each set up for its first run.
+  EXPECT_EQ(ColdStats.ContextSetups, 1u);
 
   // Warm: a brand-new process image as far as the pipeline can tell —
   // fresh CompileCache (no in-memory memo), reopened store.
@@ -186,9 +189,10 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
   expectBitIdentical(Warm, Cold);
 
   // The headline: with Budget=Off every candidate was persisted, so
-  // the warm sweep re-simulates nothing.
+  // the warm sweep re-simulates nothing and builds no workload inputs.
   CompileCache::Stats WarmStats = WarmCache->stats();
   EXPECT_EQ(WarmStats.SimRuns, 0u);
+  EXPECT_EQ(WarmStats.ContextSetups, 0u);
   EXPECT_GT(WarmStats.DiskHits, 0u);
   EXPECT_EQ(WarmStats.DiskHits, ColdStats.DiskWrites);
 }
