@@ -157,8 +157,7 @@ inline bool enableBenchMetrics() {
 /// the process-cumulative metrics snapshot, compact (single-line) so
 /// the `grep '^{'` trajectory extraction keeps it intact. Unlike the
 /// per-row trajectory lines it is cumulative telemetry, not a
-/// measurement — gauges (e.g. the simulator heartbeat) may differ run
-/// to run.
+/// measurement — gauges hold only their last write.
 inline void emitBenchMetricsJson(const char *Bench) {
   if (!telemetry::metricsOn())
     return;

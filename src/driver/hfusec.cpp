@@ -74,6 +74,21 @@ enum ExitCode : int {
                           ///< accounted
 };
 
+/// The exit code for input kernels that failed to build, matching fuse
+/// mode's code for the same failure.
+ExitCode inputFailureExit(ErrorCode Code) {
+  switch (Code) {
+  case ErrorCode::ParseError:
+  case ErrorCode::SemaError:
+    return ExitBadInput;
+  case ErrorCode::CodegenError:
+  case ErrorCode::RegAllocError:
+    return ExitFusionFailed;
+  default:
+    return ExitInternal;
+  }
+}
+
 struct CliOptions {
   std::string File1, File2;
   std::string Kernel1, Kernel2;
@@ -723,7 +738,7 @@ int searchOne(const CliOptions &Opts,
     if (!Native || !Native->Ok) {
       std::fprintf(stderr, "native baseline failed too: %s\n",
                    Native ? Native->Error.c_str() : "(not run)");
-      return ExitInternal;
+      return Runner.ok() ? ExitInternal : inputFailureExit(SR.Err.code());
     }
     std::fputs(Title.c_str(), stdout);
     std::printf("%s %8s %14s %10s\n",

@@ -41,7 +41,7 @@
 // tests/GoldenSimTest.cpp pins cycle counts captured from the
 // pre-refactor simulator.
 //
-// SimConfig::CycleBudget bolts branch-and-bound onto the loop for the
+// A RunBudget's cycle budget bolts branch-and-bound onto the loop for the
 // profile-guided search: a run is abandoned (SimResult::BudgetExceeded)
 // the moment some kernel is still live at the budget cycle, with idle
 // fast-forward clamped to the budget so the abort point — and the
@@ -286,15 +286,9 @@ struct Simulator::Impl {
   std::chrono::steady_clock::time_point WallDeadline{};
   bool WallTimed = false;
   uint64_t LoopIters = 0;
-  /// Heartbeat plumbing, resolved once per run so the loop never
-  /// touches the registry. HeartbeatIters is deliberately separate from
-  /// LoopIters: the wall-timeout cadence is pinned by golden tests and
-  /// must not shift when metrics are toggled.
-  uint64_t HeartbeatIters = 0;
-  telemetry::Gauge *Heartbeat = nullptr;
   /// Cooperative cancellation of the current run. CancelOn is resolved
   /// once per run (token installed and live); CancelIters is its own
-  /// counter, like HeartbeatIters, so installing a token shifts no
+  /// counter, separate from LoopIters, so installing a token shifts no
   /// cadence a golden test pins.
   bool CancelOn = false;
   uint64_t CancelIters = 0;
@@ -1864,11 +1858,6 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
               Res.Error.c_str());
       return false;
     }
-    // Coarse liveness signal for external observers (a poller can tell
-    // a slow run from a wedged one). Separate iteration counter so the
-    // wall-timeout check cadence above is untouched by the toggle.
-    if (Heartbeat && (++HeartbeatIters & 0x3FFF) == 0)
-      Heartbeat->set(Cycle);
 
     bool AnyIssued = false;
     uint64_t CycleSamples[NumStalls] = {};
@@ -1962,14 +1951,6 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
   ProgressCycle = 0;
   Watchdog = Config.WatchdogCycles;
   LoopIters = 0;
-  HeartbeatIters = 0;
-  // Resolve the heartbeat gauge once per run; the loop never touches
-  // the registry. Telemetry is write-only: nothing in the simulator
-  // reads it back, so results are bit-identical either way.
-  Heartbeat = telemetry::metricsOn()
-                  ? &telemetry::MetricsRegistry::instance().gauge(
-                        "sim.cycle_heartbeat")
-                  : nullptr;
   WallTimed = Config.WallTimeoutMs != 0;
   if (WallTimed)
     WallDeadline = std::chrono::steady_clock::now() +
@@ -2201,17 +2182,12 @@ std::vector<uint8_t> &Simulator::globalMem() {
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches) {
-  return run(Launches, P->Config.Stats, P->Config.CycleBudget);
+  return run(Launches, StatsLevel::Full);
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
                          StatsLevel Stats) {
-  return run(Launches, Stats, P->Config.CycleBudget);
-}
-
-SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
-                         StatsLevel Stats, uint64_t CycleBudget) {
-  return P->run(Launches, Stats, RunBudget::fixed(CycleBudget));
+  return P->run(Launches, Stats, RunBudget());
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,

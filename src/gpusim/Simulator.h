@@ -99,7 +99,7 @@ struct SimResult {
   bool Ok = false;
   std::string Error;
   /// The run was abandoned because its elapsed cycles provably exceeded
-  /// the requested CycleBudget (Ok is false; TotalCycles holds the
+  /// its cycle budget (Ok is false; TotalCycles holds the
   /// abort cycle — always exactly the budget — and TotalIssued the
   /// instructions issued before abandoning). Distinct from a genuine
   /// simulation error: the kernel was healthy, just slower than the
@@ -162,8 +162,6 @@ struct SimConfig {
   GpuArch Arch;
   /// SMs actually simulated; bandwidth is scaled accordingly.
   int SimSMs = 4;
-  /// Default stats level for run() (overridable per run).
-  StatsLevel Stats = StatsLevel::Full;
   /// Model the device-wide L2 data cache (GpuArch::L2Bytes, scaled by
   /// SimSMs/NumSMs like bandwidth). Off by default: the paper's shapes
   /// were calibrated against the DRAM-only model, and the
@@ -171,17 +169,6 @@ struct SimConfig {
   bool ModelL2 = false;
   /// Safety valve against runaway/deadlocked simulations.
   uint64_t MaxCycles = 400ull * 1000 * 1000;
-  /// Cycle budget for branch-and-bound search sweeps; 0 = unlimited.
-  /// The simulator abandons a run the moment its elapsed cycles
-  /// provably exceed the budget — i.e. some kernel is still running at
-  /// the budget cycle, so TotalCycles would come out strictly greater —
-  /// and reports SimResult::BudgetExceeded instead of a full result.
-  /// A run whose true TotalCycles is <= the budget completes normally
-  /// and is bit-identical to an unbudgeted run: idle fast-forward
-  /// clamps to the budget (making the abort point deterministic at
-  /// exactly the budget cycle) but never alters the schedule of a run
-  /// that finishes in time. Overridable per run.
-  uint64_t CycleBudget = 0;
   /// Watchdog window in cycles; 0 = disabled. The run is abandoned with
   /// SimResult::Deadlock when no scheduler macro progress (block
   /// dispatch/retire, barrier release, warp exit) happens for this many
@@ -189,7 +176,7 @@ struct SimConfig {
   /// wedged producer never writes) that the instant no-pending-events
   /// detector cannot see and that would otherwise burn MaxCycles. The
   /// abort point is deterministic: exactly the last-progress cycle plus
-  /// the window (idle fast-forward clamps to it, mirroring CycleBudget).
+  /// the window (idle fast-forward clamps to it, as to a cycle budget).
   /// Healthy runs make macro progress orders of magnitude more often
   /// than any sane window, so schedules are untouched; when idle the
   /// watchdog costs one compare per simulated cycle.
@@ -214,8 +201,17 @@ struct SimConfig {
 /// seed, which runs unbudgeted) or is gated by (a follower, whose
 /// budget is the cycle count the fence resolves to).
 struct RunBudget {
-  /// Fixed budget (SimConfig::CycleBudget semantics); 0 = unlimited.
-  /// Ignored when Fence is set.
+  /// Fixed cycle budget for branch-and-bound search sweeps; 0 =
+  /// unlimited. Ignored when Fence is set. The simulator abandons a run
+  /// the moment its elapsed cycles provably exceed the budget — i.e.
+  /// some kernel is still running at the budget cycle, so TotalCycles
+  /// would come out strictly greater — and reports
+  /// SimResult::BudgetExceeded instead of a full result. A run whose
+  /// true TotalCycles is <= the budget completes normally and is
+  /// bit-identical to an unbudgeted run: idle fast-forward clamps to the
+  /// budget (making the abort point deterministic at exactly the budget
+  /// cycle) but never alters the schedule of a run that finishes in
+  /// time.
   uint64_t Cycles = 0;
   IncumbentFence *Fence = nullptr;
   /// Publish into Fence instead of being gated by it.
@@ -245,18 +241,13 @@ public:
   std::vector<uint8_t> &globalMem();
 
   /// Runs all launches concurrently (one stream per launch), to
-  /// completion. May be called repeatedly; the arena persists, the
-  /// machine state resets each run.
+  /// completion, at StatsLevel::Full. May be called repeatedly; the
+  /// arena persists, the machine state resets each run.
   SimResult run(const std::vector<KernelLaunch> &Launches);
 
-  /// Same, overriding the configured stats level for this run only.
-  /// Cycle counts do not depend on the level.
+  /// Same, at stats level \p Stats. Cycle counts do not depend on the
+  /// level.
   SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats);
-
-  /// Same, additionally overriding the cycle budget for this run only
-  /// (0 = unlimited regardless of SimConfig::CycleBudget).
-  SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats,
-                uint64_t CycleBudget);
 
   /// Same, under \p Budget. A gated run returns exactly what run() under
   /// the fixed budget the fence resolves to would return; one whose

@@ -14,9 +14,6 @@
 #include "support/Log.h"
 #include "support/Telemetry.h"
 
-#include <chrono>
-#include <cstdio>
-
 using namespace hfuse;
 using namespace hfuse::profile;
 
@@ -62,6 +59,39 @@ void mirrorCount(uint64_t CompileCache::Stats::*Counter, uint64_t N) {
     return;
   if (const char *Name = metricNameFor(Counter))
     telemetry::MetricsRegistry::instance().counter(Name).add(N);
+}
+
+/// Publishes or cross-checks the compile digest of a fresh compile.
+void publishCompileDigest(ResultStore &St, const std::string &Name,
+                          unsigned RegBound, uint64_t SourceHash,
+                          const CompiledKernel &CK) {
+  if (!CK.IR)
+    return;
+  ByteWriter KeyW;
+  KeyW.str("compile-digest");
+  KeyW.str(Name);
+  KeyW.u32(RegBound);
+  KeyW.u64(SourceHash);
+  std::string Key = KeyW.take();
+
+  ByteWriter W;
+  W.u64(CK.IR->contentHash());
+  std::string Digest = W.take();
+
+  // Cross-check before (re)publishing: a stored digest that disagrees
+  // with a fresh compile of identical source means the toolchain's
+  // determinism broke between runs — exactly the bug the warm==cold
+  // invariant exists to catch. The fresh compile is the ground truth
+  // (it is what this process will simulate), so warn and overwrite.
+  if (std::optional<std::string> Prev = St.get(Key)) {
+    if (*Prev == Digest)
+      return;
+    HFUSE_METRIC_ADD("compile.digest_mismatches", 1);
+    logWarn("compile digest mismatch for kernel '%s' (r%u); determinism "
+            "drift — record overwritten",
+            Name.c_str(), RegBound);
+  }
+  (void)St.put(Key, Digest);
 }
 
 } // namespace
@@ -216,7 +246,7 @@ CompileCache::getKernel(std::string_view Source, const std::string &Name,
                         unsigned RegBound, DiagnosticEngine &Diags,
                         Status *Err, const CancellationToken &Cancel) {
   // A request that is already cancelled never touches the map: no
-  // entry is created, no counter moves, nothing to poison.
+  // entry is created, no counter moves.
   if (Cancel.cancelled()) {
     if (Err)
       *Err = Cancel.status();
@@ -225,130 +255,56 @@ CompileCache::getKernel(std::string_view Source, const std::string &Name,
 
   Key K{std::hash<std::string_view>{}(Source), Source.size(), Name,
         RegBound};
-
-  // The retry loop serves one case: a cached entry flagged as corrupt
-  // by its integrity check. The reader retires it (identity-checked)
-  // and re-enters as a fresh compiler — corruption is transient by
-  // definition, so recovery is recompilation, not propagation.
-  for (;;) {
-    std::shared_ptr<std::shared_future<Compiled>> Fut;
-    std::promise<Compiled> Promise;
-    bool IsCompiler = false;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Map.find(K);
-      if (It != Map.end()) {
-        ++S.KernelHits;
-        mirrorCount(&Stats::KernelHits, 1);
-        Fut = It->second;
-      } else {
-        IsCompiler = true;
-        ++S.KernelCompiles;
-        mirrorCount(&Stats::KernelCompiles, 1);
-        Fut = std::make_shared<std::shared_future<Compiled>>(
-            Promise.get_future().share());
-        Map.emplace(K, Fut);
-      }
-    }
-
-    if (IsCompiler) {
-      Compiled C;
-      RetryPolicy Policy;
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        Policy = Retry_;
-      }
-      telemetry::TraceSpan CompileSpan;
-      if (telemetry::traceOn())
-        CompileSpan.beginSpan("compile", "kernel:" + Name,
-                              "{\"reg_bound\":" + std::to_string(RegBound) +
-                                  "}");
-      // Bounded retry for transient failures (injected faults, flaky
-      // I/O behind a compile). Each extra attempt is a real
-      // compilation, so it counts as one: the compile-count pins stay
-      // exact. Permanent failures never retry — recompiling a parse
-      // error yields the same parse error.
-      uint64_t Retries = 0;
-      C.Err = retryTransient(
-          Policy,
-          [&]() -> Status {
-            DiagnosticEngine Local;
-            auto R = compileSourceOr(Source, Name, RegBound, Local);
-            if (!R)
-              return R.status();
-            C.Kernel = R.take();
-            return Status::success();
-          },
-          &Retries);
-      if (Retries) {
-        {
-          std::lock_guard<std::mutex> Lock(Mu);
-          S.KernelCompiles += Retries;
-          S.CompileRetries += Retries;
-        }
-        mirrorCount(&Stats::KernelCompiles, Retries);
-        mirrorCount(&Stats::CompileRetries, Retries);
-      }
-      if (!C.Kernel) {
-        // Retire the negative entry *before* publishing the result:
-        // every waiter already blocked on this future receives the
-        // error, while any later request finds no entry and compiles
-        // afresh. The identity check keeps a concurrent sequence of
-        // fail/retry from erasing a successor's entry.
-        std::lock_guard<std::mutex> Lock(Mu);
-        auto It = Map.find(K);
-        if (It != Map.end() && It->second == Fut)
-          Map.erase(It);
-      } else if (hasStore()) {
-        publishCompileDigest(Name, RegBound,
-                             static_cast<uint64_t>(K.SourceHash), *C.Kernel);
-      }
-      Promise.set_value(std::move(C));
-    }
-
-    // A cancellable waiter polls instead of blocking: when its token
-    // fires it *detaches* — unblocks with a Cancelled status — while
-    // the compiling thread runs to completion and publishes the entry
-    // for the other requests sharing the key. The compiler itself
-    // never detaches mid-compile (it owns the entry; a dangling
-    // promise would wedge every waiter), which is fine: one compile is
-    // cheap next to the sweep the cancellation is aborting.
-    if (!IsCompiler && Cancel.valid()) {
-      while (Fut->wait_for(std::chrono::milliseconds(1)) !=
-             std::future_status::ready) {
-        if (Cancel.cancelled()) {
-          if (Err)
-            *Err = Cancel.status();
-          return nullptr;
-        }
-      }
-    }
-
-    const Compiled &C = Fut->get();
-    if (!C.Kernel) {
-      Diags.error(SourceLocation(),
-                  "cached compilation failed:\n" + C.Err.message());
-      if (Err)
-        *Err = C.Err;
-      return nullptr;
-    }
-    // Entry integrity check (the detection signal is injection-driven;
-    // a real corruption check would validate a content hash here).
-    if (!IsCompiler) {
-      FaultInjector &FI = FaultInjector::instance();
-      if (FI.armed() &&
-          !FI.check(FaultSite::CacheCorrupt, Name).ok()) {
-        std::lock_guard<std::mutex> Lock(Mu);
-        auto It = Map.find(K);
-        if (It != Map.end() && It->second == Fut)
-          Map.erase(It);
-        continue;
-      }
-    }
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (auto It = Map.find(K); It != Map.end()) {
+    ++S.KernelHits;
+    mirrorCount(&Stats::KernelHits, 1);
     if (Err)
       *Err = Status::success();
-    return C.Kernel;
+    return It->second;
   }
+
+  telemetry::TraceSpan CompileSpan;
+  if (telemetry::traceOn())
+    CompileSpan.beginSpan("compile", "kernel:" + Name,
+                          "{\"reg_bound\":" + std::to_string(RegBound) +
+                              "}");
+  // Bounded retry for transient failures (injected faults, flaky I/O
+  // behind a compile). Each extra attempt is a real compilation, so it
+  // counts as one: the compile-count pins stay exact. Permanent
+  // failures never retry — recompiling a parse error yields the same
+  // parse error.
+  std::shared_ptr<const CompiledKernel> Kernel;
+  uint64_t Retries = 0;
+  Status CompileErr = retryTransient(
+      Retry_,
+      [&]() -> Status {
+        DiagnosticEngine Local;
+        auto R = compileSourceOr(Source, Name, RegBound, Local);
+        if (!R)
+          return R.status();
+        Kernel = R.take();
+        return Status::success();
+      },
+      &Retries);
+  S.KernelCompiles += 1 + Retries;
+  S.CompileRetries += Retries;
+  mirrorCount(&Stats::KernelCompiles, 1 + Retries);
+  if (Retries)
+    mirrorCount(&Stats::CompileRetries, Retries);
+
+  if (Err)
+    *Err = CompileErr;
+  if (!Kernel) {
+    Diags.error(SourceLocation(),
+                "cached compilation failed:\n" + CompileErr.message());
+    return nullptr;
+  }
+  if (Store_)
+    publishCompileDigest(*Store_, Name, RegBound,
+                         static_cast<uint64_t>(K.SourceHash), *Kernel);
+  Map.emplace(std::move(K), Kernel);
+  return Kernel;
 }
 
 std::shared_ptr<const CompiledKernel>
@@ -362,11 +318,6 @@ CompileCache::getBenchKernel(kernels::BenchKernelId Id, unsigned RegBound,
 CompileCache::Stats CompileCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return S;
-}
-
-void CompileCache::resetStats() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  S = Stats();
 }
 
 void CompileCache::count(uint64_t Stats::*Counter, uint64_t N) {
@@ -395,11 +346,6 @@ bool CompileCache::hasStore() const {
 void CompileCache::setRetryPolicy(RetryPolicy Policy) {
   std::lock_guard<std::mutex> Lock(Mu);
   Retry_ = std::move(Policy);
-}
-
-RetryPolicy CompileCache::retryPolicy() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Retry_;
 }
 
 bool hfuse::profile::isStorableSimResult(const gpusim::SimResult &R) {
@@ -440,40 +386,6 @@ void CompileCache::storeSimResult(const std::string &Key,
     return;
   if (St->put(Key, encodeSimResult(R)).ok())
     count(&Stats::DiskWrites);
-}
-
-void CompileCache::publishCompileDigest(const std::string &Name,
-                                        unsigned RegBound,
-                                        uint64_t SourceHash,
-                                        const CompiledKernel &CK) {
-  std::shared_ptr<ResultStore> St = store();
-  if (!St || !CK.IR)
-    return;
-  ByteWriter KeyW;
-  KeyW.str("compile-digest");
-  KeyW.str(Name);
-  KeyW.u32(RegBound);
-  KeyW.u64(SourceHash);
-  std::string Key = KeyW.take();
-
-  ByteWriter W;
-  W.u64(CK.IR->contentHash());
-  std::string Digest = W.take();
-
-  // Cross-check before (re)publishing: a stored digest that disagrees
-  // with a fresh compile of identical source means the toolchain's
-  // determinism broke between runs — exactly the bug the warm==cold
-  // invariant exists to catch. The fresh compile is the ground truth
-  // (it is what this process will simulate), so warn and overwrite.
-  if (std::optional<std::string> Prev = St->get(Key)) {
-    if (*Prev == Digest)
-      return;
-    HFUSE_METRIC_ADD("compile.digest_mismatches", 1);
-    logWarn("compile digest mismatch for kernel '%s' (r%u); determinism "
-            "drift — record overwritten",
-            Name.c_str(), RegBound);
-  }
-  (void)St->put(Key, Digest);
 }
 
 CompileCache &hfuse::profile::globalCompileCache() {

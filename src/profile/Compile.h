@@ -27,12 +27,12 @@
 #include "transform/Pipeline.h"
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
+#include <tuple>
 
 namespace hfuse::profile {
 
@@ -108,12 +108,13 @@ std::unique_ptr<ir::IRKernel> lowerFunctionNoRegAlloc(
 ///
 /// Full front-end compilations (CuLite source -> executable IR) are
 /// keyed on (source hash, source length, kernel name, register bound),
-/// so the constant per-candidate recompilation of the two input kernels
-/// — and the recompilation across runner instances in the bench
-/// loops — happens once per distinct key. Entries are immutable after
-/// insertion and shared as shared_ptr<const CompiledKernel>; concurrent
-/// requests for the same key block on a shared_future instead of
-/// compiling twice.
+/// so the input kernels of every runner in a process — and of the
+/// runners in the bench loops — compile once per distinct key. Entries
+/// are immutable after insertion and shared as
+/// shared_ptr<const CompiledKernel>. A lookup and the compile it may
+/// run both hold the cache's mutex, so concurrent requests for one key
+/// compile it once; the only product caller, NWayRunner's constructor,
+/// compiles its input kernels once and serially.
 ///
 /// The cache also owns the search-wide statistics counters. Fused-kernel
 /// fusion/lowering and simulator memoization live in NWayRunner (they
@@ -143,21 +144,12 @@ public:
   /// appends the recorded diagnostics to \p Diags, and (when \p Err is
   /// non-null) stores the structured failure Status.
   ///
-  /// Failure semantics: only successful compilations are memoized. A
-  /// failed compile delivers its error to every waiter already blocked
-  /// on the in-flight shared future, but the entry itself is retired
-  /// before the result is published — a later request for the same key
-  /// starts a fresh compilation instead of replaying the failure
-  /// (injected/transient faults must be retryable, and a permanent
-  /// failure simply recompiles, which is cheap next to the sweep).
-  ///
-  /// Cancellation semantics: a live \p Cancel token lets a *waiter*
-  /// detach from an in-flight compile — it unblocks with a
-  /// Cancelled/DeadlineExceeded \p Err while the compiling thread runs
-  /// to completion and publishes the entry normally, so one cancelled
-  /// request never poisons the cache for concurrent requests sharing
-  /// the key. An already-cancelled token returns before touching the
-  /// map at all.
+  /// Only successful compilations are cached: a failed compile is never
+  /// inserted, so the next request for the key compiles afresh
+  /// (injected and transient faults must be retryable, and a permanent
+  /// failure simply recompiles, which is cheap next to the sweep). An
+  /// already-cancelled \p Cancel returns its status before touching the
+  /// map.
   std::shared_ptr<const CompiledKernel>
   getKernel(std::string_view Source, const std::string &Name,
             unsigned RegBound, DiagnosticEngine &Diags,
@@ -171,7 +163,6 @@ public:
                  const CancellationToken &Cancel = CancellationToken());
 
   Stats stats() const;
-  void resetStats();
 
   /// Bumps one statistics counter (used by NWayRunner for the fusion,
   /// lowering, simulation, and context set-up layers).
@@ -190,7 +181,6 @@ public:
   /// default (MaxAttempts = 1) never retries, preserving historical
   /// compile-count behavior; hfusec opts in via --compile-retries.
   void setRetryPolicy(RetryPolicy Policy);
-  RetryPolicy retryPolicy() const;
 
   /// Looks a simulation result up in the attached store: a completed
   /// run or a clean budget abort (isStorableSimResult), never a failure.
@@ -205,10 +195,6 @@ public:
   void storeSimResult(const std::string &Key, const gpusim::SimResult &R);
 
 private:
-  /// Publishes/cross-checks the compile digest for a fresh compile.
-  void publishCompileDigest(const std::string &Name, unsigned RegBound,
-                            uint64_t SourceHash, const CompiledKernel &CK);
-
   struct Key {
     size_t SourceHash;
     size_t SourceLen;
@@ -219,17 +205,9 @@ private:
              std::tie(O.SourceHash, O.SourceLen, O.Name, O.RegBound);
     }
   };
-  struct Compiled {
-    std::shared_ptr<const CompiledKernel> Kernel;
-    Status Err; ///< structured failure (message holds the diagnostics)
-  };
 
   mutable std::mutex Mu;
-  /// Entries are shared_ptr-wrapped futures so they carry identity:
-  /// the compiler thread retires its own failed entry (erase only if
-  /// the map still holds *this* future), never a fresh replacement a
-  /// concurrent retry already installed.
-  std::map<Key, std::shared_ptr<std::shared_future<Compiled>>> Map;
+  std::map<Key, std::shared_ptr<const CompiledKernel>> Map;
   Stats S;
   std::shared_ptr<ResultStore> Store_;
   RetryPolicy Retry_;

@@ -860,7 +860,7 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   // Unbudgeted search keeps the canonical measurement order. Budgeted
   // search reorders phase 3 best-first: candidates are ranked by a lower
   // bound on their cycle count, the front-runner seeds the incumbent,
-  // and everything else runs under CycleBudget = incumbent, overlapping
+  // and everything else runs under a cycle budget = incumbent, overlapping
   // the seed behind an incumbent fence (profile/IncumbentSweep.h).
   // Whether a candidate completes or aborts depends only on its own true
   // cycle count against that budget, so results stay deterministic

@@ -50,7 +50,7 @@
 ///   waves x max_k(S_k / D_k) x spill-inflation
 /// (S_k the kernel's static instruction count), the front-runner is
 /// simulated to completion to seed the incumbent, and every other
-/// candidate runs under SimConfig::CycleBudget = incumbent, overlapping
+/// candidate runs under a cycle budget = incumbent, overlapping
 /// the seed behind an incumbent fence. This is exactly
 /// result-preserving: a candidate abandoned at the budget has strictly
 /// more cycles than the incumbent, so it can never be Best, and every

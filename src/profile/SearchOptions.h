@@ -33,7 +33,7 @@ enum class SearchBudgetMode : uint8_t {
   Off,
   /// Incumbent-driven branch-and-bound: seed an incumbent from the
   /// most promising candidate (best-first lower-bound order), then run
-  /// the rest under CycleBudget = incumbent. Result-preserving — Best
+  /// the rest under a cycle budget = incumbent. Result-preserving — Best
   /// config and cycles are bit-identical to Off.
   Incumbent,
 };

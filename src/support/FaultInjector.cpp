@@ -24,8 +24,6 @@ const char *hfuse::faultSiteName(FaultSite Site) {
     return "lower";
   case FaultSite::SimWedge:
     return "sim-wedge";
-  case FaultSite::CacheCorrupt:
-    return "cache-corrupt";
   case FaultSite::StoreWriteTorn:
     return "store-write-torn";
   case FaultSite::StoreCorrupt:
@@ -46,12 +44,12 @@ const char *hfuse::faultSiteName(FaultSite Site) {
 
 const std::vector<FaultSite> &hfuse::allFaultSites() {
   static const std::vector<FaultSite> Sites = {
-      FaultSite::Compile,        FaultSite::Fuse,
-      FaultSite::Lower,          FaultSite::SimWedge,
-      FaultSite::CacheCorrupt,   FaultSite::StoreWriteTorn,
-      FaultSite::StoreCorrupt,   FaultSite::StoreLockTimeout,
-      FaultSite::StoreReadFail,  FaultSite::CancelCompile,
-      FaultSite::CancelPrune,    FaultSite::CancelSimulate,
+      FaultSite::Compile,          FaultSite::Fuse,
+      FaultSite::Lower,            FaultSite::SimWedge,
+      FaultSite::StoreWriteTorn,   FaultSite::StoreCorrupt,
+      FaultSite::StoreLockTimeout, FaultSite::StoreReadFail,
+      FaultSite::CancelCompile,    FaultSite::CancelPrune,
+      FaultSite::CancelSimulate,
   };
   return Sites;
 }
@@ -71,8 +69,6 @@ ErrorCode siteErrorCode(FaultSite Site) {
     return ErrorCode::RegAllocError;
   case FaultSite::SimWedge:
     return ErrorCode::SimDeadlock;
-  case FaultSite::CacheCorrupt:
-    return ErrorCode::CacheCorrupt;
   case FaultSite::StoreWriteTorn:
     return ErrorCode::StoreError;
   case FaultSite::StoreCorrupt:

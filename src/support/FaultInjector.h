@@ -7,7 +7,7 @@
 /// \file
 /// A process-wide, deterministic fault injector for containment tests.
 /// The pipeline's failure-prone sites (kernel compilation, fusion,
-/// per-bound lowering, simulation, cache lookups) ask the injector
+/// per-bound lowering, simulation, result-store I/O) ask the injector
 /// before doing real work; an armed rule turns the call into a
 /// transient Status failure (or, for `sim-wedge`, wedges the simulation
 /// so the watchdog must rescue it).
@@ -21,7 +21,8 @@
 ///                              contains "640/384"
 ///   sim-wedge:nth=1:label=r    wedge the 1st simulation of a bounded
 ///                              (rN-labelled) candidate
-///   cache-corrupt:nth=3        corrupt the 3rd compile-cache hit
+///   store-corrupt:nth=3        fail the checksum of the 3rd
+///                              result-store record read
 ///   cancel-simulate:nth=4      fire the request's cancellation token
 ///                              at the 4th simulation checkpoint
 ///
@@ -52,7 +53,6 @@ enum class FaultSite : uint8_t {
   Fuse,             ///< horizontal fusion of a partition
   Lower,            ///< per-bound register allocation of a fused kernel
   SimWedge,         ///< wedge a simulation (suppress barrier releases)
-  CacheCorrupt,     ///< invalidate a compile-cache hit as corrupt
   StoreWriteTorn,   ///< tear a ResultStore record write mid-file
   StoreCorrupt,     ///< flip a ResultStore record's checksum on read
   StoreLockTimeout, ///< time out the ResultStore advisory lock

@@ -30,6 +30,8 @@ namespace {
 
 constexpr char Magic[4] = {'H', 'F', 'R', 'S'};
 constexpr size_t HeaderSize = 24;
+/// How long to spin on the advisory lock before degrading.
+constexpr auto LockTimeout = std::chrono::milliseconds(2000);
 
 std::string hex16(uint64_t V) {
   char Buf[17];
@@ -177,7 +179,6 @@ std::shared_ptr<ResultStore> ResultStore::open(const std::string &Dir,
     std::lock_guard<std::mutex> Lock(Store->Mu);
     if (Store->acquireLockLocked(/*Exclusive=*/true)) {
       Store->recoverLocked();
-      Store->RecoveryRan = true;
       Store->releaseLockLocked();
     }
     // else: lock timeout during recovery — the store is already
@@ -288,54 +289,8 @@ void ResultStore::recoverLocked() {
 
 void ResultStore::degradeLocked() {
   Degraded = true;
-  DegradedOpsSinceProbe = 0;
-  NextProbeTime = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(Opts.ReprobeAfterMs);
   logWarn("store: lock timeout on '%s'; degrading to in-memory-only",
           Root.c_str());
-}
-
-bool ResultStore::maybeReprobeLocked() {
-  // Caller holds Mu and has seen Degraded. Sticky within the cooldown
-  // window: the op-count and wall-clock gates keep a hot sweep from
-  // hammering a contended lock with probe syscalls.
-  ++DegradedOpsSinceProbe;
-  bool OpsDue =
-      Opts.ReprobeAfterOps != 0 && DegradedOpsSinceProbe >= Opts.ReprobeAfterOps;
-  bool TimeDue = Opts.ReprobeAfterMs != 0 &&
-                 std::chrono::steady_clock::now() >= NextProbeTime;
-  if (!OpsDue && !TimeDue)
-    return false;
-
-  ++St.Reprobes;
-  HFUSE_METRIC_ADD("store.reprobes", 1);
-  // The probe consults the injector like any acquisition, so a test
-  // holding store-lock-timeout armed keeps the store down; a spent
-  // nth rule lets the probe through, modelling the contending process
-  // going away.
-  Status Injected =
-      FaultInjector::instance().check(FaultSite::StoreLockTimeout, Root);
-  bool Recovered = false;
-  if (Injected.ok() && ::flock(LockFd, LOCK_EX | LOCK_NB) == 0) {
-    // Exclusive, because a store that degraded during open() still
-    // owes the directory its recovery pass before trusting records.
-    if (!RecoveryRan) {
-      recoverLocked();
-      RecoveryRan = true;
-    }
-    releaseLockLocked();
-    Recovered = true;
-    Degraded = false;
-    logInfo("store: lock re-probe succeeded on '%s'; leaving degraded mode",
-            Root.c_str());
-  }
-  // Either way the cooldown restarts: after a failed probe we go quiet
-  // again, after recovery the counters are reset for any future
-  // degradation.
-  DegradedOpsSinceProbe = 0;
-  NextProbeTime = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(Opts.ReprobeAfterMs);
-  return Recovered;
 }
 
 bool ResultStore::acquireLockLocked(bool Exclusive) {
@@ -354,7 +309,7 @@ bool ResultStore::acquireLockLocked(bool Exclusive) {
                                  : "{\"mode\":\"shared\"}");
   int Op = (Exclusive ? LOCK_EX : LOCK_SH) | LOCK_NB;
   auto Start = std::chrono::steady_clock::now();
-  auto Deadline = Start + std::chrono::milliseconds(Opts.LockTimeoutMs);
+  auto Deadline = Start + LockTimeout;
   for (;;) {
     if (::flock(LockFd, Op) == 0) {
       if (telemetry::metricsOn()) {
@@ -392,7 +347,7 @@ std::optional<std::string> ResultStore::get(std::string_view Key,
   if (telemetry::traceOn())
     Span.beginSpan("store", "get",
                    "{\"rec\":\"" + hex16(fnv1a64(Key)) + "\"}");
-  if (Degraded && !maybeReprobeLocked()) {
+  if (Degraded) {
     ++St.DegradedOps;
     HFUSE_METRIC_ADD("store.degraded_ops", 1);
     return std::nullopt;
@@ -460,7 +415,7 @@ Status ResultStore::put(std::string_view Key, std::string_view Payload) {
   if (telemetry::traceOn())
     Span.beginSpan("store", "put",
                    "{\"rec\":\"" + hex16(fnv1a64(Key)) + "\"}");
-  if (Degraded && !maybeReprobeLocked()) {
+  if (Degraded) {
     ++St.DegradedOps;
     HFUSE_METRIC_ADD("store.degraded_ops", 1);
     return Status::transient(ErrorCode::StoreError,

@@ -20,12 +20,10 @@
 ///    continues with whatever survived.
 ///  - Concurrent hfusec processes coordinate through an advisory
 ///    flock(2) on `store.lock` (shared for reads, exclusive for writes
-///    and recovery). If the lock cannot be had within LockTimeoutMs the
-///    store degrades to an in-memory-only run instead of blocking a
-///    sweep behind another process — sticky within a bounded cooldown
-///    window, after which a single non-blocking re-probe
-///    (Options::ReprobeAfterOps / ReprobeAfterMs) may recover the
-///    handle once the contention is gone.
+///    and recovery). If the lock cannot be had within two seconds the
+///    handle degrades to in-memory-only no-ops for the rest of its life
+///    instead of blocking a sweep behind another process; the next
+///    open() starts healthy.
 ///  - Every disk failure flows through the Status taxonomy;
 ///    Status::transient() read/write failures are retried on the
 ///    bounded deterministic RetryPolicy schedule.
@@ -56,7 +54,6 @@
 #include "support/Retry.h"
 #include "support/Status.h"
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -72,18 +69,6 @@ public:
     /// Retry schedule for transient read/write failures.
     RetryPolicy Retry{/*MaxAttempts=*/3, /*BackoffBaseMs=*/5,
                       /*Sleep=*/nullptr};
-    /// How long to spin on the advisory lock before degrading.
-    uint64_t LockTimeoutMs = 2000;
-    /// Degradation cooldown: a degraded store re-probes the advisory
-    /// lock with a single non-blocking flock once at least
-    /// ReprobeAfterOps degraded ops *or* ReprobeAfterMs milliseconds
-    /// have passed since the last probe — a long-lived handle (the
-    /// daemon's) recovers once the contending process goes away,
-    /// instead of no-opping for its whole lifetime. Within the window
-    /// the historical sticky no-op behavior is unchanged. Both zero =
-    /// never re-probe (fully sticky, the pre-cooldown behavior).
-    uint64_t ReprobeAfterOps = 64;
-    uint64_t ReprobeAfterMs = 1000;
   };
 
   struct Stats {
@@ -95,7 +80,6 @@ public:
     uint64_t Quarantined = 0;   ///< records moved aside (never deleted)
     uint64_t LockTimeouts = 0;  ///< advisory-lock acquisitions timed out
     uint64_t DegradedOps = 0;   ///< ops no-opped after degradation
-    uint64_t Reprobes = 0;      ///< cooldown lock re-probe attempts
   };
 
   /// Opens (creating if needed) the store at \p Dir and runs crash
@@ -130,15 +114,11 @@ public:
   /// caller's in-memory result is unaffected either way.
   Status put(std::string_view Key, std::string_view Payload);
 
-  /// True while a lock timeout (real or injected) has the store
-  /// switched to in-memory-only no-ops. Sticky within the cooldown
-  /// window; a successful cooldown re-probe (Options::ReprobeAfter*)
-  /// clears it.
+  /// True once a lock timeout (real or injected) has switched the
+  /// store to in-memory-only no-ops. Sticky for the life of the handle.
   bool degraded() const;
 
   Stats stats() const;
-  uint32_t schemaVersion() const { return Schema; }
-  const std::string &directory() const { return Root; }
 
   /// Where \p Key 's record lives (test hook for truncation fuzzing).
   std::string recordPathFor(std::string_view Key) const;
@@ -162,25 +142,14 @@ private:
   /// timeout. \p Exclusive selects LOCK_EX vs LOCK_SH.
   bool acquireLockLocked(bool Exclusive);
   void releaseLockLocked();
-  /// Marks the store degraded and starts a fresh cooldown window.
+  /// Marks the store degraded for the rest of the handle's life.
   void degradeLocked();
-  /// Called on a degraded store before no-opping an op: when the
-  /// cooldown has elapsed, makes one non-blocking lock probe (still
-  /// consulting the fault injector). True = recovered, the caller
-  /// should perform the op for real; false = still degraded.
-  bool maybeReprobeLocked();
 
   std::string Root;
   uint32_t Schema;
   Options Opts;
   int LockFd = -1;
   bool Degraded = false;
-  /// Recovery must run under the exclusive lock before records are
-  /// trusted wholesale; a store that degraded during open() runs it on
-  /// the recovering re-probe instead.
-  bool RecoveryRan = false;
-  uint64_t DegradedOpsSinceProbe = 0;
-  std::chrono::steady_clock::time_point NextProbeTime{};
   mutable std::mutex Mu;
   Stats St;
   uint64_t TmpSeq = 0;

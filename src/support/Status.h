@@ -45,7 +45,7 @@ enum class ErrorCode : uint8_t {
   SimBudget,         ///< cycle budget exceeded (expected, branch&bound)
   SimError,          ///< any other simulation fault (OOB access, ...)
   VerifyError,       ///< output mismatch against the CPU reference
-  CacheCorrupt,      ///< a cache entry failed its integrity check
+  CacheCorrupt,      ///< a stored record failed its checksum
   StoreError,        ///< persistent result store I/O or lock failure
   Cancelled,         ///< the search's token fired (cancel, SIGTERM/SIGINT)
   DeadlineExceeded,  ///< the search's deadline passed mid-flight

@@ -183,7 +183,6 @@ MicroResult runMicro(const MicroGolden &G, StatsLevel Level,
   SimConfig SC;
   SC.Arch = makeGTX1080Ti();
   SC.SimSMs = 2;
-  SC.CycleBudget = CycleBudget;
   Simulator Sim(SC);
   uint64_t A = Sim.allocGlobal(16384 * 4);
   for (int I = 0; I < 16384; ++I) {
@@ -197,7 +196,7 @@ MicroResult runMicro(const MicroGolden &G, StatsLevel Level,
   L.Params = {A};
   if (G.N)
     L.Params.push_back(static_cast<uint64_t>(G.N));
-  Out.R = Sim.run({L}, Level);
+  Out.R = Sim.run({L}, Level, RunBudget::fixed(CycleBudget));
   if (!Out.R.Ok)
     return Out;
   uint64_t Sum = 0;
@@ -409,7 +408,7 @@ TEST(GoldenSim, RoundRobinPolicyMatchesSeed) {
 }
 
 TEST(GoldenSim, CycleBudgetAboveTrueCyclesIsBitIdentical) {
-  // The branch-and-bound search relies on this: a CycleBudget at or
+  // The branch-and-bound search relies on this: a cycle budget at or
   // above the true cycle count must not perturb the event core in any
   // observable way — cycles, issued counts, every nvprof-style metric,
   // and the functional memory contents all match the unbudgeted run
@@ -469,31 +468,6 @@ TEST(GoldenSim, CycleBudgetBelowTrueCyclesAbortsDeterministically) {
   // only abandoned when cycles provably exceed the budget.
   MicroResult Exact = runMicro(G, StatsLevel::Minimal, G.Cycles);
   EXPECT_TRUE(Exact.R.Ok) << Exact.R.Error;
-}
-
-TEST(GoldenSim, PerRunBudgetOverridesConfig) {
-  const MicroGolden &G = MicroGoldens[1];
-  auto K = compileMicro(G.Src);
-  ASSERT_NE(K, nullptr);
-  SimConfig SC;
-  SC.Arch = makeGTX1080Ti();
-  SC.SimSMs = 2;
-  SC.CycleBudget = 10; // config budget would abort immediately...
-  Simulator Sim(SC);
-  uint64_t A = Sim.allocGlobal(16384 * 4);
-  KernelLaunch L;
-  L.Kernel = K.get();
-  L.GridDim = G.Grid;
-  L.BlockDim = G.Block;
-  L.Params = {A};
-  // ...but the per-run override of 0 lifts it entirely.
-  SimResult Full = Sim.run({L}, StatsLevel::Minimal, /*CycleBudget=*/0);
-  EXPECT_TRUE(Full.Ok) << Full.Error;
-  EXPECT_EQ(Full.TotalCycles, G.Cycles);
-  // And without the override the config budget applies.
-  SimResult Cut = Sim.run({L}, StatsLevel::Minimal);
-  EXPECT_TRUE(Cut.BudgetExceeded);
-  EXPECT_EQ(Cut.TotalCycles, 10u);
 }
 
 TEST(GoldenSim, SweepBestCarriesFullStatsAtGoldenCycles) {

@@ -140,7 +140,8 @@ SimResult checkFollower(Ctx &Seed, Ctx &Follower, Ctx &Fixed) {
   EXPECT_TRUE(SeedR.Ok) << SeedR.Error;
   EXPECT_GE(WaitMs, 0.0);
   SimResult Ref =
-      Fixed.Sim.run({Fixed.L}, StatsLevel::Full, SeedR.TotalCycles);
+      Fixed.Sim.run({Fixed.L}, StatsLevel::Full,
+                    RunBudget::fixed(SeedR.TotalCycles));
   expectSameResult(Gated, Ref);
   return Gated;
 }
@@ -181,14 +182,15 @@ TEST_F(IncumbentFenceTest, IdleFastForwardPastTheSeedClampsBackToItsCycles) {
   // fast-forwards past S before the fence resolves.
   auto IssuedAt = [&](uint64_t Budget) {
     auto C = chaseCtx(Chase.get(), 400);
-    return C->Sim.run({C->L}, StatsLevel::Full, Budget).TotalIssued;
+    return C->Sim.run({C->L}, StatsLevel::Full, RunBudget::fixed(Budget))
+        .TotalIssued;
   };
   int N = 0;
   uint64_t S = 0;
   for (int Try = 300; Try < 400 && !N; Try += 3) {
     auto Probe = spinCtx(Spin.get(), 4, Try);
     SimResult R =
-        Probe->Sim.run({Probe->L}, StatsLevel::Full, uint64_t(0));
+        Probe->Sim.run({Probe->L}, StatsLevel::Full, RunBudget::fixed(0));
     ASSERT_TRUE(R.Ok);
     if (IssuedAt(R.TotalCycles - 20) == IssuedAt(R.TotalCycles + 20)) {
       N = Try;
@@ -210,7 +212,8 @@ TEST_F(IncumbentFenceTest, ResolvingAfterAnIdleOvershootClampsToTheBudget) {
   // carried it past S. The follower must clamp back and abort at S.
   auto IssuedAt = [&](uint64_t Budget) {
     auto C = chaseCtx(Chase.get(), 400);
-    return C->Sim.run({C->L}, StatsLevel::Full, Budget).TotalIssued;
+    return C->Sim.run({C->L}, StatsLevel::Full, RunBudget::fixed(Budget))
+        .TotalIssued;
   };
   uint64_t S = 0;
   for (uint64_t Try = 5000; Try < 20000 && !S; Try += 37)
@@ -232,7 +235,8 @@ TEST_F(IncumbentFenceTest, ResolvingAfterAnIdleOvershootClampsToTheBudget) {
   Fence.resolve(S);
   T.join();
   auto Fixed = chaseCtx(Chase.get(), 400);
-  SimResult Ref = Fixed->Sim.run({Fixed->L}, StatsLevel::Full, S);
+  SimResult Ref =
+      Fixed->Sim.run({Fixed->L}, StatsLevel::Full, RunBudget::fixed(S));
   expectSameResult(Gated, Ref);
   EXPECT_TRUE(Gated.BudgetExceeded);
   EXPECT_EQ(Gated.TotalCycles, S);

@@ -235,7 +235,6 @@ TEST(FaultInjectorTest, SiteCodesAndNames) {
   InjectorGuard G;
   FaultInjector &FI = FaultInjector::instance();
   EXPECT_STREQ(faultSiteName(FaultSite::Compile), "compile");
-  EXPECT_STREQ(faultSiteName(FaultSite::CacheCorrupt), "cache-corrupt");
   struct {
     const char *Spec;
     FaultSite Site;
@@ -245,7 +244,6 @@ TEST(FaultInjectorTest, SiteCodesAndNames) {
       {"fuse", FaultSite::Fuse, ErrorCode::FusionUnsupported},
       {"lower", FaultSite::Lower, ErrorCode::RegAllocError},
       {"sim-wedge", FaultSite::SimWedge, ErrorCode::SimDeadlock},
-      {"cache-corrupt", FaultSite::CacheCorrupt, ErrorCode::CacheCorrupt},
       {"store-write-torn", FaultSite::StoreWriteTorn, ErrorCode::StoreError},
       {"store-corrupt", FaultSite::StoreCorrupt, ErrorCode::CacheCorrupt},
       {"store-lock-timeout", FaultSite::StoreLockTimeout,
