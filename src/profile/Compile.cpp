@@ -51,6 +51,10 @@ const char *metricNameFor(uint64_t CompileCache::Stats::*Counter) {
     return "compile.disk_writes";
   if (Counter == &Stats::ContextSetups)
     return "sim.context_setups";
+  if (Counter == &Stats::SummaryHits)
+    return "compile.summary_hits";
+  if (Counter == &Stats::SummaryWrites)
+    return "compile.summary_writes";
   return nullptr;
 }
 
@@ -171,6 +175,58 @@ hfuse::profile::decodeSimResult(std::string_view Bytes) {
   if (!Rd.atEnd())
     return std::nullopt;
   return R;
+}
+
+LoweredShape LoweredShape::of(const ir::IRKernel &IR) {
+  LoweredShape S;
+  S.Hash = IR.contentHash();
+  S.ArchRegs = IR.ArchRegsPerThread;
+  S.StaticShared = IR.StaticSharedBytes;
+  S.Insts = IR.numInstructions();
+  return S;
+}
+
+std::string
+hfuse::profile::encodePhase1Summary(const std::vector<Phase1Entry> &Entries) {
+  ByteWriter W;
+  W.u32(static_cast<uint32_t>(Entries.size()));
+  for (const Phase1Entry &E : Entries) {
+    W.u8(E.Shape ? 1 : 0);
+    if (!E.Shape)
+      continue;
+    W.u32(E.RegBound);
+    W.u64(E.Shape->Hash);
+    W.u32(E.Shape->ArchRegs);
+    W.u32(E.Shape->StaticShared);
+    W.u64(E.Shape->Insts);
+  }
+  return W.take();
+}
+
+std::optional<std::vector<Phase1Entry>>
+hfuse::profile::decodePhase1Summary(std::string_view Bytes) {
+  ByteReader Rd(Bytes);
+  uint32_t N = Rd.u32();
+  // Each entry is at least its 1-byte tag.
+  if (!Rd.ok() || N > Rd.remaining())
+    return std::nullopt;
+  std::vector<Phase1Entry> Entries(N);
+  for (Phase1Entry &E : Entries) {
+    uint8_t Tag = Rd.u8();
+    if (Tag > 1)
+      return std::nullopt;
+    if (!Tag)
+      continue;
+    E.RegBound = Rd.u32();
+    LoweredShape &S = E.Shape.emplace();
+    S.Hash = Rd.u64();
+    S.ArchRegs = Rd.u32();
+    S.StaticShared = Rd.u32();
+    S.Insts = Rd.u64();
+  }
+  if (!Rd.atEnd())
+    return std::nullopt;
+  return Entries;
 }
 
 std::unique_ptr<CompiledKernel>
@@ -386,6 +442,24 @@ void CompileCache::storeSimResult(const std::string &Key,
     return;
   if (St->put(Key, encodeSimResult(R)).ok())
     count(&Stats::DiskWrites);
+}
+
+std::optional<std::vector<Phase1Entry>>
+CompileCache::loadPhase1Summary(const std::string &Key) {
+  std::shared_ptr<ResultStore> St = store();
+  if (!St)
+    return std::nullopt;
+  std::optional<std::string> Bytes = St->get(Key);
+  if (!Bytes)
+    return std::nullopt;
+  return decodePhase1Summary(*Bytes);
+}
+
+void CompileCache::storePhase1Summary(const std::string &Key,
+                                      const std::vector<Phase1Entry> &Entries) {
+  std::shared_ptr<ResultStore> St = store();
+  if (St && St->put(Key, encodePhase1Summary(Entries)).ok())
+    count(&Stats::SummaryWrites);
 }
 
 CompileCache &hfuse::profile::globalCompileCache() {

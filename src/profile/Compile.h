@@ -33,14 +33,16 @@
 #include <optional>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 namespace hfuse::profile {
 
-/// Version stamp for everything CompileCache serializes into a
-/// ResultStore: the SimResult codec, the compile-digest layout, and the
-/// disk-key construction. Bump it whenever any of those changes — old
-/// records are then quarantined on open instead of being misread.
-/// Schema 4 keys and digests kernels by ir::IRKernel::contentHash().
+/// Version stamp for everything the search serializes into a
+/// ResultStore: the SimResult and phase-1 summary codecs, the
+/// compile-digest layout, and the disk-key construction. Bump it
+/// whenever any of those changes — old records are then quarantined on
+/// open instead of being misread. Schema 4 keys and digests kernels by
+/// ir::IRKernel::contentHash().
 inline constexpr uint32_t kStoreSchemaVersion = 4;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
@@ -58,6 +60,33 @@ std::optional<gpusim::SimResult> decodeSimResult(std::string_view Bytes);
 /// budget too). An abort's record carries its budget (TotalCycles) and
 /// TotalIssued, so a replay prints the same abandoned row.
 bool isStorableSimResult(const gpusim::SimResult &R);
+
+/// What phase 1 of a configuration search learns about one lowered
+/// candidate: everything pruning, the bound ordering and the simulation
+/// memo read, so phases 2 and 3 never touch the IR itself.
+struct LoweredShape {
+  uint64_t Hash = 0;         ///< ir::IRKernel::contentHash()
+  unsigned ArchRegs = 0;     ///< ArchRegsPerThread
+  uint32_t StaticShared = 0; ///< StaticSharedBytes
+  uint64_t Insts = 0;        ///< numInstructions()
+
+  static LoweredShape of(const ir::IRKernel &IR);
+};
+
+/// One candidate of a phase-1 summary record, in canonical order: its
+/// register bound and lowered shape. A bounded slot whose partition has
+/// no r0 has no shape.
+struct Phase1Entry {
+  unsigned RegBound = 0;
+  std::optional<LoweredShape> Shape;
+};
+
+/// Deterministic codec for a phase-1 summary (NWayRunner::sweep).
+/// decodePhase1Summary is null unless the bytes are exactly one
+/// well-formed record.
+std::string encodePhase1Summary(const std::vector<Phase1Entry> &Entries);
+std::optional<std::vector<Phase1Entry>>
+decodePhase1Summary(std::string_view Bytes);
 
 /// A fully compiled kernel: the preprocessed AST (kept alive so it can
 /// be used as fusion input) plus the executable IR.
@@ -138,6 +167,11 @@ public:
     /// Simulator contexts whose workload inputs were built (a search
     /// the store answers builds none).
     uint64_t ContextSetups = 0;
+    /// Searches whose phase 1 a stored summary answered, and summaries
+    /// persisted after a clean phase 1 (NWayRunner::sweep). The Disk*
+    /// counters above count simulation records only.
+    uint64_t SummaryHits = 0;
+    uint64_t SummaryWrites = 0;
   };
 
   /// Compiles (or fetches) CuLite \p Source. On failure returns null,
@@ -165,7 +199,7 @@ public:
   Stats stats() const;
 
   /// Bumps one statistics counter (used by NWayRunner for the fusion,
-  /// lowering, simulation, and context set-up layers).
+  /// lowering, simulation, context set-up and summary layers).
   void count(uint64_t Stats::*Counter, uint64_t N = 1);
 
   /// Attaches an on-disk second-level store. Simulation results are
@@ -193,6 +227,17 @@ public:
   /// unless a store is attached and isStorableSimResult(R); failures are
   /// contained (counted, never propagated).
   void storeSimResult(const std::string &Key, const gpusim::SimResult &R);
+
+  /// Looks a phase-1 summary up in the attached store. Nullopt without
+  /// a store, on a miss or any contained disk failure, and for a
+  /// payload that does not decode. Counts nothing: the search counts a
+  /// hit once the record fits its candidates.
+  std::optional<std::vector<Phase1Entry>>
+  loadPhase1Summary(const std::string &Key);
+  /// Persists \p Entries under \p Key, replacing any record there; a
+  /// landed write counts SummaryWrites. Failures are contained.
+  void storePhase1Summary(const std::string &Key,
+                          const std::vector<Phase1Entry> &Entries);
 
 private:
   struct Key {

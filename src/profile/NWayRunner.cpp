@@ -10,7 +10,9 @@
 #include "ir/RegAlloc.h"
 #include "profile/IncumbentSweep.h"
 #include "support/BinaryCodec.h"
+#include "support/BuildId.h"
 #include "support/FaultInjector.h"
+#include "support/Log.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -191,6 +193,13 @@ int NWayRunner::commonGrid() const {
   return Grid;
 }
 
+uint32_t NWayRunner::fusedDynShared() const {
+  uint32_t Dyn = 0;
+  for (const auto &W : Primary.W)
+    Dyn += W->dynSharedBytes();
+  return Dyn;
+}
+
 SimResult NWayRunner::fail(const std::string &Message) const {
   SimResult R;
   R.Error = Message;
@@ -273,7 +282,7 @@ SimResult NWayRunner::runSerial() {
 
 std::shared_ptr<ir::IRKernel>
 NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
-                       uint32_t &DynShared, Status &Err) {
+                       Status &Err) {
   // One entry per partition serves every register bound.
   FusionEntry *Entry;
   {
@@ -317,10 +326,6 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
       if (!Entry->BaseIR)
         Entry->Err = Status(ErrorCode::CodegenError,
                             "fused kernel lowering failed:\n" + Diags.str());
-      uint32_t Dyn = 0;
-      for (const auto &W : Primary.W)
-        Dyn += W->dynSharedBytes();
-      Entry->DynShared = Dyn;
     }
   } else if (Entry->ByBound.find(RegBound) == Entry->ByBound.end()) {
     // The AST-level work of this partition is being reused for a new
@@ -332,7 +337,6 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
     Err = Entry->Err;
     return nullptr;
   }
-  DynShared = Entry->DynShared;
 
   auto It = Entry->ByBound.find(RegBound);
   if (It != Entry->ByBound.end()) {
@@ -378,34 +382,28 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 
 SimResult NWayRunner::runHFusedIn(SimContext *C,
                                   const std::vector<int> &Dims,
-                                  unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, const RunBudget &Budget,
+                                  unsigned RegBound, uint64_t Hash,
+                                  Status &Err, SearchStats *Stats,
+                                  const RunBudget &Budget,
                                   double *FenceWaitMs) {
-  uint32_t DynShared = 0;
-  std::shared_ptr<ir::IRKernel> IR =
-      getFusedIR(Dims, RegBound, DynShared, Err);
-  if (!IR)
-    return fail(Err.message());
-
-  int Grid = commonGrid();
+  const int Grid = commonGrid();
   int BlockDim = 0;
   for (int D : Dims)
     BlockDim += D;
-  SimMemo::Key MemoKey{IR.get(), Grid, BlockDim, DynShared};
+  const uint32_t DynShared = fusedDynShared();
+  SimMemo::Key MemoKey{Hash, Grid, BlockDim, DynShared};
 
-  // Disk key for the second-level ResultStore. It mirrors the memo key
-  // with pointer identity widened to content identity — the fused IR's
-  // contentHash() — plus everything else the simulation is a pure function
-  // of: launch geometry, the architecture/simulator model, and the
-  // workload identity (seed, then each kernel's scale and name) that
-  // determines the kernel parameters. Verified runs bypass the disk: a
-  // served result skips simulation, so the workload outputs verify()
-  // needs would not exist.
+  // Disk key for the second-level ResultStore. It extends the memo key
+  // with everything else the simulation is a pure function of: the
+  // architecture/simulator model and the workload identity (seed, then
+  // each kernel's scale and name) that determines the kernel
+  // parameters. Verified runs bypass the disk: a served result skips
+  // simulation, so the workload outputs verify() needs would not exist.
   std::string DiskKey;
   if (!Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
-    KW.u64(IR->contentHash());
+    KW.u64(Hash);
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
@@ -422,14 +420,30 @@ SimResult NWayRunner::runHFusedIn(SimContext *C,
     }
     DiskKey = KW.take();
   }
-  // Only a simulation needs a context and its workload inputs: memo and
-  // disk hits never take one from the pool (or build or set one up).
-  auto Simulate = [&](const RunBudget &B) -> std::optional<SimResult> {
+  // Only a simulation needs the fused IR, a context and its workload
+  // inputs: memo and disk hits never fuse or lower, never take a context
+  // from the pool, and never build or set one up.
+  auto Simulate = [&](const RunBudget &B) -> Expected<SimResult> {
+    std::shared_ptr<ir::IRKernel> IR = getFusedIR(Dims, RegBound, Err);
+    if (!IR)
+      return Err;
+    if (IR->contentHash() != Hash) {
+      // Phase 1 (or the summary standing in for it) promised another
+      // kernel: the store or the toolchain's determinism is broken.
+      // Simulating this IR would answer for a launch nobody asked for.
+      HFUSE_METRIC_ADD("compile.digest_mismatches", 1);
+      logWarn("fused kernel %s%s does not match its phase-1 digest",
+              dimsLabel(Dims).c_str(),
+              RegBound ? formatString(":r%u", RegBound).c_str() : "");
+      Err = Status(ErrorCode::Internal,
+                   "fused kernel does not match its phase-1 digest");
+      return Err;
+    }
     std::string CtxErr;
     SimContext *Ctx = C ? C : acquireContext(CtxErr);
     if (!Ctx) {
       Err = Status(ErrorCode::WorkloadError, CtxErr);
-      return std::nullopt;
+      return Err;
     }
     setUp(*Ctx);
     KernelLaunch L;
@@ -470,7 +484,10 @@ SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
   if (Dims.size() != Ids.size())
     return fail("partition count does not match kernel count");
   Status E;
-  SimResult R = runHFusedIn(&Primary, Dims, RegBound, E, nullptr);
+  std::shared_ptr<ir::IRKernel> IR = getFusedIR(Dims, RegBound, E);
+  SimResult R = IR ? runHFusedIn(&Primary, Dims, RegBound, IR->contentHash(),
+                                 E, nullptr)
+                   : fail(E.message());
   if (!R.Ok && !E.ok())
     Err = E;
   return R;
@@ -491,12 +508,10 @@ NWayRunner::regBoundImpl(const std::vector<int> &Dims, Status &Err) {
     D0 += Dims[I];
   }
 
-  uint32_t DynShared = 0;
-  std::shared_ptr<ir::IRKernel> IR =
-      getFusedIR(Dims, /*RegBound=*/0, DynShared, Err);
+  std::shared_ptr<ir::IRKernel> IR = getFusedIR(Dims, /*RegBound=*/0, Err);
   if (!IR)
     return std::nullopt;
-  uint32_t ShMem = IR->StaticSharedBytes + DynShared;
+  uint32_t ShMem = IR->StaticSharedBytes + fusedDynShared();
   long BShMem = ShMem > 0 ? A.SharedMemPerSM / ShMem : LONG_MAX;
   long BThreads = A.MaxThreadsPerSM / D0;
 
@@ -582,6 +597,39 @@ std::vector<std::vector<int>> NWayRunner::partitions() const {
   return Partitions;
 }
 
+std::string
+NWayRunner::phase1SummaryKey(const std::vector<std::vector<int>> &Partitions,
+                             bool TryBound) const {
+  // Verified runs bypass the store. Without a build ID nothing vouches
+  // that this binary fuses and lowers as the one that wrote a summary.
+  const std::string &Build = executableBuildId();
+  if (Opts.Verify || !Cache->hasStore() || Build.empty())
+    return {};
+  ByteWriter KW;
+  KW.str("phase1-summary");
+  KW.str(Build);
+  KW.u32(static_cast<uint32_t>(Ids.size()));
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    KW.str(kernelDisplayName(Ids[I]));
+    KW.f64(scale(I));
+  }
+  // The arch's thread, block, register and shared-memory limits: r0 and
+  // the occupancy of the recorded shapes are functions of them.
+  const GpuArch &A = Opts.Arch;
+  KW.str(A.Name);
+  for (int V : {A.MaxThreadsPerSM, A.MaxBlocksPerSM, A.MaxThreadsPerBlock,
+                A.WarpSize, A.RegsPerSM, A.MaxRegsPerThread, A.RegAllocUnit,
+                A.SharedMemPerSM, A.SharedAllocUnit})
+    KW.u32(static_cast<uint32_t>(V));
+  KW.u8(Opts.UsePartialBarriers ? 1 : 0);
+  KW.u32(static_cast<uint32_t>(Partitions.size()));
+  for (const std::vector<int> &Dims : Partitions)
+    for (int D : Dims)
+      KW.u32(static_cast<uint32_t>(D));
+  KW.u8(TryBound ? 1 : 0);
+  return KW.take();
+}
+
 SearchResult NWayRunner::searchBestConfig() {
   return sweep(partitions(), /*TryBound=*/true);
 }
@@ -622,7 +670,8 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   // are a deterministic function of the candidate list, never of
   // worker timing:
   //   1. compile: fuse + lower every candidate (parallel, CPU-bound,
-  //      no simulator state needed);
+  //      no simulator state needed), or read what that would learn from
+  //      the store's phase-1 summary;
   //   2. prune: walk candidates in canonical order (partitions in
   //      order, unbounded before bounded) and drop the dominated ones
   //      (serial, occupancy arithmetic only);
@@ -637,8 +686,9 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
     std::vector<int> Dims;
     int D0 = 0;
     unsigned RegBound = 0;
-    std::shared_ptr<ir::IRKernel> IR;
-    uint32_t DynShared = 0;
+    /// What phase 1 learned about the lowered candidate (none until it
+    /// was lowered); phases 2 and 3 read nothing else of it.
+    std::optional<LoweredShape> Shape;
     int BlocksPerSM = 0;
     /// Index of this partition's unbounded sibling (bounded only).
     int Sibling = -1;
@@ -688,65 +738,121 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   if (Jobs > 1)
     Pool = std::make_unique<ThreadPool>(static_cast<unsigned>(Jobs));
 
+  const uint32_t DynShared = fusedDynShared();
   auto Occupancy = [&](const Candidate &C) {
     return computeOccupancy(Opts.Arch, C.D0,
-                            static_cast<int>(C.IR->ArchRegsPerThread),
-                            C.IR->StaticSharedBytes + C.DynShared)
+                            static_cast<int>(C.Shape->ArchRegs),
+                            C.Shape->StaticShared + DynShared)
         .BlocksPerSM;
   };
 
-  // Phase 1: one task per partition lowers the unbounded variant,
-  // derives r0, and lowers the bounded variant (sharing the fusion).
+  // Deterministic cancel point for the compile phase, once per
+  // partition on either path below: the fault site fires the
+  // *request's* token (it never fails a candidate), so injected
+  // cancellation reproduces exactly. A cancelled partition's candidates
+  // go unvisited.
+  auto PartitionCancelled = [&](size_t I) {
+    if (!FaultInjector::instance()
+             .check(FaultSite::CancelCompile, dimsLabel(Partitions[I]))
+             .ok())
+      Opts.Cancel.cancel();
+    if (!Opts.Cancel.cancelled())
+      return false;
+    for (size_t V = 0; V < PerPart; ++V)
+      Cands[I * PerPart + V].Skipped = true;
+    return true;
+  };
+
   {
     telemetry::TraceSpan PhaseSpan("phase", "compile");
-    parallelFor(Pool.get(), Partitions.size(), [&](size_t I) {
-      Candidate &U = Cands[I * PerPart];
-      // Deterministic cancel point for the compile phase: the fault
-      // site fires the *request's* token (it never fails a candidate),
-      // so injected cancellation reproduces exactly.
-      if (!FaultInjector::instance()
-               .check(FaultSite::CancelCompile, dimsLabel(U.Dims))
-               .ok())
-        Opts.Cancel.cancel();
-      if (Opts.Cancel.cancelled()) {
-        for (size_t V = 0; V < PerPart; ++V)
-          Cands[I * PerPart + V].Skipped = true;
-        return;
+    // Phase 1 is a pure function of the binary and of what the summary
+    // key holds, so a stored summary of an earlier clean phase 1 answers
+    // it whole. It must fit this enumeration slot for slot: an unbounded
+    // slot holds a shape, a bounded one a shape under a real bound or
+    // nothing (no r0). Anything else is a miss, and the clean phase 1
+    // below replaces the record.
+    const std::string SummaryKey = phase1SummaryKey(Partitions, TryBound);
+    std::optional<std::vector<Phase1Entry>> Summary;
+    if (!SummaryKey.empty())
+      Summary = Cache->loadPhase1Summary(SummaryKey);
+    auto Fits = [&](size_t I) {
+      const Phase1Entry &E = (*Summary)[I];
+      if (Cands[I].Sibling < 0)
+        return E.Shape && E.RegBound == 0;
+      return !E.Shape || (E.RegBound != 0 && E.RegBound != UINT_MAX);
+    };
+    bool Hit = Summary && Summary->size() == Cands.size();
+    for (size_t I = 0; Hit && I < Cands.size(); ++I)
+      Hit = Fits(I);
+
+    if (Hit) {
+      Cache->count(&CompileCache::Stats::SummaryHits);
+      for (size_t I = 0; I < Partitions.size(); ++I) {
+        if (PartitionCancelled(I))
+          continue;
+        for (size_t V = 0; V < PerPart; ++V) {
+          Candidate &C = Cands[I * PerPart + V];
+          const Phase1Entry &E = (*Summary)[I * PerPart + V];
+          if (!E.Shape)
+            continue; // no bounded trial for this partition
+          C.RegBound = E.RegBound;
+          C.Shape = E.Shape;
+          C.BlocksPerSM = Occupancy(C);
+        }
       }
-      {
-        telemetry::TraceSpan CandSpan;
-        if (telemetry::traceOn())
-          CandSpan.beginSpan(
-              "fuse",
-              formatString("c%d %s", U.Id, dimsLabel(U.Dims).c_str()),
-              formatString("{\"run\":\"%s\",\"cand\":%d}", SR.RunId.c_str(),
-                           U.Id));
-        U.IR = getFusedIR(U.Dims, 0, U.DynShared, U.Error);
+    } else {
+      // One task per partition lowers the unbounded variant, derives
+      // r0, and lowers the bounded variant (sharing the fusion).
+      const uint64_t FiredBefore = FaultInjector::instance().firedCount();
+      parallelFor(Pool.get(), Partitions.size(), [&](size_t I) {
+        if (PartitionCancelled(I))
+          return;
+        auto Lower = [&](Candidate &C) {
+          telemetry::TraceSpan CandSpan;
+          if (telemetry::traceOn())
+            CandSpan.beginSpan(
+                "fuse",
+                C.RegBound ? formatString("c%d %s:r%u", C.Id,
+                                          dimsLabel(C.Dims).c_str(),
+                                          C.RegBound)
+                           : formatString("c%d %s", C.Id,
+                                          dimsLabel(C.Dims).c_str()),
+                formatString("{\"run\":\"%s\",\"cand\":%d}",
+                             SR.RunId.c_str(), C.Id));
+          if (std::shared_ptr<ir::IRKernel> IR =
+                  getFusedIR(C.Dims, C.RegBound, C.Error)) {
+            C.Shape = LoweredShape::of(*IR);
+            C.BlocksPerSM = Occupancy(C);
+          }
+        };
+        Lower(Cands[I * PerPart]);
+        if (!TryBound)
+          return;
+        Candidate &B = Cands[I * PerPart + 1];
+        Status BoundErr;
+        std::optional<unsigned> R0 = regBoundImpl(B.Dims, BoundErr);
+        if (!R0)
+          return; // no bounded trial for this partition
+        B.RegBound = *R0;
+        Lower(B);
+      });
+      // Only a clean phase 1 is a property of its inputs: a cancel, a
+      // failed candidate or a fired fault (which may have failed one)
+      // would store the request's accident.
+      const bool Clean =
+          !SummaryKey.empty() && !Opts.Cancel.cancelled() &&
+          FaultInjector::instance().firedCount() == FiredBefore &&
+          std::all_of(Cands.begin(), Cands.end(), [](const Candidate &C) {
+            return C.Error.ok() && !C.Skipped;
+          });
+      if (Clean) {
+        std::vector<Phase1Entry> Entries;
+        Entries.reserve(Cands.size());
+        for (const Candidate &C : Cands)
+          Entries.push_back({C.Shape ? C.RegBound : 0, C.Shape});
+        Cache->storePhase1Summary(SummaryKey, Entries);
       }
-      if (U.IR)
-        U.BlocksPerSM = Occupancy(U);
-      if (!TryBound)
-        return;
-      Candidate &B = Cands[I * PerPart + 1];
-      Status BoundErr;
-      std::optional<unsigned> R0 = regBoundImpl(B.Dims, BoundErr);
-      if (!R0)
-        return; // no bounded trial for this partition
-      B.RegBound = *R0;
-      {
-        telemetry::TraceSpan CandSpan;
-        if (telemetry::traceOn())
-          CandSpan.beginSpan(
-              "fuse",
-              formatString("c%d %s:r%u", B.Id, dimsLabel(B.Dims).c_str(),
-                           B.RegBound),
-              formatString("{\"run\":\"%s\",\"cand\":%d}", SR.RunId.c_str(),
-                           B.Id));
-        B.IR = getFusedIR(B.Dims, *R0, B.DynShared, B.Error);
-      }
-      if (B.IR)
-        B.BlocksPerSM = Occupancy(B);
-    });
+    }
   }
 
   // Phase 2: occupancy pruning over the canonical order. The rules
@@ -770,15 +876,16 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
         C.Skipped = true;
       continue;
     }
-    if (!Opts.Prune || C.Skipped || !C.IR || C.RegBound == UINT_MAX)
+    if (!Opts.Prune || C.Skipped || !C.Shape || C.RegBound == UINT_MAX)
       continue;
     Candidate *Sib =
         C.RegBound != 0 && C.Sibling >= 0 ? &Cands[C.Sibling] : nullptr;
-    bool AliasOfSibling = Sib && Sib->IR == C.IR;
+    bool AliasOfSibling =
+        Sib && Sib->Shape && Sib->Shape->Hash == C.Shape->Hash;
     if (C.BlocksPerSM <= 0) {
       C.Pruned = true;
       C.PruneReason = "cannot launch: 0 blocks/SM";
-    } else if (Sib && Sib->IR && !Sib->Pruned && !AliasOfSibling &&
+    } else if (Sib && Sib->Shape && !Sib->Pruned && !AliasOfSibling &&
                C.BlocksPerSM <= Sib->BlocksPerSM) {
       C.Pruned = true;
       C.DominatorBlocksPerSM = Sib->BlocksPerSM;
@@ -793,7 +900,7 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   // Phase 3: simulate the kept candidates.
   std::vector<size_t> Kept;
   for (size_t I = 0; I < Cands.size(); ++I)
-    if (Cands[I].IR && Cands[I].RegBound != UINT_MAX &&
+    if (Cands[I].Shape && Cands[I].RegBound != UINT_MAX &&
         !Cands[I].Pruned && !Cands[I].Skipped)
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
@@ -829,8 +936,8 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
     FC.RegBound = C.RegBound;
     Status E;
     double FenceWaitMs = WaitedMs;
-    FC.Result = runHFusedIn(nullptr, C.Dims, C.RegBound, E, &KeptStats[K],
-                            Budget, &FenceWaitMs);
+    FC.Result = runHFusedIn(nullptr, C.Dims, C.RegBound, C.Shape->Hash, E,
+                            &KeptStats[K], Budget, &FenceWaitMs);
     recordFenceWait(CandSpan, Budget, FenceWaitMs);
     if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
@@ -895,10 +1002,10 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
       for (size_t K = 0; K < NK; ++K)
         PerThread = std::max(PerThread, S[K] / C.Dims[K]);
       const Candidate *Sib = C.Sibling >= 0 ? &Cands[C.Sibling] : nullptr;
-      if (Sib && Sib->IR && Sib->IR != C.IR)
-        PerThread *= static_cast<double>(C.IR->numInstructions()) /
+      if (Sib && Sib->Shape && Sib->Shape->Hash != C.Shape->Hash)
+        PerThread *= static_cast<double>(C.Shape->Insts) /
                      static_cast<double>(
-                         std::max<size_t>(1, Sib->IR->numInstructions()));
+                         std::max<uint64_t>(1, Sib->Shape->Insts));
       uint64_t BlocksPerWave =
           uint64_t(std::max(1, C.BlocksPerSM)) * Opts.SimSMs;
       uint64_t Waves =
@@ -921,7 +1028,8 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
     KeptStats[K] = SearchStats();
   };
   Hooks.SameLaunch = [&](size_t K, size_t SeedK) {
-    return Cands[Kept[K]].IR == Cands[Kept[SeedK]].IR;
+    const Candidate &A = Cands[Kept[K]], &B = Cands[Kept[SeedK]];
+    return A.Shape->Hash == B.Shape->Hash && A.D0 == B.D0;
   };
   uint64_t Incumbent = runSimulatePhase(Pool.get(), Opts, Order, Hooks);
   SimPhaseSpan.finish();

@@ -29,7 +29,17 @@
 ///    codegen run once per partition and are shared by the bounded and
 ///    unbounded variants, which only differ in register allocation;
 ///    input kernels compile once through the process-wide CompileCache
-///    no matter how many searches contain them;
+///    no matter how many searches contain them. Phase 1 leaves one
+///    LoweredShape per candidate (content hash, registers, static
+///    shared bytes, instruction count) and r0 per partition, and phases
+///    2 and 3 read only those. On a store, a clean phase 1 (no cancel,
+///    no failed candidate, no fired fault) persists them as one
+///    phase-1 summary, keyed on the executable's GNU build ID and
+///    everything phase 1 reads (kernels, scales, arch, partial
+///    barriers, partitions, whether bounds are tried); a later search
+///    whose key hits fills its candidates from that record and fuses
+///    nothing. Verified runs and binaries without a build ID never read
+///    or write summaries;
 ///  - phase 2 (serial, canonical order): occupancy pruning
 ///    (Options::Prune). It applies only result-preserving rules:
 ///    candidates that cannot launch (0 blocks/SM), and bounded variants
@@ -60,11 +70,15 @@
 /// instructions they issued before the cutoff.
 ///
 /// Candidate simulations are memoized per launch and persisted to the
-/// ResultStore keyed on the fused IR's content hash (plus launch
-/// geometry, simulator model, and workload identity), so a warm
-/// --cache-dir rerun is bit-identical to a cold one. A context's
-/// workload inputs are built at its first simulation, so a search the
-/// store answers builds none.
+/// ResultStore, both keyed on the fused IR's content hash from phase 1
+/// (plus launch geometry; the disk key adds the simulator model and
+/// workload identity), so a warm --cache-dir rerun is bit-identical to
+/// a cold one. The fused IR itself is fetched only once the memo and
+/// the disk both missed, and its fresh hash must match phase 1's: a
+/// mismatch retires the candidate as an Internal failure. A warm search
+/// whose summary and simulation records all hit therefore fuses,
+/// lowers and simulates nothing. A context's workload inputs are built
+/// at its first simulation, so a search the store answers builds none.
 ///
 /// Options::Cancel threads cancellation through the sweep: a cancelled,
 /// deadlined or interrupted (SIGTERM/SIGINT) search stops at the next
@@ -315,6 +329,9 @@ protected:
 
   /// The grid every fused launch runs: the largest preferred grid.
   int commonGrid() const;
+  /// The dynamic shared bytes every fused launch gets: the sum of the
+  /// kernels' own.
+  uint32_t fusedDynShared() const;
 
   std::vector<kernels::BenchKernelId> Ids;
   bool Ready = false;
@@ -342,7 +359,6 @@ private:
     Status Err;
     std::unique_ptr<cuda::ASTContext> Ctx;
     cuda::FunctionDecl *Fused = nullptr;
-    uint32_t DynShared = 0;
     /// Codegen output before register allocation; copied per bound.
     std::unique_ptr<ir::IRKernel> BaseIR;
     /// Registers of the unbounded allocation (0 until computed); bounds
@@ -359,14 +375,16 @@ private:
   void releaseContext(SimContext *C);
 
   /// Fused IR for (Dims, RegBound) through the caches; null on error
-  /// (with \p Err set). \p DynShared receives the dynamic shared size.
+  /// (with \p Err set).
   std::shared_ptr<ir::IRKernel> getFusedIR(const std::vector<int> &Dims,
-                                           unsigned RegBound,
-                                           uint32_t &DynShared,
-                                           Status &Err);
-  /// Simulates (Dims, RegBound) under \p Budget in context \p C, or,
-  /// when \p C is null, in a pooled context taken only if no memo or
-  /// disk hit answers first. A fixed budget of 0 runs to completion;
+                                           unsigned RegBound, Status &Err);
+  /// Simulates (Dims, RegBound), whose fused IR has content hash
+  /// \p Hash, under \p Budget in context \p C, or, when \p C is null,
+  /// in a pooled context taken only if no memo or disk hit answers
+  /// first. The IR is fetched (fused and lowered if need be) only for a
+  /// simulation; one whose hash is not \p Hash is an Internal failure,
+  /// and a failed fetch reports its own Status in \p Err. Neither is
+  /// memoized or stored. A fixed budget of 0 runs to completion;
   /// otherwise the simulation is abandoned (SimResult::BudgetExceeded)
   /// once its cycles provably exceed the budget. An abort is served
   /// from the memo or the store only to callers whose budget is at least
@@ -375,12 +393,17 @@ private:
   /// resolved; a run whose fence failed comes back void (voidRun).
   /// Fence waits add to \p FenceWaitMs.
   gpusim::SimResult runHFusedIn(SimContext *C, const std::vector<int> &Dims,
-                                unsigned RegBound, Status &Err,
-                                SearchStats *Stats,
+                                unsigned RegBound, uint64_t Hash,
+                                Status &Err, SearchStats *Stats,
                                 const gpusim::RunBudget &Budget = {},
                                 double *FenceWaitMs = nullptr);
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
+  /// The store key of sweep()'s phase-1 summary: the executable's build
+  /// ID plus everything phase 1 reads. Empty when summaries are off
+  /// (no store, a verified run, or a binary without a build ID).
+  std::string phase1SummaryKey(
+      const std::vector<std::vector<int>> &Partitions, bool TryBound) const;
   /// "+"-joined display names ("blake256+sha256+ethash").
   std::string namesLabel() const;
 

@@ -45,8 +45,7 @@ SimResult SimMemo::run(
     const Key &K, const std::string &DiskKey, const CancellationToken &Cancel,
     CompileCache &Cache, SearchStats *Stats, const RunBudget &Budget,
     double *FenceWaitMs,
-    const std::function<std::optional<SimResult>(const RunBudget &)>
-        &Simulate) {
+    const std::function<Expected<SimResult>(const RunBudget &)> &Simulate) {
   // A gated caller's verdict counts only once its seed has resolved:
   // Settle waits for the fence and adopts its budget, or reports the
   // run void (seed failed, or the request was cancelled meanwhile).
@@ -129,17 +128,18 @@ SimResult SimMemo::run(
       Cache.count(&CompileCache::Stats::DiskMisses);
     }
 
-    std::optional<SimResult> Sim = Simulate(Budget);
+    Expected<SimResult> Sim = Simulate(Budget);
     SimResult R;
     if (!Sim)
-      R.Error = "no simulator context";
+      R.Error = Sim.status().message();
     else if (!Settle())
       R = voidRun(Cancel);
     else
-      R = std::move(*Sim);
+      R = Sim.take();
     // Cancelled and void runs are properties of the request, never of
-    // the launch; fault-injected ones are transient; a missing context
-    // simulated nothing. None may be replayed.
+    // the launch; fault-injected ones are transient; a run that never
+    // simulated (no context, no fused IR) is no verdict at all. None may
+    // be replayed.
     if (!Sim || R.FaultInjected || R.Cancelled)
       retire(K, E);
     // storeSimResult keeps only completed runs and clean aborts. This

@@ -6,8 +6,14 @@
 ///
 /// \file
 /// The simulation memo of a configuration search (profile::NWayRunner):
-/// one entry per exact launch (fused IR object, grid, block size,
-/// dynamic shared bytes), backed by the CompileCache's ResultStore.
+/// one entry per exact launch (the fused IR's content hash, grid, block
+/// size, dynamic shared bytes), backed by the CompileCache's
+/// ResultStore. The hash comes from phase 1 — or from the stored
+/// phase-1 summary that stands in for it — so the memo and the disk are
+/// consulted before any fused IR exists, and a hit never fuses or
+/// lowers. Two lowerings with equal content are one launch: a register
+/// bound at or above the natural allocation shares its unbounded
+/// sibling's entry.
 ///
 /// Entries are shared futures, so concurrent workers requesting the
 /// same launch block on the first runner instead of simulating twice.
@@ -20,9 +26,10 @@
 /// a disk miss, and the fresh result replaces it. A fault-injected,
 /// cancelled or void (failed-seed) result is retired eagerly by its own
 /// runner before it is published and never persisted: waiters see it,
-/// later requests re-simulate. Deterministic failures (OOB, genuine
-/// deadlock) stay memoized, never persisted: replaying them is correct
-/// and cheap. The shared_ptr wrapper gives entries identity, so
+/// later requests re-simulate. So is a run that never simulated (no
+/// simulator context, or a fused IR that could not be had or did not
+/// match its hash). Deterministic failures (OOB, genuine deadlock) stay
+/// memoized, never persisted: replaying them is correct and cheap. The shared_ptr wrapper gives entries identity, so
 /// retirement no-ops when a concurrent retirement already installed a
 /// fresh runner's entry.
 ///
@@ -39,9 +46,9 @@
 #define HFUSE_PROFILE_SIMMEMO_H
 
 #include "gpusim/Simulator.h"
-#include "ir/IR.h"
 #include "profile/Compile.h"
 #include "support/CancellationToken.h"
+#include "support/Status.h"
 
 #include <functional>
 #include <future>
@@ -58,14 +65,14 @@ struct SearchStats;
 
 class SimMemo {
 public:
-  /// The exact launch: same IR object, grid, block size and dynamic
-  /// shared bytes replay the stored result.
-  using Key = std::tuple<const ir::IRKernel *, int, int, uint32_t>;
+  /// The exact launch: same IR content (ir::IRKernel::contentHash()),
+  /// grid, block size and dynamic shared bytes replay the stored result.
+  using Key = std::tuple<uint64_t, int, int, uint32_t>;
 
   /// Runs one candidate launch under \p Budget, or replays it. \p DiskKey
   /// (empty = no store) names it in the ResultStore. \p Simulate
   /// simulates it under the budget it is given and returns the result,
-  /// or nullopt when no simulator context could be had. \p Cancel is
+  /// or why nothing was simulated. \p Cancel is
   /// the request's token, which ends fence waits. \p Stats (may be
   /// null) counts memo and disk hits; fence waits add to
   /// \p FenceWaitMs.
@@ -74,7 +81,7 @@ public:
       const CancellationToken &Cancel, CompileCache &Cache,
       SearchStats *Stats, const gpusim::RunBudget &Budget,
       double *FenceWaitMs,
-      const std::function<std::optional<gpusim::SimResult>(
+      const std::function<Expected<gpusim::SimResult>(
           const gpusim::RunBudget &)> &Simulate);
 
 private:

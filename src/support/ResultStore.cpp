@@ -176,10 +176,15 @@ std::shared_ptr<ResultStore> ResultStore::open(const std::string &Dir,
     return nullptr;
   }
   {
+    // Every process start reads every record once; the span shows what
+    // that costs against the store's size.
+    telemetry::TraceSpan OpenSpan("store", "open");
     std::lock_guard<std::mutex> Lock(Store->Mu);
     if (Store->acquireLockLocked(/*Exclusive=*/true)) {
-      Store->recoverLocked();
+      size_t Records = Store->recoverLocked();
       Store->releaseLockLocked();
+      if (telemetry::traceOn())
+        OpenSpan.setEndArgs("{\"records\":" + std::to_string(Records) + "}");
     }
     // else: lock timeout during recovery — the store is already
     // degraded and every op will no-op; the caller's run continues
@@ -262,7 +267,8 @@ void ResultStore::quarantineLocked(const std::string &Path,
   }
 }
 
-void ResultStore::recoverLocked() {
+size_t ResultStore::recoverLocked() {
+  size_t Valid = 0;
   std::error_code EC;
   for (const auto &Entry : fs::directory_iterator(recordsDir(), EC)) {
     std::string Path = Entry.path().string();
@@ -279,12 +285,15 @@ void ResultStore::recoverLocked() {
     }
     if (const char *Reason = validateRecord(Bytes, nullptr, nullptr))
       quarantineLocked(Path, Reason);
+    else
+      ++Valid;
   }
   // A temp file that survived to the next open is a crashed write:
   // sweep it aside so tmp/ cannot grow without bound, keeping the
   // bytes for inspection like any other quarantine.
   for (const auto &Entry : fs::directory_iterator(tmpDir(), EC))
     quarantineLocked(Entry.path().string(), "torn");
+  return Valid;
 }
 
 void ResultStore::degradeLocked() {

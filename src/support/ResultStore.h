@@ -129,8 +129,9 @@ public:
 private:
   ResultStore(std::string Dir, uint32_t SchemaVersion, Options Opts);
 
-  /// One recovery pass over records/ and tmp/ (caller holds Mu + lock).
-  void recoverLocked();
+  /// One recovery pass over records/ and tmp/ (caller holds Mu + lock);
+  /// returns how many valid records it kept.
+  size_t recoverLocked();
   /// Moves \p Path into quarantine/ with a ".<reason>" suffix.
   void quarantineLocked(const std::string &Path, const char *Reason);
   /// Validates \p Bytes as a record; on success fills key+payload

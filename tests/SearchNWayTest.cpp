@@ -336,6 +336,9 @@ TEST(SearchNWay, StoreAnsweredSearchSetsUpNoWorkload) {
   EXPECT_EQ(ledger(Warm), ledger(Cold));
   EXPECT_EQ(Opts.Cache->stats().SimRuns, 0u);
   EXPECT_EQ(Opts.Cache->stats().ContextSetups, 0u);
+  // The store's phase-1 summary stands in for fusion and lowering too.
+  EXPECT_EQ(Opts.Cache->stats().FusionRuns, 0u);
+  EXPECT_EQ(Opts.Cache->stats().Lowerings, 0u);
   EXPECT_TRUE(R.runNative().Ok);
   EXPECT_TRUE(R.runSerial().Ok);
   EXPECT_EQ(Opts.Cache->stats().ContextSetups, 1u);

@@ -9,27 +9,35 @@
 /// pipeline: a warm-cache run (results served from disk) and a cold run
 /// (results computed) produce bit-identical SearchResults for all 16
 /// paper pairs — same Best config, same cycle counts, same candidate
-/// sets — with the warm run performing zero simulations and setting up
-/// no workload. Also covered: every injected store fault degrades the
-/// sweep to a correct storeless run (never a wrong answer, never a
-/// crash); warm budgeted sweeps replay the cold budgeted ledger, budget
+/// sets — with the warm run performing zero simulations, fusions and
+/// lowerings, and setting up no workload. Also covered: every injected
+/// store fault degrades the sweep to a correct storeless run (never a
+/// wrong answer, never a crash); warm budgeted sweeps replay the cold budgeted ledger, budget
 /// aborts included, without simulating; a stored abort answers only
 /// callers at least as tight and is replaced by a looser run; no unclean
-/// run (wedged, cancelled, void) is persisted; and a schema bump
+/// run (wedged, cancelled, void) is persisted; a schema bump
 /// quarantines old records and recomputes rather than serving stale
-/// payloads.
+/// payloads; and the phase-1 summary — written only after a clean
+/// phase 1, checked against every lazy lowering, replaced when it does
+/// not decode — leaves a warm search exactly the fusion and simulation
+/// its missing records need.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "profile/PairRunner.h"
+#include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
 #include "support/ResultStore.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <unistd.h>
@@ -136,12 +144,23 @@ PairRunner::Options budgetedOptions(const std::shared_ptr<CompileCache> &Cache,
   return Opts;
 }
 
+/// Every field of every pruned row, by canonical id.
+std::vector<std::string> prunedRows(const SearchResult &SR) {
+  std::vector<std::string> Rows;
+  for (const PrunedCandidate &P : SR.Pruned)
+    Rows.push_back(formatString("c%d %s r%u %d/SM dominator %d/SM: %s", P.Id,
+                                dimsLabel(P.Dims).c_str(), P.RegBound,
+                                P.BlocksPerSM, P.DominatorBlocksPerSM,
+                                P.Reason.c_str()));
+  return Rows;
+}
+
 void expectBitIdentical(const SearchResult &A, const SearchResult &B) {
   EXPECT_EQ(A.Best.Dims, B.Best.Dims);
   EXPECT_EQ(A.Best.RegBound, B.Best.RegBound);
   EXPECT_EQ(A.Best.Cycles, B.Best.Cycles);
   EXPECT_EQ(candidateMap(A), candidateMap(B));
-  EXPECT_EQ(A.Pruned.size(), B.Pruned.size());
+  EXPECT_EQ(prunedRows(A), prunedRows(B));
 }
 
 std::string caseName(const testing::TestParamInfo<BenchPair> &Info) {
@@ -173,6 +192,9 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
   EXPECT_EQ(ColdStats.DiskHits, 0u);
   // One simulator context per job, each set up for its first run.
   EXPECT_EQ(ColdStats.ContextSetups, 1u);
+  // The clean phase 1 left one summary.
+  EXPECT_EQ(ColdStats.SummaryWrites, 1u);
+  EXPECT_EQ(ColdStats.SummaryHits, 0u);
 
   // Warm: a brand-new process image as far as the pipeline can tell —
   // fresh CompileCache (no in-memory memo), reopened store.
@@ -189,12 +211,17 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
   expectBitIdentical(Warm, Cold);
 
   // The headline: with Budget=Off every candidate was persisted, so
-  // the warm sweep re-simulates nothing and builds no workload inputs.
+  // the warm sweep re-simulates nothing and builds no workload inputs;
+  // the summary answers phase 1, so it fuses and lowers nothing either.
   CompileCache::Stats WarmStats = WarmCache->stats();
   EXPECT_EQ(WarmStats.SimRuns, 0u);
   EXPECT_EQ(WarmStats.ContextSetups, 0u);
   EXPECT_GT(WarmStats.DiskHits, 0u);
   EXPECT_EQ(WarmStats.DiskHits, ColdStats.DiskWrites);
+  EXPECT_EQ(WarmStats.FusionRuns, 0u);
+  EXPECT_EQ(WarmStats.Lowerings, 0u);
+  EXPECT_EQ(WarmStats.SummaryHits, 1u);
+  EXPECT_EQ(WarmStats.SummaryWrites, 0u);
 }
 
 TEST_P(StoreSearch, WarmBudgetedSweepMatchesColdBudgetedSweep) {
@@ -202,10 +229,12 @@ TEST_P(StoreSearch, WarmBudgetedSweepMatchesColdBudgetedSweep) {
   TempDir D("warmbudget");
 
   // Cold budgeted run populates the store with every completed
-  // candidate and every clean budget abort.
-  SearchResult Cold = runSweep(P, budgetedOptions(cacheOn(D)));
+  // candidate, every clean budget abort and the phase-1 summary.
+  auto ColdCache = cacheOn(D);
+  SearchResult Cold = runSweep(P, budgetedOptions(ColdCache));
   if (!Cold.Ok)
     return;
+  EXPECT_EQ(ColdCache->stats().SummaryWrites, 1u);
 
   // The warm budgeted run replays the cold ledger row for row: an
   // abort record answers the same budget with its own cycle and issued
@@ -218,8 +247,12 @@ TEST_P(StoreSearch, WarmBudgetedSweepMatchesColdBudgetedSweep) {
   expectBitIdentical(Warm, Cold);
   EXPECT_EQ(ledger(Warm), ledger(Cold));
   EXPECT_EQ(Warm.Stats.IncumbentCycles, Cold.Stats.IncumbentCycles);
-  EXPECT_EQ(WarmCache->stats().SimRuns, 0u);
-  EXPECT_EQ(WarmCache->stats().DiskMisses, 0u);
+  CompileCache::Stats WarmStats = WarmCache->stats();
+  EXPECT_EQ(WarmStats.SimRuns, 0u);
+  EXPECT_EQ(WarmStats.DiskMisses, 0u);
+  EXPECT_EQ(WarmStats.FusionRuns, 0u);
+  EXPECT_EQ(WarmStats.Lowerings, 0u);
+  EXPECT_EQ(WarmStats.SummaryHits, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPaperPairs, StoreSearch,
@@ -505,4 +538,288 @@ TEST(StoreFaultTest, SchemaBumpQuarantinesOldRecordsAndRecomputes) {
     ++QuarantineFiles;
   }
   EXPECT_GE(QuarantineFiles, Persisted);
+}
+
+//===----------------------------------------------------------------------===//
+// The phase-1 summary: one record per search stands in for fusion and
+// lowering on a warm store
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A DL pair: seven partitions, with bounded, aliased and pruned
+/// candidates among them.
+BenchPair dlPair() { return {BenchKernelId::Batchnorm, BenchKernelId::Hist}; }
+
+std::string fileBytes(const fs::path &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+/// The records of \p D whose key opens with the length-prefixed \p Tag
+/// ("sim-result", "phase1-summary"), by key. The key sits at offset 24
+/// of the record, its length at offset 8 (support/ResultStore.h).
+std::map<std::string, fs::path> recordsTagged(const TempDir &D,
+                                              std::string_view Tag) {
+  std::map<std::string, fs::path> Out;
+  for (const auto &E : fs::directory_iterator(D.Path / "records")) {
+    std::string Bytes = fileBytes(E.path());
+    ByteReader Header(std::string_view(Bytes).substr(8, 4));
+    std::string Key = Bytes.substr(24, Header.u32());
+    if (ByteReader(Key).str() == Tag)
+      Out.emplace(std::move(Key), E.path());
+  }
+  return Out;
+}
+
+/// The store's only phase-1 summary: its key and decoded entries.
+std::pair<std::string, std::vector<Phase1Entry>>
+onlySummary(const TempDir &D) {
+  std::map<std::string, fs::path> Summaries =
+      recordsTagged(D, "phase1-summary");
+  EXPECT_EQ(Summaries.size(), 1u);
+  if (Summaries.empty())
+    return {};
+  const std::string &Key = Summaries.begin()->first;
+  auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+  std::optional<std::string> Payload = Store->get(Key);
+  EXPECT_TRUE(Payload);
+  std::optional<std::vector<Phase1Entry>> Entries =
+      decodePhase1Summary(Payload ? *Payload : std::string());
+  EXPECT_TRUE(Entries);
+  return {Key, Entries ? *Entries : std::vector<Phase1Entry>()};
+}
+
+} // namespace
+
+TEST(StoreSummary, DeletedSimRecordIsTheOnlyFusionAndSimulation) {
+  TempDir D("deleted");
+  SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+  std::map<std::string, fs::path> Sims = recordsTagged(D, "sim-result");
+  ASSERT_GE(Sims.size(), 2u);
+
+  // Each simulation record in turn: the warm search takes phase 1 from
+  // the summary, misses that one record, and fuses, lowers and
+  // simulates its launch alone.
+  for (const auto &[Key, Path] : Sims) {
+    SCOPED_TRACE(Path.filename().string());
+    const std::string Bytes = fileBytes(Path);
+    fs::remove(Path);
+    auto Warm = cacheOn(D);
+    SearchResult SR = runSweep(dlPair(), quickOptions(Warm));
+    expectBitIdentical(SR, Cold);
+    EXPECT_EQ(ledger(SR), ledger(Cold));
+    CompileCache::Stats S = Warm->stats();
+    EXPECT_EQ(S.SummaryHits, 1u);
+    EXPECT_EQ(S.FusionRuns, 1u);
+    EXPECT_EQ(S.Lowerings, 1u);
+    EXPECT_EQ(S.SimRuns, 1u);
+    EXPECT_EQ(S.DiskMisses, 1u);
+    EXPECT_EQ(S.DiskWrites, 1u);
+    // The write landed under the deleted key, byte for byte: the one
+    // fused, lowered and simulated launch was exactly the missing one.
+    EXPECT_EQ(fileBytes(Path), Bytes);
+  }
+}
+
+TEST(StoreSummary, FailedLazyLoweringIsNeitherMemoizedNorStored) {
+  InjectorGuard G;
+  TempDir D("lazyfail");
+  SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+
+  // A record only one candidate launches (no aliased bound shares its
+  // hash), so its loss leaves exactly one lazy lowering.
+  const std::vector<Phase1Entry> Entries = onlySummary(D).second;
+  fs::path Victim;
+  for (const auto &[Key, Path] : recordsTagged(D, "sim-result")) {
+    ByteReader KR(Key);
+    KR.str();
+    const uint64_t Hash = KR.u64();
+    if (std::count_if(Entries.begin(), Entries.end(), [&](const auto &E) {
+          return E.Shape && E.Shape->Hash == Hash;
+        }) == 1)
+      Victim = Path;
+  }
+  ASSERT_FALSE(Victim.empty());
+  fs::remove(Victim);
+
+  auto Warm = cacheOn(D);
+  PairRunner R(dlPair().A, dlPair().B, quickOptions(Warm));
+  ASSERT_TRUE(R.ok()) << R.error();
+  ASSERT_TRUE(FaultInjector::instance().configure("lower"));
+  SearchResult Faulted = R.searchBestConfig();
+  FaultInjector::instance().reset();
+  ASSERT_EQ(Faulted.Failed.size(), 1u);
+  EXPECT_EQ(Faulted.Failed[0].Err.code(), ErrorCode::RegAllocError);
+  EXPECT_TRUE(Faulted.Failed[0].Err.transient());
+  EXPECT_EQ(Warm->stats().SimRuns, 0u);
+  EXPECT_EQ(Warm->stats().DiskWrites, 0u);
+  EXPECT_FALSE(fs::exists(Victim));
+
+  // Nothing was memoized: the same runner lowers and simulates the
+  // launch on its next search, and stores it.
+  SearchResult Clean = R.searchBestConfig();
+  expectBitIdentical(Clean, Cold);
+  EXPECT_EQ(ledger(Clean), ledger(Cold));
+  EXPECT_EQ(Warm->stats().SimRuns, 1u);
+  EXPECT_EQ(Warm->stats().DiskWrites, 1u);
+  EXPECT_TRUE(fs::exists(Victim));
+}
+
+TEST(StoreSummary, CancelledPhaseOneWritesNoSummary) {
+  InjectorGuard G;
+  TempDir D("cancelcompile");
+  auto Cache = cacheOn(D);
+  ASSERT_TRUE(FaultInjector::instance().configure("cancel-compile:nth=1"));
+  SearchResult Cut = runFaulted(dlPair(), quickOptions(Cache));
+  FaultInjector::instance().reset();
+  EXPECT_TRUE(Cut.Partial);
+  EXPECT_EQ(Cache->stats().SummaryWrites, 0u);
+
+  // The reopened store holds no summary, so the next search runs its
+  // own phase 1 and leaves the first one.
+  EXPECT_TRUE(recordsTagged(D, "phase1-summary").empty());
+  auto Next = cacheOn(D);
+  SearchResult Clean = runSweep(dlPair(), quickOptions(Next));
+  EXPECT_EQ(Next->stats().SummaryHits, 0u);
+  EXPECT_EQ(Next->stats().FusionRuns, 7u);
+  EXPECT_EQ(Next->stats().SummaryWrites, 1u);
+}
+
+TEST(StoreSummary, FaultedPhaseOneWritesNoSummary) {
+  InjectorGuard G;
+  for (const char *Fault : {"fuse:nth=1", "lower:nth=1"}) {
+    SCOPED_TRACE(Fault);
+    TempDir D(std::string("faulted-") +
+              std::string(Fault).substr(0, std::string(Fault).find(':')));
+    auto Cache = cacheOn(D);
+    ASSERT_TRUE(FaultInjector::instance().configure(Fault));
+    SearchResult SR = runFaulted(dlPair(), quickOptions(Cache));
+    FaultInjector::instance().reset();
+    ASSERT_TRUE(SR.Ok) << SR.Err;
+    EXPECT_EQ(SR.Failed.size(), 1u);
+    EXPECT_EQ(Cache->stats().SummaryWrites, 0u);
+    EXPECT_TRUE(recordsTagged(D, "phase1-summary").empty());
+  }
+}
+
+TEST(StoreSummary, WarmPhaseOneChecksCancelOncePerPartition) {
+  InjectorGuard G;
+  TempDir D("warmcancel");
+  SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+
+  // Seven partitions, seven checks: the seventh match fires, an eighth
+  // never comes. Either way the summary answers phase 1.
+  for (int Nth : {7, 8}) {
+    SCOPED_TRACE(Nth);
+    auto Warm = cacheOn(D);
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        formatString("cancel-compile:nth=%d", Nth)));
+    SearchResult SR = runFaulted(dlPair(), quickOptions(Warm));
+    const uint64_t Fired = FaultInjector::instance().firedCount();
+    FaultInjector::instance().reset();
+    EXPECT_EQ(Warm->stats().SummaryHits, 1u);
+    EXPECT_EQ(Warm->stats().FusionRuns, 0u);
+    EXPECT_EQ(Fired, Nth == 7 ? 1u : 0u);
+    EXPECT_EQ(SR.Partial, Nth == 7);
+    if (Nth == 8)
+      expectBitIdentical(SR, Cold);
+  }
+}
+
+TEST(StoreSummary, UndecodableSummaryReadsAsMissAndIsReplaced) {
+  TempDir D("garbled");
+  SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+  const std::string Key = onlySummary(D).first;
+  ASSERT_FALSE(Key.empty());
+
+  // Bytes that do not decode, and a well-formed summary that does not
+  // fit the search's candidates.
+  for (const std::string &Payload :
+       {std::string("not a summary"), encodePhase1Summary({})}) {
+    {
+      auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+      ASSERT_TRUE(Store->put(Key, Payload).ok());
+    }
+    auto Warm = cacheOn(D);
+    SearchResult SR = runSweep(dlPair(), quickOptions(Warm));
+    expectBitIdentical(SR, Cold);
+    EXPECT_EQ(ledger(SR), ledger(Cold));
+    CompileCache::Stats S = Warm->stats();
+    EXPECT_EQ(S.SummaryHits, 0u);
+    EXPECT_EQ(S.FusionRuns, 7u);
+    EXPECT_EQ(S.SimRuns, 0u);
+    EXPECT_EQ(S.SummaryWrites, 1u);
+
+    // The rewritten summary answers the next search.
+    auto Again = cacheOn(D);
+    SearchResult Next = runSweep(dlPair(), quickOptions(Again));
+    expectBitIdentical(Next, Cold);
+    EXPECT_EQ(Again->stats().SummaryHits, 1u);
+    EXPECT_EQ(Again->stats().FusionRuns, 0u);
+  }
+}
+
+TEST(StoreSummary, ForgedHashRetiresItsCandidateAsInternal) {
+  TempDir D("forged");
+  auto Unpruned = [](const std::shared_ptr<CompileCache> &Cache) {
+    PairRunner::Options Opts = quickOptions(Cache);
+    Opts.Prune = false; // every candidate is measured
+    Opts.SearchJobs = 2; // the lazy lowering races the disk hits
+    return Opts;
+  };
+  SearchResult Cold = runSweep(dlPair(), Unpruned(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+  const FusionCandidate *Victim = nullptr;
+  for (const FusionCandidate &C : Cold.All)
+    if (C.Id != Cold.Best.Id)
+      Victim = &C;
+  ASSERT_NE(Victim, nullptr);
+
+  // Forge the victim's hash, as a summary from a binary whose lowering
+  // drifted would.
+  auto [Key, Entries] = onlySummary(D);
+  ASSERT_LT(static_cast<size_t>(Victim->Id), Entries.size());
+  ASSERT_TRUE(Entries[Victim->Id].Shape);
+  Entries[Victim->Id].Shape->Hash ^= 1;
+  {
+    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+    ASSERT_TRUE(Store->put(Key, encodePhase1Summary(Entries)).ok());
+  }
+
+  telemetry::setMetricsEnabled(true);
+  telemetry::Counter &Mismatches =
+      telemetry::MetricsRegistry::instance().counter(
+          "compile.digest_mismatches");
+  const uint64_t Before = Mismatches.value();
+  auto Warm = cacheOn(D);
+  testing::internal::CaptureStderr();
+  SearchResult SR = runSweep(dlPair(), Unpruned(Warm));
+  const std::string Log = testing::internal::GetCapturedStderr();
+  telemetry::setMetricsEnabled(false);
+
+  // The forged hash misses the disk, the lazy lowering disagrees with
+  // it, and the candidate retires; nothing is simulated or stored.
+  ASSERT_EQ(SR.Failed.size(), 1u);
+  EXPECT_EQ(SR.Failed[0].Id, Victim->Id);
+  EXPECT_EQ(SR.Failed[0].Err.code(), ErrorCode::Internal);
+  EXPECT_EQ(Mismatches.value(), Before + 1);
+  EXPECT_NE(Log.find("does not match its phase-1 digest"), std::string::npos)
+      << Log;
+  auto Want = candidateMap(Cold);
+  Want.erase({Victim->Dims, Victim->RegBound});
+  EXPECT_EQ(candidateMap(SR), Want);
+  EXPECT_EQ(SR.Best.Id, Cold.Best.Id);
+  EXPECT_EQ(SR.Best.Cycles, Cold.Best.Cycles);
+  CompileCache::Stats S = Warm->stats();
+  EXPECT_EQ(S.SummaryHits, 1u);
+  EXPECT_EQ(S.FusionRuns, 1u);
+  EXPECT_EQ(S.Lowerings, 1u);
+  EXPECT_EQ(S.DiskMisses, 1u);
+  EXPECT_EQ(S.SimRuns, 0u);
+  EXPECT_EQ(S.DiskWrites, 0u);
 }

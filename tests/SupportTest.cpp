@@ -12,6 +12,7 @@
 
 #include "cudalang/AST.h"
 #include "support/BinaryCodec.h"
+#include "support/BuildId.h"
 #include "support/CancellationToken.h"
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
@@ -69,6 +70,15 @@ TEST(StringUtils, IdentifierValidation) {
   EXPECT_FALSE(isValidIdentifier("9x"));
   EXPECT_FALSE(isValidIdentifier(""));
   EXPECT_FALSE(isValidIdentifier("a-b"));
+}
+
+TEST(BuildId, ReadsTheExecutablesGnuNote) {
+  // Every target links with --build-id (CMakeLists.txt).
+  const std::string &Id = executableBuildId();
+  ASSERT_FALSE(Id.empty());
+  EXPECT_EQ(Id.size() % 2, 0u);
+  EXPECT_EQ(Id.find_first_not_of("0123456789abcdef"), std::string::npos);
+  EXPECT_EQ(&Id, &executableBuildId()); // read once per process
 }
 
 TEST(Diagnostics, FormattingAndCounts) {
