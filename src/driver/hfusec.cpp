@@ -41,7 +41,9 @@
 #include "transform/Fusion.h"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <cstdlib>
@@ -50,6 +52,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace hfuse;
@@ -252,6 +255,9 @@ void printUsage() {
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  // Threads per block, and so per kernel partition or block extent.
+  constexpr int64_t MaxBlockThreads = 1024;
+  constexpr int64_t MaxMs = 1'000'000'000; // about 11.6 days
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
@@ -260,6 +266,28 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return nullptr;
       }
       return Argv[++I];
+    };
+    // A numeric flag's value: a whole decimal integer in [Min, Max], or
+    // a usage error. Each flag's range holds every value it documents,
+    // and is small enough that no sum, product, shift or deadline
+    // computed from it downstream can wrap.
+    auto Int = [&](int64_t Min, int64_t Max, auto &Out) {
+      const char *V = Next();
+      if (!V)
+        return false;
+      const char *End = V + std::strlen(V);
+      int64_t N = 0;
+      auto [Ptr, Ec] = std::from_chars(V, End, N);
+      if (Ec != std::errc() || Ptr != End || N < Min || N > Max) {
+        std::fprintf(stderr,
+                     "error: %s expects an integer in [%lld, %lld], got "
+                     "'%s'\n",
+                     Arg.c_str(), static_cast<long long>(Min),
+                     static_cast<long long>(Max), V);
+        return false;
+      }
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(N);
+      return true;
     };
     if (Arg == "--k1") {
       const char *V = Next();
@@ -281,35 +309,20 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (!V)
         return false;
       Opts.Kernel2 = V;
-    } else if (Arg == "--d1") {
-      const char *V = Next();
-      if (!V)
+    } else if (Arg == "--d1" || Arg == "--d2") {
+      if (!Int(1, MaxBlockThreads, Arg == "--d1" ? Opts.D1 : Opts.D2))
         return false;
-      Opts.D1 = std::atoi(V);
-    } else if (Arg == "--d2") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.D2 = std::atoi(V);
     } else if (Arg == "--y1" || Arg == "--z1" || Arg == "--y2" ||
                Arg == "--z2") {
-      const char *V = Next();
-      if (!V)
+      int &Extent = Arg == "--y1"   ? Opts.Y1
+                    : Arg == "--z1" ? Opts.Z1
+                    : Arg == "--y2" ? Opts.Y2
+                                    : Opts.Z2;
+      if (!Int(1, MaxBlockThreads, Extent))
         return false;
-      int N = std::atoi(V);
-      if (Arg == "--y1")
-        Opts.Y1 = N;
-      else if (Arg == "--z1")
-        Opts.Z1 = N;
-      else if (Arg == "--y2")
-        Opts.Y2 = N;
-      else
-        Opts.Z2 = N;
     } else if (Arg == "--maxrregcount") {
-      const char *V = Next();
-      if (!V)
+      if (!Int(0, 255, Opts.RegBound))
         return false;
-      Opts.RegBound = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--out") {
       const char *V = Next();
       if (!V)
@@ -321,18 +334,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.SearchPair = V;
     } else if (Arg == "--search-jobs") {
-      const char *V = Next();
-      if (!V)
+      if (!Int(0, 1024, Opts.SearchJobs))
         return false;
-      char *End = nullptr;
-      long N = std::strtol(V, &End, 10);
-      if (End == V || *End != '\0') {
-        std::fprintf(stderr,
-                     "error: --search-jobs expects an integer, got '%s'\n",
-                     V);
-        return false;
-      }
-      Opts.SearchJobs = static_cast<int>(N);
     } else if (Arg == "--no-prune") {
       Opts.Prune = false;
     } else if (Arg == "--search-budget" ||
@@ -363,38 +366,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.Portfolio = V;
     } else if (Arg == "--portfolio-size") {
-      const char *V = Next();
-      if (!V)
+      if (!Int(3, 15, Opts.PortfolioSize))
         return false;
-      char *End = nullptr;
-      long N = std::strtol(V, &End, 10);
-      if (End == V || *End != '\0' || N < 3 || N > 15) {
-        std::fprintf(stderr,
-                     "error: --portfolio-size expects an integer in "
-                     "[3, 15], got '%s'\n",
-                     V);
+    } else if (Arg == "--sim-watchdog") {
+      // Far above a simulation's 400M-cycle limit.
+      if (!Int(0, 1'000'000'000'000, Opts.WatchdogCycles))
         return false;
-      }
-      Opts.PortfolioSize = static_cast<int>(N);
-    } else if (Arg == "--sim-watchdog" || Arg == "--timeout" ||
-               Arg == "--deadline-ms") {
-      const char *V = Next();
-      if (!V)
+    } else if (Arg == "--timeout" || Arg == "--deadline-ms") {
+      if (!Int(0, MaxMs,
+               Arg == "--timeout" ? Opts.TimeoutMs : Opts.DeadlineMs))
         return false;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(V, &End, 10);
-      if (End == V || *End != '\0') {
-        std::fprintf(stderr, "error: %s expects a non-negative integer, "
-                             "got '%s'\n",
-                     Arg.c_str(), V);
-        return false;
-      }
-      if (Arg == "--sim-watchdog")
-        Opts.WatchdogCycles = N;
-      else if (Arg == "--timeout")
-        Opts.TimeoutMs = N;
-      else
-        Opts.DeadlineMs = N;
     } else if (Arg == "--fault") {
       const char *V = Next();
       if (!V)
@@ -406,19 +387,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.CacheDir = V;
     } else if (Arg == "--compile-retries") {
-      const char *V = Next();
-      if (!V)
+      // Attempt k waits 5 << (k - 2) ms first: 2.6 s in all at 10.
+      if (!Int(1, 10, Opts.CompileRetries))
         return false;
-      char *End = nullptr;
-      long N = std::strtol(V, &End, 10);
-      if (End == V || *End != '\0' || N < 1) {
-        std::fprintf(stderr,
-                     "error: --compile-retries expects a positive "
-                     "integer, got '%s'\n",
-                     V);
-        return false;
-      }
-      Opts.CompileRetries = static_cast<int>(N);
     } else if (Arg == "--metrics") {
       const char *V = Next();
       if (!V)
@@ -548,8 +519,9 @@ void printCacheStats(const profile::CompileCache::Stats &CS) {
                 static_cast<unsigned long long>(CS.CompileRetries));
 }
 
-/// The `store:` summary line. Quarantined records are the store's
-/// total: most are moved aside when it opens, before any request.
+/// The `store:` summary line. The quarantined count is the handle's
+/// running total: a bad record is moved aside by the first get() that
+/// reads it, in whichever search of the run that happens.
 void printStoreStats(const profile::CompileCache::Stats &CS,
                      const ResultStore &Store) {
   std::printf("store: %llu disk hits, %llu disk misses, %llu writes, "

@@ -11,7 +11,6 @@
 #include "ir/RegAlloc.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
-#include "support/Log.h"
 #include "support/Telemetry.h"
 
 using namespace hfuse;
@@ -63,39 +62,6 @@ void mirrorCount(uint64_t CompileCache::Stats::*Counter, uint64_t N) {
     return;
   if (const char *Name = metricNameFor(Counter))
     telemetry::MetricsRegistry::instance().counter(Name).add(N);
-}
-
-/// Publishes or cross-checks the compile digest of a fresh compile.
-void publishCompileDigest(ResultStore &St, const std::string &Name,
-                          unsigned RegBound, uint64_t SourceHash,
-                          const CompiledKernel &CK) {
-  if (!CK.IR)
-    return;
-  ByteWriter KeyW;
-  KeyW.str("compile-digest");
-  KeyW.str(Name);
-  KeyW.u32(RegBound);
-  KeyW.u64(SourceHash);
-  std::string Key = KeyW.take();
-
-  ByteWriter W;
-  W.u64(CK.IR->contentHash());
-  std::string Digest = W.take();
-
-  // Cross-check before (re)publishing: a stored digest that disagrees
-  // with a fresh compile of identical source means the toolchain's
-  // determinism broke between runs — exactly the bug the warm==cold
-  // invariant exists to catch. The fresh compile is the ground truth
-  // (it is what this process will simulate), so warn and overwrite.
-  if (std::optional<std::string> Prev = St.get(Key)) {
-    if (*Prev == Digest)
-      return;
-    HFUSE_METRIC_ADD("compile.digest_mismatches", 1);
-    logWarn("compile digest mismatch for kernel '%s' (r%u); determinism "
-            "drift — record overwritten",
-            Name.c_str(), RegBound);
-  }
-  (void)St.put(Key, Digest);
 }
 
 } // namespace
@@ -356,9 +322,6 @@ CompileCache::getKernel(std::string_view Source, const std::string &Name,
                 "cached compilation failed:\n" + CompileErr.message());
     return nullptr;
   }
-  if (Store_)
-    publishCompileDigest(*Store_, Name, RegBound,
-                         static_cast<uint64_t>(K.SourceHash), *Kernel);
   Map.emplace(std::move(K), Kernel);
   return Kernel;
 }

@@ -38,10 +38,10 @@
 namespace hfuse::profile {
 
 /// Version stamp for everything the search serializes into a
-/// ResultStore: the SimResult and phase-1 summary codecs, the
-/// compile-digest layout, and the disk-key construction. Bump it
-/// whenever any of those changes — old records are then quarantined on
-/// open instead of being misread. Schema 4 keys and digests kernels by
+/// ResultStore: the SimResult and phase-1 summary codecs and the
+/// disk-key construction. Bump it whenever any of those changes — an
+/// old record is then quarantined by the first get() that reads it
+/// instead of being misread. Schema 4 keys kernels by
 /// ir::IRKernel::contentHash().
 inline constexpr uint32_t kStoreSchemaVersion = 4;
 
@@ -202,11 +202,10 @@ public:
   /// lowering, simulation, context set-up and summary layers).
   void count(uint64_t Stats::*Counter, uint64_t N = 1);
 
-  /// Attaches an on-disk second-level store. Simulation results are
-  /// both served and persisted through it (see load/storeSimResult);
-  /// successful compiles additionally publish a compact validation
-  /// digest that later runs cross-check against their fresh compile.
-  /// Null detaches.
+  /// Attaches an on-disk second-level store. Simulation results and
+  /// phase-1 summaries are both served and persisted through it (see
+  /// load/storeSimResult and load/storePhase1Summary); kernel compiles
+  /// never touch it. Null detaches.
   void attachStore(std::shared_ptr<ResultStore> Store);
   std::shared_ptr<ResultStore> store() const;
   bool hasStore() const;

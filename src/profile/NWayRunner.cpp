@@ -321,7 +321,6 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
     if (!MR.Ok) {
       Entry->Err = MR.Err;
     } else {
-      Entry->Fused = MR.Fused;
       Entry->BaseIR = lowerFunctionNoRegAlloc(*Entry->Ctx, MR.Fused, Diags);
       if (!Entry->BaseIR)
         Entry->Err = Status(ErrorCode::CodegenError,

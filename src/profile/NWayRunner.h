@@ -255,10 +255,6 @@ public:
   bool ok() const { return Ready; }
   const std::string &error() const { return Err.message(); }
 
-  const std::vector<kernels::BenchKernelId> &kernelIds() const {
-    return Ids;
-  }
-
   /// Registers per thread of kernel \p K compiled standalone.
   unsigned soloRegs(size_t K) const;
 
@@ -287,9 +283,6 @@ public:
 
   /// The configuration search over partitions() (see the file comment).
   SearchResult searchBestConfig();
-
-  /// The cache backing this runner (for statistics reporting).
-  CompileCache &cache() { return *Cache; }
 
 protected:
   struct SimContext {
@@ -358,7 +351,6 @@ private:
     /// never stored: the entry resets so a retry redoes the work.
     Status Err;
     std::unique_ptr<cuda::ASTContext> Ctx;
-    cuda::FunctionDecl *Fused = nullptr;
     /// Codegen output before register allocation; copied per bound.
     std::unique_ptr<ir::IRKernel> BaseIR;
     /// Registers of the unbounded allocation (0 until computed); bounds

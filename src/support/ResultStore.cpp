@@ -176,17 +176,17 @@ std::shared_ptr<ResultStore> ResultStore::open(const std::string &Dir,
     return nullptr;
   }
   {
-    // Every process start reads every record once; the span shows what
-    // that costs against the store's size.
     telemetry::TraceSpan OpenSpan("store", "open");
     std::lock_guard<std::mutex> Lock(Store->Mu);
     if (Store->acquireLockLocked(/*Exclusive=*/true)) {
-      size_t Records = Store->recoverLocked();
+      // A temp file that survived to the next open is a crashed write:
+      // sweep it aside so tmp/ cannot grow without bound, keeping the
+      // bytes for inspection like any other quarantine.
+      for (const auto &Entry : fs::directory_iterator(Store->tmpDir(), EC))
+        Store->quarantineLocked(Entry.path().string(), "torn");
       Store->releaseLockLocked();
-      if (telemetry::traceOn())
-        OpenSpan.setEndArgs("{\"records\":" + std::to_string(Records) + "}");
     }
-    // else: lock timeout during recovery — the store is already
+    // else: lock timeout during the sweep — the store is already
     // degraded and every op will no-op; the caller's run continues
     // correct, just in-memory.
   }
@@ -214,8 +214,8 @@ std::string ResultStore::recordPathFor(std::string_view Key) const {
 }
 
 const char *ResultStore::validateRecord(std::string_view Bytes,
-                                        std::string_view *Key,
-                                        std::string_view *Payload) const {
+                                        std::string_view &Key,
+                                        std::string_view &Payload) const {
   if (Bytes.size() < HeaderSize)
     return "short";
   if (std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
@@ -233,16 +233,12 @@ const char *ResultStore::validateRecord(std::string_view Bytes,
     return "size";
   if (RecSchema != Schema)
     return "schema";
-  std::string_view K = Bytes.substr(HeaderSize, KeyLen);
-  std::string_view P = Bytes.substr(HeaderSize + KeyLen, PayloadLen);
+  Key = Bytes.substr(HeaderSize, KeyLen);
+  Payload = Bytes.substr(HeaderSize + KeyLen, PayloadLen);
   uint64_t Actual =
-      Fnv1a64().str(Bytes.substr(4, 12)).str(K).str(P).digest();
+      Fnv1a64().str(Bytes.substr(4, 12)).str(Key).str(Payload).digest();
   if (Actual != Sum)
     return "checksum";
-  if (Key)
-    *Key = K;
-  if (Payload)
-    *Payload = P;
   return nullptr;
 }
 
@@ -265,35 +261,6 @@ void ResultStore::quarantineLocked(const std::string &Path,
     logInfo("store: quarantined '%s' (%s)", Src.filename().string().c_str(),
             Reason);
   }
-}
-
-size_t ResultStore::recoverLocked() {
-  size_t Valid = 0;
-  std::error_code EC;
-  for (const auto &Entry : fs::directory_iterator(recordsDir(), EC)) {
-    std::string Path = Entry.path().string();
-    if (Entry.path().extension() != ".rec") {
-      quarantineLocked(Path, "stray");
-      continue;
-    }
-    std::string Bytes;
-    Status ReadErr = Status::success();
-    if (!readFile(Path, Bytes, ReadErr)) {
-      if (!ReadErr.ok())
-        quarantineLocked(Path, "unreadable");
-      continue;
-    }
-    if (const char *Reason = validateRecord(Bytes, nullptr, nullptr))
-      quarantineLocked(Path, Reason);
-    else
-      ++Valid;
-  }
-  // A temp file that survived to the next open is a crashed write:
-  // sweep it aside so tmp/ cannot grow without bound, keeping the
-  // bytes for inspection like any other quarantine.
-  for (const auto &Entry : fs::directory_iterator(tmpDir(), EC))
-    quarantineLocked(Entry.path().string(), "torn");
-  return Valid;
 }
 
 void ResultStore::degradeLocked() {
@@ -385,7 +352,7 @@ std::optional<std::string> ResultStore::get(std::string_view Key,
         if (!readFile(Path, Bytes, ReadErr))
           return ReadErr; // ok() == plain miss, else transient I/O
         std::string_view StoredKey, Payload;
-        const char *Reason = validateRecord(Bytes, &StoredKey, &Payload);
+        const char *Reason = validateRecord(Bytes, StoredKey, Payload);
         if (!Reason && !FaultInjector::instance()
                             .check(FaultSite::StoreCorrupt, Key)
                             .ok())

@@ -5,24 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An on-disk, multi-process-safe store for compile/simulation results,
-/// threaded under profile::CompileCache as the second-level cache behind
-/// `hfusec --cache-dir=`. Durability and containment over raw speed:
+/// An on-disk, multi-process-safe store for the search's simulation
+/// results and phase-1 summaries, threaded under profile::CompileCache
+/// as the second-level cache behind `hfusec --cache-dir=`. Durability
+/// and containment over raw speed:
 ///
 ///  - Records are length-prefixed and FNV-1a-checksummed, and written
 ///    via a unique temp file + fsync + atomic rename, so a crash at any
 ///    byte leaves either the old state or the new state — never a
 ///    readable partial record.
-///  - open() scans the records directory (the directory IS the
-///    manifest), validates every record, and QUARANTINES — moves aside
-///    with a reason suffix, never silently deletes — anything torn,
-///    corrupt, or written under a different schema version, then
-///    continues with whatever survived.
+///  - A record is validated where it is read: the get() that finds one
+///    torn, corrupt, or written under a different schema version
+///    QUARANTINES it — moves it aside with a reason suffix, never
+///    silently deletes it — and reports a miss. A record nothing asks
+///    for is never opened. open() reads nothing under records/; it only
+///    sweeps tmp/, where a surviving temp file is a crashed write.
 ///  - Concurrent hfusec processes coordinate through an advisory
 ///    flock(2) on `store.lock` (shared for reads, exclusive for writes
-///    and recovery). If the lock cannot be had within two seconds the
-///    handle degrades to in-memory-only no-ops for the rest of its life
-///    instead of blocking a sweep behind another process; the next
+///    and the tmp/ sweep). If the lock cannot be had within two seconds
+///    the handle degrades to in-memory-only no-ops for the rest of its
+///    life instead of blocking a sweep behind another process; the next
 ///    open() starts healthy.
 ///  - Every disk failure flows through the Status taxonomy;
 ///    Status::transient() read/write failures are retried on the
@@ -82,12 +84,11 @@ public:
     uint64_t DegradedOps = 0;   ///< ops no-opped after degradation
   };
 
-  /// Opens (creating if needed) the store at \p Dir and runs crash
-  /// recovery: every record inconsistent with \p SchemaVersion or its
-  /// own checksum is quarantined, stray temp files are swept aside, and
-  /// the store continues with the survivors. Returns null only when the
-  /// directory itself cannot be created/used (\p Err explains); a lock
-  /// timeout during recovery yields a store that is already degraded.
+  /// Opens (creating if needed) the store at \p Dir, whose records are
+  /// served only under \p SchemaVersion, and quarantines the temp files
+  /// of crashed writes. Returns null only when the directory itself
+  /// cannot be created/used (\p Err explains); a lock timeout during the
+  /// sweep yields a store that is already degraded.
   static std::shared_ptr<ResultStore> open(const std::string &Dir,
                                            uint32_t SchemaVersion,
                                            Status *Err, const Options &Opts);
@@ -102,9 +103,10 @@ public:
   /// Looks up \p Key. Returns the payload on a validated hit, nullopt
   /// on a miss — including every failure mode: a missing record, a
   /// record that failed validation (quarantined first), a hash
-  /// collision, a read error that outlived the retry schedule, or a
-  /// degraded store. \p Err (optional) distinguishes a true miss
-  /// (ok()) from an error-shaped one.
+  /// collision, a read error that outlived the retry schedule (never
+  /// the record's fault: it stays), or a degraded store. \p Err
+  /// (optional) distinguishes a true miss (ok()) from an error-shaped
+  /// one.
   std::optional<std::string> get(std::string_view Key,
                                  Status *Err = nullptr);
 
@@ -129,15 +131,12 @@ public:
 private:
   ResultStore(std::string Dir, uint32_t SchemaVersion, Options Opts);
 
-  /// One recovery pass over records/ and tmp/ (caller holds Mu + lock);
-  /// returns how many valid records it kept.
-  size_t recoverLocked();
   /// Moves \p Path into quarantine/ with a ".<reason>" suffix.
   void quarantineLocked(const std::string &Path, const char *Reason);
-  /// Validates \p Bytes as a record; on success fills key+payload
-  /// views. Returns the reason string on failure, null on success.
-  const char *validateRecord(std::string_view Bytes, std::string_view *Key,
-                             std::string_view *Payload) const;
+  /// Validates \p Bytes as a record and points \p Key and \p Payload
+  /// into it. Returns the quarantine reason on failure, null on success.
+  const char *validateRecord(std::string_view Bytes, std::string_view &Key,
+                             std::string_view &Payload) const;
 
   /// flock with a bounded spin; false (and sticky degradation) on
   /// timeout. \p Exclusive selects LOCK_EX vs LOCK_SH.

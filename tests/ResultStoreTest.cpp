@@ -12,7 +12,9 @@
 /// faults (torn write, corrupt read, lock timeout, read failure), and
 /// the retry-with-backoff read path. The standing invariant in every
 /// case: a fault produces a miss or a degraded no-op — never a wrong
-/// payload, never a crash, and nothing is ever silently deleted.
+/// payload, never a crash, and nothing is ever silently deleted. A
+/// record is checked only by the get() that reads it: open() sweeps
+/// tmp/ and reads nothing under records/.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -184,19 +186,23 @@ TEST(ResultStoreTest, EveryBitFlipIsDetected) {
   EXPECT_EQ(S->get("key").value(), "payload");
 }
 
-TEST(ResultStoreTest, SchemaMismatchQuarantinesOnOpen) {
+TEST(ResultStoreTest, SchemaMismatchQuarantinesOnFirstGet) {
   TempDir D("schema");
   {
     auto S = ResultStore::open(D.str(), 1);
     ASSERT_TRUE(S);
     ASSERT_TRUE(S->put("key", "old-schema payload").ok());
   }
-  // Reopen under a bumped schema: the old record must be moved aside
-  // (never deleted, never served), and the store must keep working.
+  // Reopen under a bumped schema: open() leaves the old record alone,
+  // and the first get() moves it aside (never deleted, never served).
+  // The store keeps working.
   auto S = ResultStore::open(D.str(), 2);
   ASSERT_TRUE(S);
-  EXPECT_EQ(S->stats().Quarantined, 1u);
+  EXPECT_EQ(S->stats().Quarantined, 0u);
+  EXPECT_TRUE(fs::exists(S->recordPathFor("key")));
   EXPECT_FALSE(S->get("key").has_value());
+  EXPECT_EQ(S->stats().Quarantined, 1u);
+  EXPECT_FALSE(fs::exists(S->recordPathFor("key")));
   ASSERT_TRUE(S->put("key", "new-schema payload").ok());
   EXPECT_EQ(S->get("key").value(), "new-schema payload");
 
@@ -206,8 +212,41 @@ TEST(ResultStoreTest, SchemaMismatchQuarantinesOnOpen) {
   EXPECT_TRUE(SawSchemaReason);
 }
 
-TEST(ResultStoreTest, StrayTmpAndForeignFilesAreSweptOnOpen) {
+TEST(ResultStoreTest, TornRecordSurvivesOpenAndItsFirstGetQuarantinesIt) {
+  TempDir D("tornopen");
+  std::string Path, Torn;
+  {
+    auto S = ResultStore::open(D.str(), 1);
+    ASSERT_TRUE(S);
+    ASSERT_TRUE(S->put("the key", "the payload bytes").ok());
+    Path = S->recordPathFor("the key");
+    const std::string Full = readFileBytes(Path);
+    Torn = Full.substr(0, Full.size() - 1);
+    writeFileBytes(Path, Torn);
+  }
+  // open() reads nothing under records/: the torn record is still there.
+  auto S = ResultStore::open(D.str(), 1);
+  ASSERT_TRUE(S);
+  EXPECT_EQ(S->stats().Quarantined, 0u);
+  EXPECT_EQ(quarantineCount(*S), 0u);
+  ASSERT_TRUE(fs::exists(Path));
+
+  // The first get() that reads it misses and moves it aside as .size.
+  Status Err;
+  EXPECT_FALSE(S->get("the key", &Err).has_value());
+  EXPECT_TRUE(Err.ok()) << Err.str();
+  EXPECT_FALSE(fs::exists(Path));
+  EXPECT_EQ(S->stats().Quarantined, 1u);
+  const fs::path Moved = fs::path(S->quarantineDir()) /
+                         (fs::path(Path).filename().string() + ".size");
+  ASSERT_TRUE(fs::exists(Moved));
+  EXPECT_EQ(readFileBytes(Moved.string()), Torn);
+}
+
+TEST(ResultStoreTest, OpenSweepsTmpAndLeavesForeignFilesUnread) {
   TempDir D("sweep");
+  const std::string Foreign = "not a record";
+  std::string ForeignPath;
   {
     auto S = ResultStore::open(D.str(), 1);
     ASSERT_TRUE(S);
@@ -215,15 +254,25 @@ TEST(ResultStoreTest, StrayTmpAndForeignFilesAreSweptOnOpen) {
     // Simulate a crash mid-write (temp file survived) and a foreign
     // file dropped into records/.
     writeFileBytes(S->tmpDir() + "/deadbeef.123.1.tmp", "half a rec");
-    writeFileBytes(S->recordsDir() + "/notes.txt", "not a record");
+    ForeignPath = S->recordsDir() + "/notes.txt";
+    writeFileBytes(ForeignPath, Foreign);
   }
   auto S = ResultStore::open(D.str(), 1);
   ASSERT_TRUE(S);
-  EXPECT_EQ(S->stats().Quarantined, 2u);
-  EXPECT_EQ(S->get("key").value(), "payload") << "valid record survived";
+  // The crashed write is swept into quarantine/ as torn.
+  EXPECT_EQ(S->stats().Quarantined, 1u);
   for (const auto &E : fs::directory_iterator(S->tmpDir())) {
     ADD_FAILURE() << "tmp/ not swept: " << E.path();
   }
+  EXPECT_TRUE(
+      fs::exists(S->quarantineDir() + "/deadbeef.123.1.tmp.torn"));
+  EXPECT_EQ(S->get("key").value(), "payload") << "valid record survived";
+
+  // No key names notes.txt, so no get() ever reads it: it stays in
+  // records/, byte for byte, and is never served.
+  EXPECT_FALSE(S->get("notes").has_value());
+  EXPECT_EQ(readFileBytes(ForeignPath), Foreign);
+  EXPECT_EQ(S->stats().Quarantined, 1u);
 }
 
 TEST(ResultStoreTest, InjectedTornWriteIsTransientAndNextReadQuarantines) {
@@ -332,11 +381,13 @@ TEST(ResultStoreTest, InjectedLockTimeoutDegradesStickilyToNoOps) {
   ASSERT_TRUE(S2);
   EXPECT_EQ(S2->get("key").value(), "payload");
 
-  // A handle that degrades during open() skips its recovery pass and
+  // A handle that degrades during open() skips its tmp/ sweep and
   // stays degraded: it serves nothing and quarantines nothing, however
   // long it lives.
-  writeFileBytes((fs::path(S2->recordsDir()) / "feedface.rec").string(),
-                 "not a record");
+  const std::string Garbage =
+      (fs::path(S2->recordsDir()) / "feedface.rec").string();
+  writeFileBytes(Garbage, "not a record");
+  writeFileBytes(S2->tmpDir() + "/feedface.1.1.tmp", "half a rec");
   ASSERT_TRUE(
       FaultInjector::instance().configure("store-lock-timeout:nth=1"));
   auto S3 = ResultStore::open(D.str(), 1);
@@ -350,13 +401,14 @@ TEST(ResultStoreTest, InjectedLockTimeoutDegradesStickilyToNoOps) {
   EXPECT_EQ(S3->stats().DegradedOps, 101u);
   EXPECT_EQ(quarantineCount(*S3), 0u);
 
-  // The next open runs recovery: it quarantines the garbage file and
-  // serves the record.
+  // The next open is healthy: it sweeps the temp file, serves the
+  // record, and leaves feedface.rec alone, since no get() reads it.
   auto S4 = ResultStore::open(D.str(), 1);
   ASSERT_TRUE(S4);
   EXPECT_FALSE(S4->degraded());
-  EXPECT_EQ(quarantineCount(*S4), 1u);
   EXPECT_EQ(S4->get("key").value(), "payload");
+  EXPECT_EQ(quarantineCount(*S4), 1u);
+  EXPECT_EQ(readFileBytes(Garbage), "not a record");
 }
 
 TEST(ResultStoreTest, QuarantineNeverDeletes) {

@@ -20,7 +20,8 @@
 /// payloads; and the phase-1 summary — written only after a clean
 /// phase 1, checked against every lazy lowering, replaced when it does
 /// not decode — leaves a warm search exactly the fusion and simulation
-/// its missing records need.
+/// its missing records need, while a compile digest left by an earlier
+/// build is never read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +38,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -202,11 +205,12 @@ TEST_P(StoreSearch, WarmRunIsBitIdenticalToColdAndSimulatesNothing) {
   {
     auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
     ASSERT_TRUE(Store);
-    EXPECT_EQ(Store->stats().Quarantined, 0u);
     WarmCache->attachStore(Store);
   }
   SearchResult Warm = runSweep(P, quickOptions(WarmCache));
   ASSERT_TRUE(Warm.Ok) << Warm.Err;
+  // Every record the warm search read passed validation.
+  EXPECT_EQ(WarmCache->store()->stats().Quarantined, 0u);
 
   expectBitIdentical(Warm, Cold);
 
@@ -518,26 +522,28 @@ TEST(StoreFaultTest, SchemaBumpQuarantinesOldRecordsAndRecomputes) {
   const uint64_t Persisted = ColdCache->stats().DiskWrites;
   ASSERT_GT(Persisted, 0u);
 
-  // Reopen under a bumped schema: every old record is quarantined (not
-  // deleted), nothing is served stale, and the sweep recomputes to the
-  // identical answer.
+  // Reopen under a bumped schema: open() reads no record, and the sweep
+  // quarantines (never deletes) each old record it reads — every
+  // simulation record and the phase-1 summary — serves nothing stale,
+  // and recomputes to the identical answer.
   auto Cache = std::make_shared<CompileCache>();
   auto Store = ResultStore::open(D.str(), kStoreSchemaVersion + 1);
   ASSERT_TRUE(Store);
-  EXPECT_GE(Store->stats().Quarantined, Persisted);
+  EXPECT_EQ(Store->stats().Quarantined, 0u);
   Cache->attachStore(Store);
   SearchResult Got = runSweep(faultPair(), quickOptions(Cache));
   ASSERT_TRUE(Got.Ok) << Got.Err;
   expectBitIdentical(Got, Cold);
   EXPECT_EQ(Cache->stats().DiskHits, 0u);
   EXPECT_GT(Cache->stats().SimRuns, 0u);
+  EXPECT_EQ(Store->stats().Quarantined, Persisted + 1);
 
   size_t QuarantineFiles = 0;
   for (const auto &E : fs::directory_iterator(Store->quarantineDir())) {
     (void)E;
     ++QuarantineFiles;
   }
-  EXPECT_GE(QuarantineFiles, Persisted);
+  EXPECT_EQ(QuarantineFiles, Persisted + 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -822,4 +828,47 @@ TEST(StoreSummary, ForgedHashRetiresItsCandidateAsInternal) {
   EXPECT_EQ(S.DiskMisses, 1u);
   EXPECT_EQ(S.SimRuns, 0u);
   EXPECT_EQ(S.DiskWrites, 0u);
+}
+
+TEST(StoreSummary, LegacyCompileDigestIsNeverRead) {
+  TempDir D("legacydigest");
+  SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
+  ASSERT_TRUE(Cold.Ok) << Cold.Err;
+
+  // Earlier builds kept a compile digest per input kernel under the key
+  // ("compile-digest", kernel name, register bound, source hash) and
+  // warned when a fresh compile disagreed with it. Forge one per kernel
+  // that disagrees with this build.
+  {
+    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+    for (BenchKernelId Id : {dlPair().A, dlPair().B}) {
+      ByteWriter Key;
+      Key.str("compile-digest");
+      Key.str(kernelFunctionName(Id));
+      Key.u32(0);
+      Key.u64(std::hash<std::string_view>{}(kernelSource(Id)));
+      ByteWriter Digest;
+      Digest.u64(0x0123456789abcdefull);
+      ASSERT_TRUE(Store->put(Key.take(), Digest.take()).ok());
+    }
+  }
+
+  telemetry::setMetricsEnabled(true);
+  telemetry::Counter &Mismatches =
+      telemetry::MetricsRegistry::instance().counter(
+          "compile.digest_mismatches");
+  const uint64_t Before = Mismatches.value();
+  auto Warm = cacheOn(D);
+  testing::internal::CaptureStderr();
+  SearchResult SR = runSweep(dlPair(), quickOptions(Warm));
+  const std::string Log = testing::internal::GetCapturedStderr();
+  telemetry::setMetricsEnabled(false);
+
+  expectBitIdentical(SR, Cold);
+  EXPECT_EQ(ledger(SR), ledger(Cold));
+  EXPECT_EQ(Log, "");
+  EXPECT_EQ(Mismatches.value(), Before);
+  EXPECT_EQ(Warm->stats().SimRuns, 0u);
+  EXPECT_EQ(Warm->store()->stats().Quarantined, 0u);
+  EXPECT_EQ(recordsTagged(D, "compile-digest").size(), 2u);
 }
