@@ -152,47 +152,71 @@ LoweredShape LoweredShape::of(const ir::IRKernel &IR) {
   return S;
 }
 
+namespace {
+
+void writeShape(ByteWriter &W, const LoweredShape &S) {
+  W.u64(S.Hash);
+  W.u32(S.ArchRegs);
+  W.u32(S.StaticShared);
+  W.u64(S.Insts);
+}
+
+LoweredShape readShape(ByteReader &Rd) {
+  LoweredShape S;
+  S.Hash = Rd.u64();
+  S.ArchRegs = Rd.u32();
+  S.StaticShared = Rd.u32();
+  S.Insts = Rd.u64();
+  return S;
+}
+
+} // namespace
+
 std::string
-hfuse::profile::encodePhase1Summary(const std::vector<Phase1Entry> &Entries) {
+hfuse::profile::encodePhase1Summary(const Phase1Summary &Summary) {
   ByteWriter W;
-  W.u32(static_cast<uint32_t>(Entries.size()));
-  for (const Phase1Entry &E : Entries) {
+  W.u32(static_cast<uint32_t>(Summary.Inputs.size()));
+  for (const LoweredShape &S : Summary.Inputs)
+    writeShape(W, S);
+  W.u32(static_cast<uint32_t>(Summary.Entries.size()));
+  for (const Phase1Entry &E : Summary.Entries) {
     W.u8(E.Shape ? 1 : 0);
     if (!E.Shape)
       continue;
     W.u32(E.RegBound);
-    W.u64(E.Shape->Hash);
-    W.u32(E.Shape->ArchRegs);
-    W.u32(E.Shape->StaticShared);
-    W.u64(E.Shape->Insts);
+    writeShape(W, *E.Shape);
   }
   return W.take();
 }
 
-std::optional<std::vector<Phase1Entry>>
+std::optional<Phase1Summary>
 hfuse::profile::decodePhase1Summary(std::string_view Bytes) {
   ByteReader Rd(Bytes);
+  Phase1Summary Summary;
+  // Guard both reservations against garbage counts: an input shape is
+  // 24 bytes, an entry at least its 1-byte tag.
+  uint32_t NInputs = Rd.u32();
+  if (!Rd.ok() || NInputs > Rd.remaining() / 24)
+    return std::nullopt;
+  Summary.Inputs.resize(NInputs);
+  for (LoweredShape &S : Summary.Inputs)
+    S = readShape(Rd);
   uint32_t N = Rd.u32();
-  // Each entry is at least its 1-byte tag.
   if (!Rd.ok() || N > Rd.remaining())
     return std::nullopt;
-  std::vector<Phase1Entry> Entries(N);
-  for (Phase1Entry &E : Entries) {
+  Summary.Entries.resize(N);
+  for (Phase1Entry &E : Summary.Entries) {
     uint8_t Tag = Rd.u8();
     if (Tag > 1)
       return std::nullopt;
     if (!Tag)
       continue;
     E.RegBound = Rd.u32();
-    LoweredShape &S = E.Shape.emplace();
-    S.Hash = Rd.u64();
-    S.ArchRegs = Rd.u32();
-    S.StaticShared = Rd.u32();
-    S.Insts = Rd.u64();
+    E.Shape = readShape(Rd);
   }
   if (!Rd.atEnd())
     return std::nullopt;
-  return Entries;
+  return Summary;
 }
 
 std::unique_ptr<CompiledKernel>
@@ -407,7 +431,7 @@ void CompileCache::storeSimResult(const std::string &Key,
     count(&Stats::DiskWrites);
 }
 
-std::optional<std::vector<Phase1Entry>>
+std::optional<Phase1Summary>
 CompileCache::loadPhase1Summary(const std::string &Key) {
   std::shared_ptr<ResultStore> St = store();
   if (!St)
@@ -419,9 +443,9 @@ CompileCache::loadPhase1Summary(const std::string &Key) {
 }
 
 void CompileCache::storePhase1Summary(const std::string &Key,
-                                      const std::vector<Phase1Entry> &Entries) {
+                                      const Phase1Summary &Summary) {
   std::shared_ptr<ResultStore> St = store();
-  if (St && St->put(Key, encodePhase1Summary(Entries)).ok())
+  if (St && St->put(Key, encodePhase1Summary(Summary)).ok())
     count(&Stats::SummaryWrites);
 }
 

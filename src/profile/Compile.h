@@ -42,7 +42,9 @@ namespace hfuse::profile {
 /// disk-key construction. Bump it whenever any of those changes — an
 /// old record is then quarantined by the first get() that reads it
 /// instead of being misread. Schema 4 keys kernels by
-/// ir::IRKernel::contentHash().
+/// ir::IRKernel::contentHash(). The phase-1 summary's payload may change
+/// without a bump: its key carries the writing executable's build ID, so
+/// no other binary ever reads it (NWayRunner::phase1SummaryKey).
 inline constexpr uint32_t kStoreSchemaVersion = 4;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
@@ -62,8 +64,9 @@ std::optional<gpusim::SimResult> decodeSimResult(std::string_view Bytes);
 bool isStorableSimResult(const gpusim::SimResult &R);
 
 /// What phase 1 of a configuration search learns about one lowered
-/// candidate: everything pruning, the bound ordering and the simulation
-/// memo read, so phases 2 and 3 never touch the IR itself.
+/// candidate or input kernel: everything pruning, the bound ordering and
+/// the simulation memo read, so phases 2 and 3 never touch the IR
+/// itself.
 struct LoweredShape {
   uint64_t Hash = 0;         ///< ir::IRKernel::contentHash()
   unsigned ArchRegs = 0;     ///< ArchRegsPerThread
@@ -81,12 +84,19 @@ struct Phase1Entry {
   std::optional<LoweredShape> Shape;
 };
 
+/// A phase-1 summary record: the input kernels' own shapes, in kernel
+/// order (the bound ordering reads their instruction counts), and one
+/// entry per candidate.
+struct Phase1Summary {
+  std::vector<LoweredShape> Inputs;
+  std::vector<Phase1Entry> Entries;
+};
+
 /// Deterministic codec for a phase-1 summary (NWayRunner::sweep).
 /// decodePhase1Summary is null unless the bytes are exactly one
 /// well-formed record.
-std::string encodePhase1Summary(const std::vector<Phase1Entry> &Entries);
-std::optional<std::vector<Phase1Entry>>
-decodePhase1Summary(std::string_view Bytes);
+std::string encodePhase1Summary(const Phase1Summary &Summary);
+std::optional<Phase1Summary> decodePhase1Summary(std::string_view Bytes);
 
 /// A fully compiled kernel: the preprocessed AST (kept alive so it can
 /// be used as fusion input) plus the executable IR.
@@ -142,8 +152,10 @@ std::unique_ptr<ir::IRKernel> lowerFunctionNoRegAlloc(
 /// are immutable after insertion and shared as
 /// shared_ptr<const CompiledKernel>. A lookup and the compile it may
 /// run both hold the cache's mutex, so concurrent requests for one key
-/// compile it once; the only product caller, NWayRunner's constructor,
-/// compiles its input kernels once and serially.
+/// compile it once. The product caller, NWayRunner, compiles its input
+/// kernels serially, on first need (a phase-1 summary miss, a lazy
+/// lowering or a baseline), so a search the store answers calls nothing
+/// here.
 ///
 /// The cache also owns the search-wide statistics counters. Fused-kernel
 /// fusion/lowering and simulator memoization live in NWayRunner (they
@@ -231,12 +243,11 @@ public:
   /// a store, on a miss or any contained disk failure, and for a
   /// payload that does not decode. Counts nothing: the search counts a
   /// hit once the record fits its candidates.
-  std::optional<std::vector<Phase1Entry>>
-  loadPhase1Summary(const std::string &Key);
-  /// Persists \p Entries under \p Key, replacing any record there; a
+  std::optional<Phase1Summary> loadPhase1Summary(const std::string &Key);
+  /// Persists \p Summary under \p Key, replacing any record there; a
   /// landed write counts SummaryWrites. Failures are contained.
   void storePhase1Summary(const std::string &Key,
-                          const std::vector<Phase1Entry> &Entries);
+                          const Phase1Summary &Summary);
 
 private:
   struct Key {

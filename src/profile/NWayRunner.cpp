@@ -85,24 +85,6 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
     return;
   }
 
-  DiagnosticEngine Diags;
-  Ks.reserve(Ids.size());
-  for (BenchKernelId Id : Ids) {
-    Status CompileErr;
-    std::shared_ptr<const CompiledKernel> K = Cache->getBenchKernel(
-        Id, /*RegBound=*/0, Diags, &CompileErr, this->Opts.Cancel);
-    if (!K) {
-      // Keep the compile's code and transient flag: a retryable
-      // injected fault is not an internal error.
-      std::string Msg = "kernel compilation failed:\n" + Diags.str();
-      Err = CompileErr.transient()
-                ? Status::transient(CompileErr.code(), std::move(Msg))
-                : Status(CompileErr.code(), std::move(Msg));
-      return;
-    }
-    Ks.push_back(std::move(K));
-  }
-
   std::string CtxErr;
   std::unique_ptr<SimContext> C = makeContext(CtxErr);
   if (!C) {
@@ -112,6 +94,41 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
   Primary = std::move(*C);
   FreeContexts.push_back(&Primary);
   Ready = true;
+}
+
+bool NWayRunner::ok() const {
+  std::lock_guard<std::mutex> Lock(InputsMu);
+  return Ready && !InputsFailed;
+}
+
+Status NWayRunner::compileInputs() {
+  if (!Ready)
+    return Err;
+  std::lock_guard<std::mutex> Lock(InputsMu);
+  if (Ks.size() == Ids.size())
+    return Status::success();
+  DiagnosticEngine Diags;
+  std::vector<std::shared_ptr<const CompiledKernel>> Compiled;
+  Compiled.reserve(Ids.size());
+  for (BenchKernelId Id : Ids) {
+    Status CompileErr;
+    std::shared_ptr<const CompiledKernel> K = Cache->getBenchKernel(
+        Id, /*RegBound=*/0, Diags, &CompileErr, Opts.Cancel);
+    if (!K) {
+      // Keep the compile's code and transient flag: a retryable
+      // injected fault is not an internal error.
+      std::string Msg = "kernel compilation failed:\n" + Diags.str();
+      Err = CompileErr.transient()
+                ? Status::transient(CompileErr.code(), std::move(Msg))
+                : Status(CompileErr.code(), std::move(Msg));
+      InputsFailed = true;
+      return Err;
+    }
+    Compiled.push_back(std::move(K));
+  }
+  Ks = std::move(Compiled);
+  InputsFailed = false;
+  return Status::success();
 }
 
 double NWayRunner::scale(size_t K) const {
@@ -182,8 +199,8 @@ void NWayRunner::releaseContext(SimContext *C) {
   FreeContexts.push_back(C);
 }
 
-unsigned NWayRunner::soloRegs(size_t K) const {
-  return Ks[K]->IR->ArchRegsPerThread;
+unsigned NWayRunner::soloRegs(size_t K) {
+  return compileInputs().ok() ? Ks[K]->IR->ArchRegsPerThread : 0;
 }
 
 int NWayRunner::commonGrid() const {
@@ -245,8 +262,8 @@ KernelLaunch NWayRunner::soloLaunch(size_t K) {
 }
 
 SimResult NWayRunner::runNative() {
-  if (!Ready)
-    return fail(Err.message());
+  if (Status S = compileInputs(); !S.ok())
+    return fail(S.message());
   std::vector<KernelLaunch> Launches;
   std::vector<int> VerifyThreads;
   for (size_t I = 0; I < Ids.size(); ++I) {
@@ -258,8 +275,8 @@ SimResult NWayRunner::runNative() {
 }
 
 SimResult NWayRunner::runSolo(size_t K) {
-  if (!Ready)
-    return fail(Err.message());
+  if (Status S = compileInputs(); !S.ok())
+    return fail(S.message());
   KernelLaunch L = soloLaunch(K);
   std::vector<int> VerifyThreads(Ids.size(), 0);
   VerifyThreads[K] = L.GridDim * Primary.W[K]->preferredBlockThreads();
@@ -295,6 +312,12 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 
   std::lock_guard<std::mutex> Lock(Entry->Mu);
   if (!Entry->Attempted) {
+    // Fusion reads the input kernels' ASTs. A failed compile leaves the
+    // entry unattempted, so the next caller compiles again.
+    if (Status S = compileInputs(); !S.ok()) {
+      Err = std::move(S);
+      return nullptr;
+    }
     // Fault-injection point for the fusion stage. Fired faults are
     // transient: return the failure without marking the entry
     // attempted, so a retry redoes the fusion instead of replaying an
@@ -529,8 +552,10 @@ NWayRunner::regBoundImpl(const std::vector<int> &Dims, Status &Err) {
 std::optional<unsigned> NWayRunner::regBound(const std::vector<int> &Dims) {
   if (!Ready || Dims.size() != Ids.size())
     return std::nullopt;
-  Status E;
-  std::optional<unsigned> R0 = regBoundImpl(Dims, E);
+  Status E = compileInputs();
+  std::optional<unsigned> R0;
+  if (E.ok())
+    R0 = regBoundImpl(Dims, E);
   if (!E.ok())
     Err = E;
   return R0;
@@ -639,30 +664,11 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   auto Start = std::chrono::steady_clock::now();
   SearchResult SR;
   if (!Ready) {
-    // A cancel that landed inside the constructor (input-kernel
-    // compilation) is an anytime result that reached no candidate; any
-    // other construction failure is reported as it happened.
-    if (Opts.Cancel.cancelled()) {
-      SR.Partial = true;
-      SR.PartialReason = Opts.Cancel.status();
-      SR.Err = SR.PartialReason;
-    } else {
-      SR.Err = Err;
-    }
+    // Construction compiles nothing, so its failure is reported as it
+    // happened.
+    SR.Err = Err;
     return SR;
   }
-  // Process-unique run id, joined against every span this search emits
-  // and against the driver's failed:/abandoned: table rows.
-  SR.RunId =
-      formatString("s%u:%s", nextSearchRunSeq(), namesLabel().c_str());
-  telemetry::TraceSpan SearchSpan;
-  if (telemetry::traceOn())
-    SearchSpan.beginSpan(
-        "search", SR.RunId,
-        formatString("{\"jobs\":%d,\"budget\":\"%s\",\"kernels\":%zu}",
-                     Opts.SearchJobs, searchBudgetModeName(Opts.Budget),
-                     Ids.size()));
-
   const size_t NK = Ids.size();
 
   // The search proper runs in three phases so that pruning decisions
@@ -728,6 +734,61 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
   for (size_t I = 0; I < Cands.size(); ++I)
     Cands[I].Id = static_cast<int>(I);
 
+  // Phase 1 is a pure function of the binary and of what the summary
+  // key holds, so a stored summary of an earlier clean phase 1 answers
+  // it whole. It must fit this search: one shape per input kernel, and
+  // slot for slot, an unbounded candidate holds a shape, a bounded one
+  // a shape under a real bound or nothing (no r0). Anything else is a
+  // miss, and the clean phase 1 below replaces the record.
+  const std::string SummaryKey = phase1SummaryKey(Partitions, TryBound);
+  std::optional<Phase1Summary> Summary;
+  if (!SummaryKey.empty())
+    Summary = Cache->loadPhase1Summary(SummaryKey);
+  auto Fits = [&](size_t I) {
+    const Phase1Entry &E = Summary->Entries[I];
+    if (Cands[I].Sibling < 0)
+      return E.Shape && E.RegBound == 0;
+    return !E.Shape || (E.RegBound != 0 && E.RegBound != UINT_MAX);
+  };
+  bool Hit = Summary && Summary->Inputs.size() == NK &&
+             Summary->Entries.size() == Cands.size();
+  for (size_t I = 0; Hit && I < Cands.size(); ++I)
+    Hit = Fits(I);
+
+  // The input kernels' shapes; the bound ordering reads their
+  // instruction counts. A miss fuses, which needs the kernels
+  // themselves: they compile here, before the run id is taken, so a
+  // failed or cancelled compile ends the search with 0 candidates and
+  // spends no id.
+  std::vector<LoweredShape> InputShapes;
+  if (Hit) {
+    InputShapes = Summary->Inputs;
+  } else if (Status S = compileInputs(); !S.ok()) {
+    if (Opts.Cancel.cancelled()) {
+      SR.Partial = true;
+      SR.PartialReason = Opts.Cancel.status();
+      SR.Err = SR.PartialReason;
+    } else {
+      SR.Err = std::move(S);
+    }
+    return SR;
+  } else {
+    for (const std::shared_ptr<const CompiledKernel> &K : Ks)
+      InputShapes.push_back(LoweredShape::of(*K->IR));
+  }
+
+  // Process-unique run id, joined against every span this search emits
+  // and against the driver's failed:/abandoned: table rows.
+  SR.RunId =
+      formatString("s%u:%s", nextSearchRunSeq(), namesLabel().c_str());
+  telemetry::TraceSpan SearchSpan;
+  if (telemetry::traceOn())
+    SearchSpan.beginSpan(
+        "search", SR.RunId,
+        formatString("{\"jobs\":%d,\"budget\":\"%s\",\"kernels\":%zu}",
+                     Opts.SearchJobs, searchBudgetModeName(Opts.Budget),
+                     NK));
+
   int Jobs = Opts.SearchJobs <= 0
                  ? static_cast<int>(ThreadPool::defaultConcurrency())
                  : Opts.SearchJobs;
@@ -764,26 +825,6 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
 
   {
     telemetry::TraceSpan PhaseSpan("phase", "compile");
-    // Phase 1 is a pure function of the binary and of what the summary
-    // key holds, so a stored summary of an earlier clean phase 1 answers
-    // it whole. It must fit this enumeration slot for slot: an unbounded
-    // slot holds a shape, a bounded one a shape under a real bound or
-    // nothing (no r0). Anything else is a miss, and the clean phase 1
-    // below replaces the record.
-    const std::string SummaryKey = phase1SummaryKey(Partitions, TryBound);
-    std::optional<std::vector<Phase1Entry>> Summary;
-    if (!SummaryKey.empty())
-      Summary = Cache->loadPhase1Summary(SummaryKey);
-    auto Fits = [&](size_t I) {
-      const Phase1Entry &E = (*Summary)[I];
-      if (Cands[I].Sibling < 0)
-        return E.Shape && E.RegBound == 0;
-      return !E.Shape || (E.RegBound != 0 && E.RegBound != UINT_MAX);
-    };
-    bool Hit = Summary && Summary->size() == Cands.size();
-    for (size_t I = 0; Hit && I < Cands.size(); ++I)
-      Hit = Fits(I);
-
     if (Hit) {
       Cache->count(&CompileCache::Stats::SummaryHits);
       for (size_t I = 0; I < Partitions.size(); ++I) {
@@ -791,7 +832,7 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
           continue;
         for (size_t V = 0; V < PerPart; ++V) {
           Candidate &C = Cands[I * PerPart + V];
-          const Phase1Entry &E = (*Summary)[I * PerPart + V];
+          const Phase1Entry &E = Summary->Entries[I * PerPart + V];
           if (!E.Shape)
             continue; // no bounded trial for this partition
           C.RegBound = E.RegBound;
@@ -845,11 +886,11 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
             return C.Error.ok() && !C.Skipped;
           });
       if (Clean) {
-        std::vector<Phase1Entry> Entries;
-        Entries.reserve(Cands.size());
+        Phase1Summary Record{InputShapes, {}};
+        Record.Entries.reserve(Cands.size());
         for (const Candidate &C : Cands)
-          Entries.push_back({C.Shape ? C.RegBound : 0, C.Shape});
-        Cache->storePhase1Summary(SummaryKey, Entries);
+          Record.Entries.push_back({C.Shape ? C.RegBound : 0, C.Shape});
+        Cache->storePhase1Summary(SummaryKey, Record);
       }
     }
   }
@@ -991,15 +1032,14 @@ NWayRunner::sweep(const std::vector<std::vector<int>> &Partitions,
     // — which ranks the spill-heavy crypto bounds last, exactly the
     // runs worth abandoning. Ties keep canonical order (stable sort).
     const int Grid = commonGrid();
-    std::vector<double> S(NK);
-    for (size_t K = 0; K < NK; ++K)
-      S[K] = static_cast<double>(Ks[K]->IR->numInstructions());
     std::vector<double> Bound(Kept.size());
     for (size_t I = 0; I < Kept.size(); ++I) {
       const Candidate &C = Cands[Kept[I]];
       double PerThread = 0.0;
       for (size_t K = 0; K < NK; ++K)
-        PerThread = std::max(PerThread, S[K] / C.Dims[K]);
+        PerThread = std::max(PerThread,
+                             static_cast<double>(InputShapes[K].Insts) /
+                                 C.Dims[K]);
       const Candidate *Sib = C.Sibling >= 0 ? &Cands[C.Sibling] : nullptr;
       if (Sib && Sib->Shape && Sib->Shape->Hash != C.Shape->Hash)
         PerThread *= static_cast<double>(C.Shape->Insts) /

@@ -31,15 +31,15 @@
 ///    input kernels compile once through the process-wide CompileCache
 ///    no matter how many searches contain them. Phase 1 leaves one
 ///    LoweredShape per candidate (content hash, registers, static
-///    shared bytes, instruction count) and r0 per partition, and phases
-///    2 and 3 read only those. On a store, a clean phase 1 (no cancel,
-///    no failed candidate, no fired fault) persists them as one
-///    phase-1 summary, keyed on the executable's GNU build ID and
-///    everything phase 1 reads (kernels, scales, arch, partial
-///    barriers, partitions, whether bounds are tried); a later search
-///    whose key hits fills its candidates from that record and fuses
-///    nothing. Verified runs and binaries without a build ID never read
-///    or write summaries;
+///    shared bytes, instruction count) and per input kernel, and r0 per
+///    partition, and phases 2 and 3 read only those. On a store, a
+///    clean phase 1 (no cancel, no failed candidate, no fired fault)
+///    persists them as one phase-1 summary, keyed on the executable's
+///    GNU build ID and everything phase 1 reads (kernels, scales, arch,
+///    partial barriers, partitions, whether bounds are tried); a later
+///    search whose key hits fills its candidates from that record and
+///    neither compiles an input kernel nor fuses. Verified runs and
+///    binaries without a build ID never read or write summaries;
 ///  - phase 2 (serial, canonical order): occupancy pruning
 ///    (Options::Prune). It applies only result-preserving rules:
 ///    candidates that cannot launch (0 blocks/SM), and bounded variants
@@ -76,19 +76,28 @@
 /// a cold one. The fused IR itself is fetched only once the memo and
 /// the disk both missed, and its fresh hash must match phase 1's: a
 /// mismatch retires the candidate as an Internal failure. A warm search
-/// whose summary and simulation records all hit therefore fuses,
-/// lowers and simulates nothing. A context's workload inputs are built
-/// at its first simulation, so a search the store answers builds none.
+/// whose summary and simulation records all hit therefore compiles,
+/// fuses, lowers and simulates nothing. A context's workload inputs are
+/// built at its first simulation, so a search the store answers builds
+/// none.
+///
+/// The constructor compiles nothing. The input kernels compile through
+/// the CompileCache on first need: a search whose phase-1 summary
+/// misses compiles them before it takes its run id, a lazy lowering
+/// before it fuses, and the baselines (runNative, runSolo, runSerial,
+/// runHFused, regBound, soloRegs, and PairRunner's) before they run.
+/// Only a complete set is kept; a failed compile is retried by the next
+/// caller that needs the inputs.
 ///
 /// Options::Cancel threads cancellation through the sweep: a cancelled,
 /// deadlined or interrupted (SIGTERM/SIGINT) search stops at the next
 /// candidate boundary and returns an *anytime* result — best-so-far
 /// incumbent, Partial flag, and every skipped candidate accounted in
-/// the Unvisited ledger bucket. A cancel that lands while the
-/// constructor compiles the input kernels makes searchBestConfig a
-/// Partial result of 0 candidates; every other construction failure
-/// makes it a !Ok one carrying the failure's Status (an input compile's
-/// own code and transient flag, Internal otherwise). When the token
+/// the Unvisited ledger bucket. A cancel that lands while a search
+/// compiles its input kernels makes it a Partial result of 0
+/// candidates; a failed input compile makes it a !Ok one carrying the
+/// compile's own code and transient flag, and so does a construction
+/// failure (Internal). Neither spends a run id. When the token
 /// never fires, every check is a relaxed atomic load and results are
 /// bit-identical to a token-free run. The ledger identity Candidates ==
 /// All + Pruned + Abandoned + Failed + Unvisited holds on every run,
@@ -208,7 +217,8 @@ struct SearchResult {
   /// Process-unique id of this search run ("s<N>:<a>+<b>[+<c>...]"),
   /// threaded through every trace span the search emits so table rows
   /// and Perfetto tracks can be joined. Empty when the runner failed to
-  /// construct: that search used up no id.
+  /// construct or its input kernels failed to compile: that search used
+  /// up no id.
   std::string RunId;
   /// The first failure observed, or the reason no candidate was
   /// feasible. Ok() when the search succeeded — possibly with
@@ -250,13 +260,19 @@ public:
     std::vector<double> Scales;
   };
 
+  /// Builds the primary simulator context; compiles nothing.
   NWayRunner(std::vector<kernels::BenchKernelId> Ids, Options Opts);
 
-  bool ok() const { return Ready; }
+  /// False when construction failed, or when the last compile of the
+  /// input kernels failed (they compile on first need, see the file
+  /// comment); error() then says why. A runner whose inputs never had
+  /// to compile is ok().
+  bool ok() const;
   const std::string &error() const { return Err.message(); }
 
-  /// Registers per thread of kernel \p K compiled standalone.
-  unsigned soloRegs(size_t K) const;
+  /// Registers per thread of kernel \p K compiled standalone; 0 when
+  /// the input kernels fail to compile.
+  unsigned soloRegs(size_t K);
 
   /// All kernels launched concurrently, one stream each (the paper's
   /// native baseline).
@@ -326,11 +342,22 @@ protected:
   /// kernels' own.
   uint32_t fusedDynShared() const;
 
+  /// Compiles the input kernels into Ks through the CompileCache unless
+  /// a complete set is there already; thread-safe. On failure Ks stays
+  /// empty, ok() turns false and the failure (an input compile's own
+  /// code and transient flag) is returned and kept in Err; the next call
+  /// compiles again. A runner whose construction failed returns Err.
+  Status compileInputs();
+
   std::vector<kernels::BenchKernelId> Ids;
+  /// Construction succeeded.
   bool Ready = false;
-  /// Why construction failed (an input compile's own Status), or the
-  /// last failure of a public run* or regBound call.
+  /// Why construction or the last input compile failed, or the last
+  /// failure of a public run* or regBound call.
   Status Err;
+  /// The compiled input kernels, in kernel order: empty until
+  /// compileInputs() succeeds, then never changed again. Read them only
+  /// after a successful compileInputs() on the same thread.
   std::vector<std::shared_ptr<const CompiledKernel>> Ks;
 
   /// Serves the public run* methods; the search lends it to a worker
@@ -389,6 +416,7 @@ private:
                                 Status &Err, SearchStats *Stats,
                                 const gpusim::RunBudget &Budget = {},
                                 double *FenceWaitMs = nullptr);
+  /// regBound() over the compiled inputs (compileInputs() succeeded).
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
   /// The store key of sweep()'s phase-1 summary: the executable's build
@@ -401,6 +429,11 @@ private:
 
   Options Opts;
   std::shared_ptr<CompileCache> Cache;
+
+  /// Guards Ks while it fills, and InputsFailed.
+  mutable std::mutex InputsMu;
+  /// The last compileInputs() failed.
+  bool InputsFailed = false;
 
   /// Contexts not currently lent to a search worker (includes Primary).
   std::vector<SimContext *> FreeContexts;

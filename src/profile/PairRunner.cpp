@@ -19,8 +19,8 @@ PairRunner::PairRunner(BenchKernelId A, BenchKernelId B, Options Opts)
     : NWayRunner({A, B}, std::move(Opts)) {}
 
 SimResult PairRunner::runVFused() {
-  if (!Ready)
-    return fail(Err.message());
+  if (Status S = compileInputs(); !S.ok())
+    return fail(S.message());
   if (!VFused) {
     DiagnosticEngine Diags;
     auto Ctx = std::make_unique<cuda::ASTContext>();
@@ -63,7 +63,7 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
 }
 
 std::string PairRunner::fusedSource(int D1, int D2) {
-  if (!Ready)
+  if (!compileInputs().ok())
     return "";
   cuda::ASTContext Ctx;
   DiagnosticEngine Diags;

@@ -12,7 +12,7 @@
 /// Unvisited holds, and poisons neither the in-process CompileCache nor
 /// the on-disk ResultStore (warm reruns match a clean cold run
 /// bit-for-bit); a deadline yields a DeadlineExceeded partial result; a
-/// runner whose constructor failed reports the failure from
+/// search whose input kernels fail to compile reports it from
 /// searchBestConfig() — Partial when cancelled, the failing compile's
 /// own Status otherwise — instead of crashing; and the process-wide
 /// interrupt (what hfusec's SIGTERM/SIGINT handler sets) cancels a
@@ -199,7 +199,7 @@ TEST(Lifecycle, CancelAtEveryPhaseIsPartialWithIntactLedgerAndNoPoison) {
 TEST(Lifecycle, DeadlineYieldsPartialWithDeadlineReason) {
   NWayRunner::Options Opts = quickOptions();
   // Expires before the first candidate resolves, possibly while the
-  // constructor still compiles the input kernels.
+  // search still compiles the input kernels.
   Opts.Cancel = CancellationToken::withDeadlineMs(1);
   SearchResult SR = search(testKernels(), Opts);
   EXPECT_TRUE(SR.Partial);
@@ -208,10 +208,10 @@ TEST(Lifecycle, DeadlineYieldsPartialWithDeadlineReason) {
 }
 
 TEST(Lifecycle, CancelDuringInputCompilationIsPartial) {
-  // A token fired before the runner is built stops the search while it
-  // compiles its input kernels — the window a 1 ms deadline hits on a
-  // slow host. That is an anytime result with an empty ledger, for a
-  // pair and for an N-way search alike, not a search failure.
+  // A token fired before the search starts stops it while it compiles
+  // its input kernels — the window a 1 ms deadline hits on a slow host.
+  // That is an anytime result with an empty ledger, for a pair and for
+  // an N-way search alike, not a search failure.
   NWayRunner::Options Opts = quickOptions();
   Opts.Cache = std::make_shared<CompileCache>();
 
@@ -234,10 +234,11 @@ TEST(Lifecycle, CancelDuringInputCompilationIsPartial) {
 
 TEST(Lifecycle, CompileFailureBeforeSearchKeepsItsStatusNotPartial) {
   // Every input compile fails (a private cache, so nothing is served
-  // from an earlier test): the runner never becomes ready, and its
-  // search reports the compile's own failure, the injected transient
-  // CodegenError, with 0 candidates. It is not an anytime result, and
-  // no run id is spent on it.
+  // from an earlier test). The runner compiles nothing when it is
+  // built, so it starts ok(); its search compiles the inputs first and
+  // reports the compile's own failure, the injected transient
+  // CodegenError, with 0 candidates, and the runner is then !ok(). It
+  // is not an anytime result, and no run id is spent on it.
   InjectorGuard G;
   ASSERT_TRUE(FaultInjector::instance().configure("compile"));
   auto Check = [](const SearchResult &SR) {
@@ -254,16 +255,21 @@ TEST(Lifecycle, CompileFailureBeforeSearchKeepsItsStatusNotPartial) {
     NWayRunner::Options Opts = quickOptions();
     Opts.Cache = std::make_shared<CompileCache>();
     NWayRunner Runner(Ids, Opts);
-    EXPECT_FALSE(Runner.ok());
+    EXPECT_TRUE(Runner.ok());
     Check(Runner.searchBestConfig());
+    EXPECT_FALSE(Runner.ok());
+    EXPECT_NE(Runner.error().find("injected fault"), std::string::npos)
+        << Runner.error();
   }
   // The pair view's own search, full and naive.
   NWayRunner::Options Opts = quickOptions();
   Opts.Cache = std::make_shared<CompileCache>();
   PairRunner Pair(testPair().A, testPair().B, Opts);
-  EXPECT_FALSE(Pair.ok());
+  EXPECT_TRUE(Pair.ok());
   Check(Pair.searchBestConfig());
+  EXPECT_FALSE(Pair.ok());
   Check(Pair.searchBestConfig(/*NaiveEvenSplit=*/true));
+  EXPECT_FALSE(Pair.ok());
 }
 
 // Keep this test LAST: interruptAll() latches a process-wide flag with

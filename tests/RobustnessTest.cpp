@@ -447,18 +447,26 @@ TEST_P(FaultInjectedSearch, BestIsBitIdenticalWithInjectedFaults) {
     arm(Spec);
 
     // A fresh cache compiles the input kernels again, so the first
-    // construction trips the injected compile failure: construction
-    // fails with the structured error instead of crashing.
+    // search trips the injected compile failure before it takes a run
+    // id: it fails with the structured error instead of crashing, and
+    // the runner reports it.
     PairRunner::Options FOpts = Opts;
     FOpts.SearchJobs = Jobs;
     FOpts.Cache = std::make_shared<CompileCache>();
     PairRunner Broken(P.A, P.B, FOpts);
+    SearchResult NoInputs = Broken.searchBestConfig();
+    EXPECT_FALSE(NoInputs.Ok);
+    EXPECT_FALSE(NoInputs.Partial);
+    EXPECT_EQ(NoInputs.Err.code(), ErrorCode::CodegenError);
+    EXPECT_TRUE(NoInputs.Err.transient());
+    EXPECT_EQ(NoInputs.Stats.Candidates, 0u);
+    EXPECT_TRUE(NoInputs.RunId.empty());
     ASSERT_FALSE(Broken.ok());
     EXPECT_NE(Broken.error().find("injected fault"), std::string::npos)
         << Broken.error();
 
     // The one-shot rule is spent and the failure was never cached: the
-    // retry constructs cleanly on a fresh cache and sweeps with the
+    // retry compiles cleanly on a fresh cache and sweeps with the
     // lowering fault and the wedge still armed.
     FOpts.Cache = std::make_shared<CompileCache>();
     PairRunner R(P.A, P.B, FOpts);

@@ -310,39 +310,58 @@ TEST(SearchNWay, WarmStoreRerunIsBitIdenticalToCold) {
 
 TEST(SearchNWay, StoreAnsweredSearchSetsUpNoWorkload) {
   // Workload inputs are built per simulator context, at its first
-  // simulation. A cold sweep at 2 jobs sets up at most one context per
-  // job. A warm one the store answers sets up none, and the baselines,
-  // which bypass the store, set up the primary context once.
-  TempDir D("setups");
-  auto CacheOn = [&] {
-    auto Cache = std::make_shared<CompileCache>();
-    auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
-    EXPECT_TRUE(Store);
-    Cache->attachStore(Store);
-    return Cache;
-  };
-  NWayRunner::Options Opts = quickOptions();
-  Opts.SearchJobs = 2;
-  Opts.Cache = CacheOn();
-  SearchResult Cold = runSweep(dlTriple(), Opts);
-  ASSERT_TRUE(Cold.Ok) << Cold.Err;
-  EXPECT_GE(Opts.Cache->stats().ContextSetups, 1u);
-  EXPECT_LE(Opts.Cache->stats().ContextSetups, 2u);
+  // simulation. A cold sweep sets up at most one context per job. A
+  // warm one the store answers sets up none and compiles no input
+  // kernel: the phase-1 summary stands in for fusion and lowering, and
+  // its input shapes for the bound ordering's S_k, at either budget and
+  // any job count. The baselines, which bypass the store, compile the
+  // three inputs and set up the primary context once.
+  for (SearchBudgetMode Budget :
+       {SearchBudgetMode::Incumbent, SearchBudgetMode::Off}) {
+    SCOPED_TRACE(searchBudgetModeName(Budget));
+    TempDir D(std::string("setups-") + searchBudgetModeName(Budget));
+    auto CacheOn = [&] {
+      auto Cache = std::make_shared<CompileCache>();
+      auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+      EXPECT_TRUE(Store);
+      Cache->attachStore(Store);
+      return Cache;
+    };
+    NWayRunner::Options Opts = quickOptions();
+    Opts.Budget = Budget;
+    Opts.SearchJobs = 2;
+    Opts.Cache = CacheOn();
+    SearchResult Cold = runSweep(dlTriple(), Opts);
+    ASSERT_TRUE(Cold.Ok) << Cold.Err;
+    EXPECT_EQ(Opts.Cache->stats().KernelCompiles, 3u);
+    EXPECT_GE(Opts.Cache->stats().ContextSetups, 1u);
+    EXPECT_LE(Opts.Cache->stats().ContextSetups, 2u);
 
-  Opts.Cache = CacheOn();
-  NWayRunner R(dlTriple(), Opts);
-  ASSERT_TRUE(R.ok()) << R.error();
-  SearchResult Warm = R.searchBestConfig();
-  ASSERT_TRUE(Warm.Ok) << Warm.Err;
-  EXPECT_EQ(ledger(Warm), ledger(Cold));
-  EXPECT_EQ(Opts.Cache->stats().SimRuns, 0u);
-  EXPECT_EQ(Opts.Cache->stats().ContextSetups, 0u);
-  // The store's phase-1 summary stands in for fusion and lowering too.
-  EXPECT_EQ(Opts.Cache->stats().FusionRuns, 0u);
-  EXPECT_EQ(Opts.Cache->stats().Lowerings, 0u);
-  EXPECT_TRUE(R.runNative().Ok);
-  EXPECT_TRUE(R.runSerial().Ok);
-  EXPECT_EQ(Opts.Cache->stats().ContextSetups, 1u);
+    for (int Jobs : {1, 4}) {
+      SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+      Opts.SearchJobs = Jobs;
+      Opts.Cache = CacheOn();
+      NWayRunner R(dlTriple(), Opts);
+      ASSERT_TRUE(R.ok()) << R.error();
+      SearchResult Warm = R.searchBestConfig();
+      ASSERT_TRUE(Warm.Ok) << Warm.Err;
+      EXPECT_EQ(ledger(Warm), ledger(Cold));
+      EXPECT_EQ(Warm.Best.Id, Cold.Best.Id);
+      const CompileCache::Stats S = Opts.Cache->stats();
+      EXPECT_EQ(S.SummaryHits, 1u);
+      EXPECT_EQ(S.KernelCompiles, 0u);
+      EXPECT_EQ(S.KernelHits, 0u);
+      EXPECT_EQ(S.SimRuns, 0u);
+      EXPECT_EQ(S.ContextSetups, 0u);
+      EXPECT_EQ(S.FusionRuns, 0u);
+      EXPECT_EQ(S.Lowerings, 0u);
+      EXPECT_TRUE(R.runNative().Ok);
+      EXPECT_EQ(Opts.Cache->stats().KernelCompiles, 3u);
+      EXPECT_TRUE(R.runSerial().Ok);
+      EXPECT_EQ(Opts.Cache->stats().KernelCompiles, 3u);
+      EXPECT_EQ(Opts.Cache->stats().ContextSetups, 1u);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -170,6 +170,11 @@ TEST(CompileCacheCounts, SharedAcrossRunners) {
   Opts.Cache = Cache;
   PairRunner R1(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
   PairRunner R2(BenchKernelId::Batchnorm, BenchKernelId::Upsample, Opts);
+  // Construction compiles nothing; the first call that needs the
+  // inputs does.
+  EXPECT_EQ(Cache->stats().KernelCompiles, 0u);
+  EXPECT_GT(R1.soloRegs(0), 0u);
+  EXPECT_GT(R2.soloRegs(0), 0u);
   ASSERT_TRUE(R1.ok());
   ASSERT_TRUE(R2.ok());
   CompileCache::Stats S = Cache->stats();

@@ -9,19 +9,20 @@
 /// pipeline: a warm-cache run (results served from disk) and a cold run
 /// (results computed) produce bit-identical SearchResults for all 16
 /// paper pairs — same Best config, same cycle counts, same candidate
-/// sets — with the warm run performing zero simulations, fusions and
-/// lowerings, and setting up no workload. Also covered: every injected
-/// store fault degrades the sweep to a correct storeless run (never a
-/// wrong answer, never a crash); warm budgeted sweeps replay the cold budgeted ledger, budget
+/// sets — with the warm run performing zero input compiles,
+/// simulations, fusions and lowerings, and setting up no workload.
+/// Also covered: every injected store fault degrades the sweep to a
+/// correct storeless run (never a wrong answer, never a crash); warm
+/// budgeted sweeps replay the cold budgeted ledger, budget
 /// aborts included, without simulating; a stored abort answers only
 /// callers at least as tight and is replaced by a looser run; no unclean
 /// run (wedged, cancelled, void) is persisted; a schema bump
 /// quarantines old records and recomputes rather than serving stale
 /// payloads; and the phase-1 summary — written only after a clean
 /// phase 1, checked against every lazy lowering, replaced when it does
-/// not decode — leaves a warm search exactly the fusion and simulation
-/// its missing records need, while a compile digest left by an earlier
-/// build is never read.
+/// not decode or fit — leaves a warm search exactly the input compiles,
+/// fusion and simulation its missing records need, while a compile
+/// digest left by an earlier build is never read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -578,9 +579,8 @@ std::map<std::string, fs::path> recordsTagged(const TempDir &D,
   return Out;
 }
 
-/// The store's only phase-1 summary: its key and decoded entries.
-std::pair<std::string, std::vector<Phase1Entry>>
-onlySummary(const TempDir &D) {
+/// The store's only phase-1 summary: its key and decoded record.
+std::pair<std::string, Phase1Summary> onlySummary(const TempDir &D) {
   std::map<std::string, fs::path> Summaries =
       recordsTagged(D, "phase1-summary");
   EXPECT_EQ(Summaries.size(), 1u);
@@ -590,13 +590,59 @@ onlySummary(const TempDir &D) {
   auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
   std::optional<std::string> Payload = Store->get(Key);
   EXPECT_TRUE(Payload);
-  std::optional<std::vector<Phase1Entry>> Entries =
+  std::optional<Phase1Summary> Summary =
       decodePhase1Summary(Payload ? *Payload : std::string());
-  EXPECT_TRUE(Entries);
-  return {Key, Entries ? *Entries : std::vector<Phase1Entry>()};
+  EXPECT_TRUE(Summary);
+  return {Key, Summary ? *Summary : Phase1Summary()};
+}
+
+/// Options at \p Budget and \p Jobs on \p Cache.
+PairRunner::Options budgetOptions(const std::shared_ptr<CompileCache> &Cache,
+                                  SearchBudgetMode Budget, int Jobs) {
+  PairRunner::Options Opts = quickOptions(Cache);
+  Opts.Budget = Budget;
+  Opts.SearchJobs = Jobs;
+  return Opts;
 }
 
 } // namespace
+
+TEST(StoreSummary, WarmSearchCompilesNoInputKernel) {
+  // The summary holds the input kernels' shapes, so a warm search reads
+  // their instruction counts (the bound ordering's S_k) from it and
+  // compiles neither kernel. The budgeted order, and so which
+  // candidates are abandoned and at what cost, stays the cold one.
+  for (const BenchPair &P :
+       {dlPair(), BenchPair{BenchKernelId::SHA256, BenchKernelId::Blake256}}) {
+    for (SearchBudgetMode Budget :
+         {SearchBudgetMode::Incumbent, SearchBudgetMode::Off}) {
+      SCOPED_TRACE(std::string(kernelDisplayName(P.A)) + "+" +
+                   kernelDisplayName(P.B) + " budget " +
+                   searchBudgetModeName(Budget));
+      TempDir D(std::string("nocompile-") + kernelDisplayName(P.A) + "-" +
+                searchBudgetModeName(Budget));
+      auto ColdCache = cacheOn(D);
+      SearchResult Cold = runSweep(P, budgetOptions(ColdCache, Budget, 1));
+      ASSERT_TRUE(Cold.Ok) << Cold.Err;
+      EXPECT_EQ(ColdCache->stats().KernelCompiles, 2u);
+      ASSERT_EQ(onlySummary(D).second.Inputs.size(), 2u);
+      for (int Jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+        auto Warm = cacheOn(D);
+        SearchResult SR = runSweep(P, budgetOptions(Warm, Budget, Jobs));
+        expectBitIdentical(SR, Cold);
+        EXPECT_EQ(ledger(SR), ledger(Cold));
+        EXPECT_EQ(SR.Stats.IncumbentCycles, Cold.Stats.IncumbentCycles);
+        CompileCache::Stats S = Warm->stats();
+        EXPECT_EQ(S.SummaryHits, 1u);
+        EXPECT_EQ(S.KernelCompiles, 0u);
+        EXPECT_EQ(S.KernelHits, 0u);
+        EXPECT_EQ(S.FusionRuns, 0u);
+        EXPECT_EQ(S.SimRuns, 0u);
+      }
+    }
+  }
+}
 
 TEST(StoreSummary, DeletedSimRecordIsTheOnlyFusionAndSimulation) {
   TempDir D("deleted");
@@ -606,27 +652,48 @@ TEST(StoreSummary, DeletedSimRecordIsTheOnlyFusionAndSimulation) {
   ASSERT_GE(Sims.size(), 2u);
 
   // Each simulation record in turn: the warm search takes phase 1 from
-  // the summary, misses that one record, and fuses, lowers and
-  // simulates its launch alone.
+  // the summary, misses that one record, compiles both input kernels
+  // once, and fuses, lowers and simulates its launch alone. At 2 jobs
+  // that lazy lowering, input compiles included, runs on a pool worker.
   for (const auto &[Key, Path] : Sims) {
-    SCOPED_TRACE(Path.filename().string());
-    const std::string Bytes = fileBytes(Path);
-    fs::remove(Path);
-    auto Warm = cacheOn(D);
-    SearchResult SR = runSweep(dlPair(), quickOptions(Warm));
-    expectBitIdentical(SR, Cold);
-    EXPECT_EQ(ledger(SR), ledger(Cold));
-    CompileCache::Stats S = Warm->stats();
-    EXPECT_EQ(S.SummaryHits, 1u);
-    EXPECT_EQ(S.FusionRuns, 1u);
-    EXPECT_EQ(S.Lowerings, 1u);
-    EXPECT_EQ(S.SimRuns, 1u);
-    EXPECT_EQ(S.DiskMisses, 1u);
-    EXPECT_EQ(S.DiskWrites, 1u);
-    // The write landed under the deleted key, byte for byte: the one
-    // fused, lowered and simulated launch was exactly the missing one.
-    EXPECT_EQ(fileBytes(Path), Bytes);
+    for (int Jobs : {1, 2}) {
+      SCOPED_TRACE(Path.filename().string() +
+                   " jobs=" + std::to_string(Jobs));
+      const std::string Bytes = fileBytes(Path);
+      fs::remove(Path);
+      auto Warm = cacheOn(D);
+      PairRunner::Options Opts = quickOptions(Warm);
+      Opts.SearchJobs = Jobs;
+      telemetry::Tracer::instance().clear();
+      telemetry::setTraceEnabled(true);
+      SearchResult SR = runSweep(dlPair(), Opts);
+      telemetry::setTraceEnabled(false);
+      expectBitIdentical(SR, Cold);
+      EXPECT_EQ(ledger(SR), ledger(Cold));
+      CompileCache::Stats S = Warm->stats();
+      EXPECT_EQ(S.SummaryHits, 1u);
+      EXPECT_EQ(S.KernelCompiles, 2u);
+      EXPECT_EQ(S.KernelHits, 0u);
+      EXPECT_EQ(S.FusionRuns, 1u);
+      EXPECT_EQ(S.Lowerings, 1u);
+      EXPECT_EQ(S.SimRuns, 1u);
+      EXPECT_EQ(S.DiskMisses, 1u);
+      EXPECT_EQ(S.DiskWrites, 1u);
+      std::vector<uint32_t> CompileThreads;
+      for (const telemetry::TraceEvent &E :
+           telemetry::Tracer::instance().events())
+        if (E.Phase == 'B' && E.Cat == "compile")
+          CompileThreads.push_back(E.Tid);
+      ASSERT_EQ(CompileThreads.size(), 2u);
+      EXPECT_EQ(CompileThreads[0], CompileThreads[1]);
+      EXPECT_EQ(CompileThreads[0] != telemetry::Tracer::currentThreadId(),
+                Jobs > 1);
+      // The write landed under the deleted key, byte for byte: the one
+      // fused, lowered and simulated launch was exactly the missing one.
+      EXPECT_EQ(fileBytes(Path), Bytes);
+    }
   }
+  telemetry::Tracer::instance().clear();
 }
 
 TEST(StoreSummary, FailedLazyLoweringIsNeitherMemoizedNorStored) {
@@ -637,7 +704,7 @@ TEST(StoreSummary, FailedLazyLoweringIsNeitherMemoizedNorStored) {
 
   // A record only one candidate launches (no aliased bound shares its
   // hash), so its loss leaves exactly one lazy lowering.
-  const std::vector<Phase1Entry> Entries = onlySummary(D).second;
+  const std::vector<Phase1Entry> Entries = onlySummary(D).second.Entries;
   fs::path Victim;
   for (const auto &[Key, Path] : recordsTagged(D, "sim-result")) {
     ByteReader KR(Key);
@@ -740,13 +807,20 @@ TEST(StoreSummary, UndecodableSummaryReadsAsMissAndIsReplaced) {
   TempDir D("garbled");
   SearchResult Cold = runSweep(dlPair(), quickOptions(cacheOn(D)));
   ASSERT_TRUE(Cold.Ok) << Cold.Err;
-  const std::string Key = onlySummary(D).first;
+  const auto [Key, Stored] = onlySummary(D);
   ASSERT_FALSE(Key.empty());
+  ASSERT_EQ(Stored.Inputs.size(), 2u);
+  Phase1Summary OneInput = Stored;
+  OneInput.Inputs.pop_back();
+  Phase1Summary ThreeInputs = Stored;
+  ThreeInputs.Inputs.push_back(Stored.Inputs.back());
 
-  // Bytes that do not decode, and a well-formed summary that does not
-  // fit the search's candidates.
+  // Bytes that do not decode, a well-formed summary that does not fit
+  // the search's candidates, and the stored one with one input shape
+  // too few or too many.
   for (const std::string &Payload :
-       {std::string("not a summary"), encodePhase1Summary({})}) {
+       {std::string("not a summary"), encodePhase1Summary({}),
+        encodePhase1Summary(OneInput), encodePhase1Summary(ThreeInputs)}) {
     {
       auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
       ASSERT_TRUE(Store->put(Key, Payload).ok());
@@ -757,6 +831,7 @@ TEST(StoreSummary, UndecodableSummaryReadsAsMissAndIsReplaced) {
     EXPECT_EQ(ledger(SR), ledger(Cold));
     CompileCache::Stats S = Warm->stats();
     EXPECT_EQ(S.SummaryHits, 0u);
+    EXPECT_EQ(S.KernelCompiles, 2u);
     EXPECT_EQ(S.FusionRuns, 7u);
     EXPECT_EQ(S.SimRuns, 0u);
     EXPECT_EQ(S.SummaryWrites, 1u);
@@ -766,6 +841,7 @@ TEST(StoreSummary, UndecodableSummaryReadsAsMissAndIsReplaced) {
     SearchResult Next = runSweep(dlPair(), quickOptions(Again));
     expectBitIdentical(Next, Cold);
     EXPECT_EQ(Again->stats().SummaryHits, 1u);
+    EXPECT_EQ(Again->stats().KernelCompiles, 0u);
     EXPECT_EQ(Again->stats().FusionRuns, 0u);
   }
 }
@@ -788,13 +864,13 @@ TEST(StoreSummary, ForgedHashRetiresItsCandidateAsInternal) {
 
   // Forge the victim's hash, as a summary from a binary whose lowering
   // drifted would.
-  auto [Key, Entries] = onlySummary(D);
-  ASSERT_LT(static_cast<size_t>(Victim->Id), Entries.size());
-  ASSERT_TRUE(Entries[Victim->Id].Shape);
-  Entries[Victim->Id].Shape->Hash ^= 1;
+  auto [Key, Summary] = onlySummary(D);
+  ASSERT_LT(static_cast<size_t>(Victim->Id), Summary.Entries.size());
+  ASSERT_TRUE(Summary.Entries[Victim->Id].Shape);
+  Summary.Entries[Victim->Id].Shape->Hash ^= 1;
   {
     auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
-    ASSERT_TRUE(Store->put(Key, encodePhase1Summary(Entries)).ok());
+    ASSERT_TRUE(Store->put(Key, encodePhase1Summary(Summary)).ok());
   }
 
   telemetry::setMetricsEnabled(true);
